@@ -94,7 +94,7 @@ class AttackerHost:
     ) -> None:
         """Seal and inject a forged segment with an arbitrary source."""
         self._record(kind, victim, seq=segment.seq, ack=segment.ack,
-                     dst=str(dst_ip))
+                     dst=dst_ip.__str__)
         self.host.send_raw_datagram(Ipv4Datagram(
             src=src_ip,
             dst=dst_ip,
@@ -176,5 +176,5 @@ class AttackerHost:
 
     def claim_ip(self, ip: Ipv4Address, victim: str) -> None:
         """Broadcast a gratuitous ARP claiming ``ip`` with our own MAC."""
-        self._record("arp", victim, ip=str(ip))
+        self._record("arp", victim, ip=ip.__str__)
         self.host.eth_interface.arp.announce(ip)

@@ -23,6 +23,7 @@ from repro.analysis.rules.protocol import ProtocolRule
 from repro.analysis.rules.seq_arith import SeqArithRule
 from repro.analysis.rules.seq_taint import SeqTaintRule
 from repro.analysis.rules.sim_safety import ChecksumPairRule, SimImportRule
+from repro.analysis.rules.trace_args import EagerTraceArgRule
 
 ALL_RULES: List[Type[Rule]] = [
     SeqArithRule,
@@ -33,6 +34,7 @@ ALL_RULES: List[Type[Rule]] = [
     WallclockRule,
     SetOrderRule,
     HandlerExceptRule,
+    EagerTraceArgRule,
 ]
 
 #: Interprocedural / flow-sensitive passes (``repro lint --semantic``).
@@ -48,6 +50,7 @@ __all__ = [
     "SEMANTIC_RULES",
     "ChecksumPairRule",
     "ChecksumStalenessRule",
+    "EagerTraceArgRule",
     "HandlerExceptRule",
     "MutationEscapeRule",
     "ObsPassiveRule",

@@ -54,7 +54,7 @@ class AuthoritativeZone:
         if self.tracer is not None:
             self.tracer.emit(
                 self.sim.now, "clients.dns.record", "zone",
-                name=name, ip=str(ip), ttl=ttl, serial=self.serial,
+                name=name, ip=ip.__str__, ttl=ttl, serial=self.serial,
             )
 
     def lookup(self, name: str) -> Tuple[Ipv4Address, float]:
@@ -102,7 +102,7 @@ class ResolverCache:
                     self.stale_hits += 1
                     self.tracer.emit(
                         self.sim.now, "clients.dns.stale_hit",
-                        self.client.name, name=name, ip=str(ip),
+                        self.client.name, name=name, ip=ip.__str__,
                     )
                 return ip
             if self.sim.now < expires:
@@ -170,5 +170,5 @@ class HealthCheckedRecord:
         if self.zone.tracer is not None:
             self.zone.tracer.emit(
                 self.zone.sim.now, "clients.dns.flip", "zone",
-                name=self.name, to=str(self.standby_ip),
+                name=self.name, to=self.standby_ip.__str__,
             )

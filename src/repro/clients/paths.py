@@ -397,7 +397,7 @@ def run_client_path(
             standby.eth_interface.arp.announce(PRIMARY_IP)
             lan.tracer.emit(
                 lan.sim.now, "clients.vip.takeover", standby.name,
-                ip=str(PRIMARY_IP),
+                ip=PRIMARY_IP.__str__,
             )
 
         monitor = HealthMonitor(

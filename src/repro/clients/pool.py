@@ -204,7 +204,7 @@ class ConnectionPool:
                     self._wake()
                     raise
                 return sock
-            waiter = Event(self.sim, name=f"{self.name}.wait")
+            waiter = Event(self.sim, name="pool.wait")
             self._waiters.append(waiter)
             yield waiter
 

@@ -130,9 +130,10 @@ class ChainBridge(PrimaryBridge):
                 new_dst=local,
             )
             self.segments_translated_in += 1
-            from dataclasses import replace
-
-            return replace(rewritten_dgram, dst=local, payload=translated)
+            return Ipv4Datagram(
+                rewritten_dgram.src, local, rewritten_dgram.protocol,
+                translated, rewritten_dgram.ttl,
+            )
         if self.host.ip.owns(datagram.dst):
             return datagram
         return None  # snooped traffic that is not for the service
@@ -473,4 +474,4 @@ class ReplicatedChain:
             bc.local_ip = self.service_ip
         interface.arp.announce(self.service_ip)
         host.tracer.emit(host.sim.now, "chain.promoted", host.name,
-                         ip=str(self.service_ip))
+                         ip=self.service_ip.__str__)

@@ -156,7 +156,7 @@ class FaultDetector:
             self.fired = True
             self._m_fired.inc()
             self.tracer.emit(
-                self.sim.now, "detector.failure", self.host.name, peer=str(self.peer_ip)
+                self.sim.now, "detector.failure", self.host.name, peer=self.peer_ip.__str__
             )
             self.on_failure()
             return

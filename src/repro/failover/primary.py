@@ -261,7 +261,7 @@ class PrimaryBridge(BridgeBase):
             bc.direct = True
             bc.delta = SeqOffset.identity()
         self.connections[key] = bc
-        self._trace("bridge.p.conn_created", peer=f"{key[0]}:{key[1]}",
+        self._trace("bridge.p.conn_created", peer=lambda: f"{key[0]}:{key[1]}",
                     local_port=key[2], role=role)
         if self.spans.enabled:
             peer_key = self._span_key(bc)
@@ -372,7 +372,7 @@ class PrimaryBridge(BridgeBase):
         if bc.broken or bc.direct:
             return
         if segment.rst:
-            self._trace("bridge.p.s_rst_dropped", peer=str(bc.peer_ip))
+            self._trace("bridge.p.s_rst_dropped", peer=bc.peer_ip.__str__)
             return
         if segment.syn:
             bc.syn_s = segment
@@ -432,7 +432,7 @@ class PrimaryBridge(BridgeBase):
                 self._m_rsts_ignored.inc()
                 self._trace(
                     "bridge.p.rst_ignored",
-                    peer=f"{datagram.src}:{segment.src_port}",
+                    peer=lambda: f"{datagram.src}:{segment.src_port}",
                     seq=segment.seq,
                 )
             return datagram
@@ -458,7 +458,9 @@ class PrimaryBridge(BridgeBase):
         )
         if bc.ready_to_delete():
             self._delete(bc, reason="closed")
-        return replace(datagram, payload=rewritten)
+        return Ipv4Datagram(
+            datagram.src, datagram.dst, datagram.protocol, rewritten, datagram.ttl
+        )
 
     def _peer_rst_valid(
         self, datagram: Ipv4Datagram, segment: TcpSegment
@@ -907,7 +909,7 @@ class PrimaryBridge(BridgeBase):
                 self._resume_watch.add(resume.key)
             self._trace(
                 "bridge.p.resume_merge",
-                peer=f"{resume.peer_ip}:{resume.peer_port}",
+                peer=lambda: f"{resume.peer_ip}:{resume.peer_port}",
                 frontier=resume.frontier,
                 delta=resume.delta.delta,
                 direct=direct,
@@ -918,7 +920,7 @@ class PrimaryBridge(BridgeBase):
         if bc.key not in self._resume_watch:
             return
         self._resume_watch.discard(bc.key)
-        self._trace("bridge.p.resume_merged", peer=f"{bc.peer_ip}:{bc.peer_port}")
+        self._trace("bridge.p.resume_merged", peer=lambda: f"{bc.peer_ip}:{bc.peer_port}")
         if self.on_resume_merged is not None:
             self.on_resume_merged(bc.key)
 
@@ -980,7 +982,7 @@ class PrimaryBridge(BridgeBase):
         bc.broken = True
         self.mismatches += 1
         self._m_mismatches.inc()
-        self._trace("bridge.p.mismatch", error=str(exc), peer=str(bc.peer_ip))
+        self._trace("bridge.p.mismatch", error=exc.__str__, peer=bc.peer_ip.__str__)
         if self.spans.enabled:
             self.spans.flow_event(
                 self._span_key(bc), "bridge.mismatch",
@@ -989,7 +991,7 @@ class PrimaryBridge(BridgeBase):
 
     def _delete(self, bc: BridgeConnection, reason: str) -> None:
         self.connections.pop(bc.key, None)
-        self._trace("bridge.p.conn_deleted", peer=f"{bc.peer_ip}:{bc.peer_port}",
+        self._trace("bridge.p.conn_deleted", peer=lambda: f"{bc.peer_ip}:{bc.peer_port}",
                     reason=reason)
 
     def _local_ip_guess(self) -> Ipv4Address:

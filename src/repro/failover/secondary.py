@@ -18,7 +18,6 @@ bridge is inert and the secondary "behaves like any standard TCP server."
 
 from __future__ import annotations
 
-from dataclasses import replace
 from typing import TYPE_CHECKING, List, Optional, Tuple
 
 from repro.net.addresses import Ipv4Address
@@ -95,11 +94,13 @@ class SecondaryBridge(BridgeBase):
         self._m_translated.inc()
         self._trace(
             "bridge.s.translate_in",
-            src=str(datagram.src),
+            src=datagram.src.__str__,
             port=segment.dst_port,
             seq=segment.seq,
         )
-        return replace(datagram, dst=local, payload=rewritten)
+        return Ipv4Datagram(
+            datagram.src, local, datagram.protocol, rewritten, datagram.ttl
+        )
 
     # ------------------------------------------------------------------
     # send side: divert client-bound segments to the primary  (§3.1)
@@ -129,10 +130,10 @@ class SecondaryBridge(BridgeBase):
         self._m_diverted.inc()
         self._trace(
             "bridge.s.divert_out",
-            orig_dst=str(dst_ip),
+            orig_dst=dst_ip.__str__,
             seq=segment.seq,
             len=len(segment.payload),
-            flags=segment.flag_names(),
+            flags=segment.flag_names,
         )
         # The rewrite costs CPU; the FIFO CPU keeps segments ordered.
         self.host.cpu.run(

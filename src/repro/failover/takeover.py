@@ -117,7 +117,7 @@ class TakeoverProcedure:
         interface.arp.announce(self.primary_ip)
         self.state = TakeoverState.ANNOUNCED
         host.tracer.emit(
-            host.sim.now, "takeover.announced", host.name, ip=str(self.primary_ip)
+            host.sim.now, "takeover.announced", host.name, ip=self.primary_ip.__str__
         )
         host.spans.event(
             self._span_ctx, "failover.announced", host.sim.now, host.name,
@@ -153,7 +153,7 @@ class TakeoverProcedure:
         self.state = TakeoverState.FENCED
         self.host.tracer.emit(
             self.host.sim.now, "takeover.fenced", self.host.name,
-            ip=str(self.primary_ip),
+            ip=self.primary_ip.__str__,
         )
         if self._span_ctx is not None:
             self.host.spans.finish(self._span_ctx, self.host.sim.now)

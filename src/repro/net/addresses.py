@@ -1,7 +1,9 @@
 """MAC and IPv4 address value types.
 
 Both types are immutable, hashable and cheap to compare, so they can key
-dictionaries (ARP caches, TCP demux tables) directly.
+dictionaries (ARP caches, TCP demux tables) directly.  The hash is computed
+once at construction (a 4-tuple lookup hashes two addresses per segment);
+its value is unchanged, so set and dict iteration orders are too.
 """
 
 from __future__ import annotations
@@ -12,7 +14,7 @@ from typing import Union
 class MacAddress:
     """48-bit Ethernet address."""
 
-    __slots__ = ("value",)
+    __slots__ = ("value", "_hash")
 
     def __init__(self, value: Union[int, str, "MacAddress"]):
         if isinstance(value, MacAddress):
@@ -25,6 +27,7 @@ class MacAddress:
         if not 0 <= value < 1 << 48:
             raise ValueError(f"MAC address out of range: {value}")
         object.__setattr__(self, "value", value)
+        object.__setattr__(self, "_hash", hash(("mac", value)))
 
     def __setattr__(self, name: str, attr_value: object) -> None:
         raise AttributeError("MacAddress is immutable")
@@ -37,7 +40,7 @@ class MacAddress:
         return isinstance(other, MacAddress) and self.value == other.value
 
     def __hash__(self) -> int:
-        return hash(("mac", self.value))
+        return self._hash
 
     def __str__(self) -> str:
         raw = self.value.to_bytes(6, "big")
@@ -53,7 +56,7 @@ BROADCAST_MAC = MacAddress((1 << 48) - 1)
 class Ipv4Address:
     """32-bit IPv4 address with subnet helpers."""
 
-    __slots__ = ("value",)
+    __slots__ = ("value", "_hash")
 
     def __init__(self, value: Union[int, str, "Ipv4Address"]):
         if isinstance(value, Ipv4Address):
@@ -69,6 +72,7 @@ class Ipv4Address:
         if not 0 <= value < 1 << 32:
             raise ValueError(f"IPv4 address out of range: {value}")
         object.__setattr__(self, "value", value)
+        object.__setattr__(self, "_hash", hash(("ipv4", value)))
 
     def __setattr__(self, name: str, attr_value: object) -> None:
         raise AttributeError("Ipv4Address is immutable")
@@ -90,7 +94,7 @@ class Ipv4Address:
         return self.value < other.value
 
     def __hash__(self) -> int:
-        return hash(("ipv4", self.value))
+        return self._hash
 
     def __str__(self) -> str:
         raw = self.value.to_bytes(4, "big")

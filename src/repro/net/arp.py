@@ -103,7 +103,7 @@ class ArpService:
     def resolve(self, ip: Ipv4Address) -> Event:
         """Resolve ``ip`` to a MAC.  The returned event yields the MAC or
         fails with :class:`ResolutionFailed`."""
-        event = Event(self.sim, name=f"arp-resolve-{ip}")
+        event = Event(self.sim, name="arp.resolve")
         cached = self.cache.get(ip)
         if cached is not None:
             event.succeed(cached)
@@ -142,7 +142,7 @@ class ArpService:
             target_ip=ip,
             target_mac=BROADCAST_MAC,
         )
-        self.tracer.emit(self.sim.now, "arp.gratuitous", self.node_name, ip=str(ip))
+        self.tracer.emit(self.sim.now, "arp.gratuitous", self.node_name, ip=ip.__str__)
         self.nic.send(
             EthernetFrame(self.nic.mac, BROADCAST_MAC, ETHERTYPE_ARP, packet)
         )
@@ -166,8 +166,8 @@ class ArpService:
                     self.sim.now,
                     "arp.gratuitous_ignored",
                     self.node_name,
-                    ip=str(packet.sender_ip),
-                    mac=str(packet.sender_mac),
+                    ip=packet.sender_ip.__str__,
+                    mac=packet.sender_mac.__str__,
                 )
                 self.announce(packet.sender_ip)
                 return
@@ -188,8 +188,8 @@ class ArpService:
                         self.sim.now,
                         "arp.gratuitous_spoofed",
                         self.node_name,
-                        ip=str(packet.sender_ip),
-                        mac=str(packet.sender_mac),
+                        ip=packet.sender_ip.__str__,
+                        mac=packet.sender_mac.__str__,
                     )
                     self.announce(packet.sender_ip)
                     return
@@ -229,8 +229,8 @@ class ArpService:
                 self.sim.now,
                 "arp.gratuitous_applied",
                 self.node_name,
-                ip=str(packet.sender_ip),
-                mac=str(packet.sender_mac),
+                ip=packet.sender_ip.__str__,
+                mac=packet.sender_mac.__str__,
             )
 
         if self.gratuitous_apply_delay > 0:
@@ -259,7 +259,7 @@ class ArpService:
             target_ip=ip,
         )
         self.tracer.emit(
-            self.sim.now, "arp.request", self.node_name, ip=str(ip), attempt=attempt
+            self.sim.now, "arp.request", self.node_name, ip=ip.__str__, attempt=attempt
         )
         self.nic.send(
             EthernetFrame(self.nic.mac, BROADCAST_MAC, ETHERTYPE_ARP, packet)

@@ -98,7 +98,7 @@ class EthernetSegment:
             backoff_slots = self.rng.uniform(1.0, 8.0)
             delay_extra = self.slot_time * (1.0 + backoff_slots)
             self.tracer.emit(
-                now, "eth.collision", self.name, sender=str(sender.mac)
+                now, "eth.collision", self.name, sender=sender.mac.__str__
             )
         start = earliest + delay_extra
         tx_time = self.transmission_time(frame)
@@ -148,7 +148,8 @@ class EthernetSegment:
     def _fan_out(self, frame: EthernetFrame, exclude: Optional["Nic"]) -> None:
         self.frames_delivered += 1
         self._m_frames.inc()
-        self._m_bytes.inc(frame.wire_size)
+        size = frame.wire_size
+        self._m_bytes.inc(size)
         # The frame object rides along in the detail so the pcap exporter
         # and flight recorder can reconstruct the wire (frames are frozen
         # dataclasses — recording aliases, never copies).
@@ -156,9 +157,9 @@ class EthernetSegment:
             self.sim.now,
             "eth.rx",
             self.name,
-            src=str(frame.src),
-            dst=str(frame.dst),
-            size=frame.wire_size,
+            src=frame.src.__str__,
+            dst=frame.dst.__str__,
+            size=size,
             frame=frame,
         )
         # Bus semantics: every station other than the sender sees the frame.

@@ -555,7 +555,7 @@ class FaultPlane:
         firing = FaultFiring(time=time, rule=rule, point=point, kind=kind, detail=detail)
         self.fires.append(firing)
         self.metrics.counter("fault.fires", kind=kind, point=point).inc()
-        self.tracer.emit(time, f"fault.{kind}", point, rule=rule, packet=detail)
+        self.tracer.emit(time, "fault." + kind, point, rule=rule, packet=detail)
 
     def recipe(self) -> str:
         """Human-readable reproduction recipe for this run's firings."""

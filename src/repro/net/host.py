@@ -356,7 +356,7 @@ class Host:
         """
         self.tracer.emit(
             self.sim.now, "host.address_conflict", self.name,
-            ip=str(ip), claimed_by=str(mac),
+            ip=ip.__str__, claimed_by=mac.__str__,
         )
         self.fence_address(ip)
         for handler in self._conflict_handlers:
@@ -379,7 +379,7 @@ class Host:
         for key in [k for k in self.tcp._lingering if k[0] == ip]:
             del self.tcp._lingering[key]
         self.tracer.emit(
-            self.sim.now, "host.fenced", self.name, ip=str(ip), dropped=dropped
+            self.sim.now, "host.fenced", self.name, ip=ip.__str__, dropped=dropped
         )
 
     # -- lifecycle -------------------------------------------------------------

@@ -8,7 +8,7 @@ stream integrity across failover is checked on true content.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import Optional
 
 from repro.net.addresses import Ipv4Address, MacAddress
@@ -64,16 +64,16 @@ class Ipv4Datagram:
         return IPV4_HEADER_SIZE + inner
 
     def with_dst(self, dst: Ipv4Address) -> "Ipv4Datagram":
-        return replace(self, dst=dst)
+        return Ipv4Datagram(self.src, dst, self.protocol, self.payload, self.ttl)
 
     def with_src(self, src: Ipv4Address) -> "Ipv4Datagram":
-        return replace(self, src=src)
+        return Ipv4Datagram(src, self.dst, self.protocol, self.payload, self.ttl)
 
     def decremented_ttl(self) -> Optional["Ipv4Datagram"]:
         """Datagram with TTL-1, or None if it must be dropped."""
         if self.ttl <= 1:
             return None
-        return replace(self, ttl=self.ttl - 1)
+        return Ipv4Datagram(self.src, self.dst, self.protocol, self.payload, self.ttl - 1)
 
 
 @dataclass(frozen=True)

@@ -132,7 +132,7 @@ class Process:
         self.sim = sim
         self.name = name or f"process-{Process._ids}"
         self._generator = generator
-        self.done_event = Event(sim, name=f"{self.name}.done")
+        self.done_event = Event(sim, name="process.done")
         self._interrupted: Optional[BaseException] = None
         sim.schedule(0.0, self._step, None, None)
 
@@ -242,7 +242,7 @@ class Queue:
             self._items.append(item)
 
     def get(self) -> Event:
-        event = Event(self.sim, name=f"{self.name}.get")
+        event = Event(self.sim, name="queue.get")
         if self._items:
             event.succeed(self._items.pop(0))
         else:

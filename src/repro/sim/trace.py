@@ -4,7 +4,8 @@ Network layers and bridges emit :class:`TraceRecord` objects through a shared
 :class:`Tracer`.  Tests assert on traces (e.g. "no RST reached the client",
 "the bridge emitted exactly one empty ACK"), and the benchmark harness uses
 them to compute wire-level statistics.  Tracing is cheap when nothing is
-recorded or subscribed.
+recorded or subscribed: emit sites pass renderers, not rendered strings (see
+:meth:`Tracer.emit`).
 """
 
 from __future__ import annotations
@@ -64,10 +65,21 @@ class Tracer:
         self._category_counts: Dict[str, int] = {}
 
     def emit(self, time: float, category: str, node: str, **detail: Any) -> None:
-        """Emit a record; no-op cost is one dict update when unsubscribed."""
-        self._category_counts[category] = self._category_counts.get(category, 0) + 1
+        """Count the occurrence; build a record only if somebody observes.
+
+        A callable detail value is a deferred renderer (``conn=self.__repr__``,
+        ``dst=dst_ip.__str__``, a lambda around an f-string).  It is called
+        here, at emit time, iff a recorder or a subscriber exists, so a
+        record always holds the snapshot the caller would have formatted
+        itself and an unobserved emit costs one dict update.
+        """
+        counts = self._category_counts
+        counts[category] = counts.get(category, 0) + 1
         if not self._record and not self._subscribers:
             return
+        for key, value in detail.items():
+            if callable(value):
+                detail[key] = value()
         record = TraceRecord(time=time, category=category, node=node, detail=detail)
         if self._record:
             self.records.append(record)

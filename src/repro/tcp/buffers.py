@@ -11,7 +11,7 @@ advertised window, which matters for the bridge's min-window merge.
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional
+from typing import Dict, List, Optional, Union
 
 from repro.tcp.seqnum import seq_add, seq_ge, seq_in_window, seq_lt, seq_sub
 
@@ -48,8 +48,13 @@ class SendBuffer:
     def in_flight(self) -> int:
         return self.next_offset
 
-    def write(self, data: bytes) -> int:
-        """Append as much of ``data`` as fits; returns the accepted count."""
+    def write(self, data: Union[bytes, bytearray, memoryview]) -> int:
+        """Append as much of ``data`` as fits; returns the accepted count.
+
+        The accepted prefix is copied, so the buffer never aliases the
+        caller's: handing in a ``memoryview`` costs one copy of exactly the
+        bytes taken.
+        """
         accepted = min(len(data), self.free_space)
         if accepted:
             self._data.extend(data[:accepted])

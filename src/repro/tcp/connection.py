@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import dataclasses
 import enum
-from typing import Callable, List, Optional, Tuple
+from typing import Callable, List, Optional, Tuple, Union
 
 from repro.net.addresses import Ipv4Address
 from repro.sim.process import Event
@@ -203,11 +203,11 @@ class TcpConnection:
         self._total_written = 0
         self._segs_since_ack = 0
 
-        self.established_event = Event(self.sim, name=f"{self}.established")
+        self.established_event = Event(self.sim, name="tcp.established")
         # terminated: the four-way handshake finished (TIME_WAIT counts);
         # closed: the TCB is destroyed (after 2*MSL for the active closer).
-        self.terminated_event = Event(self.sim, name=f"{self}.terminated")
-        self.closed_event = Event(self.sim, name=f"{self}.closed")
+        self.terminated_event = Event(self.sim, name="tcp.terminated")
+        self.closed_event = Event(self.sim, name="tcp.closed")
         self._readable_waiters: List[Event] = []
         self._writable_waiters: List[Event] = []
         self.reset_received = False
@@ -305,7 +305,7 @@ class TcpConnection:
     # application interface
     # ------------------------------------------------------------------
 
-    def write(self, data: bytes) -> int:
+    def write(self, data: Union[bytes, bytearray, memoryview]) -> int:
         """Accept bytes into the send buffer; returns the count accepted."""
         if self.reset_received:
             raise ConnectionReset(f"{self}: connection reset")
@@ -366,7 +366,7 @@ class TcpConnection:
 
     def wait_readable(self) -> Event:
         """Event that fires when data/EOF/reset is available."""
-        event = Event(self.sim, name=f"{self}.readable")
+        event = Event(self.sim, name="tcp.readable")
         if self._readable_now():
             event.succeed()
         else:
@@ -375,7 +375,7 @@ class TcpConnection:
 
     def wait_writable(self) -> Event:
         """Event that fires when the send buffer has space (or on error)."""
-        event = Event(self.sim, name=f"{self}.writable")
+        event = Event(self.sim, name="tcp.writable")
         if self.send_buffer.free_space > 0 or self.reset_received:
             event.succeed()
         else:
@@ -596,7 +596,7 @@ class TcpConnection:
         )
         if self._rtx_count > limit:
             self.tracer.emit(self.sim.now, "tcp.give_up", self.layer.node_name,
-                             conn=str(self))
+                             conn=self.__repr__)
             self._destroy(error=ConnectionError(f"{self}: too many retransmissions"))
             return
         self.retransmissions += 1
@@ -605,7 +605,7 @@ class TcpConnection:
         self._rtt_probe = None  # Karn's rule
         self.tracer.emit(
             self.sim.now, "tcp.rtx", self.layer.node_name,
-            conn=str(self), state=self.state.value, count=self._rtx_count,
+            conn=self.__repr__, state=self.state.value, count=self._rtx_count,
         )
         if self.state == TcpState.SYN_SENT:
             self._send_syn(with_ack=False)
@@ -642,7 +642,7 @@ class TcpConnection:
                 window=self.recv_buffer.window if self.recv_buffer else 0,
                 payload=probe,
             )
-            self.tracer.emit(self.sim.now, "tcp.zwp", self.layer.node_name, conn=str(self))
+            self.tracer.emit(self.sim.now, "tcp.zwp", self.layer.node_name, conn=self.__repr__)
             # The probe byte occupies sequence space: record it so the
             # receiver's ACK of the probe is acceptable and carries the
             # reopened window back to us.
@@ -666,7 +666,7 @@ class TcpConnection:
         if not segment.checksum_ok(src_ip, self.local_ip):
             self.tracer.emit(
                 self.sim.now, "tcp.bad_checksum", self.layer.node_name,
-                conn=str(self), seg=repr(segment),
+                conn=self.__repr__, seg=segment.__repr__,
             )
             return
         if segment.rst:
@@ -684,7 +684,7 @@ class TcpConnection:
             if segment.has_ack and segment.ack == seq_add(self.iss, 1):
                 self.tracer.emit(
                     self.sim.now, "tcp.rst_received", self.layer.node_name,
-                    conn=str(self), seq=segment.seq,
+                    conn=self.__repr__, seq=segment.seq,
                 )
                 self._destroy(error=ConnectionReset(f"{self}: reset by peer"))
             return
@@ -696,7 +696,7 @@ class TcpConnection:
         if segment.seq == self.rcv_nxt:
             self.tracer.emit(
                 self.sim.now, "tcp.rst_received", self.layer.node_name,
-                conn=str(self), seq=segment.seq,
+                conn=self.__repr__, seq=segment.seq,
             )
             self._destroy(error=ConnectionReset(f"{self}: reset by peer"))
             return
@@ -718,7 +718,7 @@ class TcpConnection:
         self.layer._m_challenge.inc()
         self.tracer.emit(
             self.sim.now, "tcp.challenge_ack", self.layer.node_name,
-            conn=str(self), reason=reason,
+            conn=self.__repr__, reason=reason,
         )
         self._send_ack_now()
 
@@ -881,7 +881,7 @@ class TcpConnection:
         self.layer._m_fast_rtx.inc()
         self._rtt_probe = None
         self.tracer.emit(
-            self.sim.now, "tcp.fast_rtx", self.layer.node_name, conn=str(self)
+            self.sim.now, "tcp.fast_rtx", self.layer.node_name, conn=self.__repr__
         )
         if payload:
             flags = FLAG_ACK | FLAG_PSH
@@ -1023,7 +1023,7 @@ class TcpConnection:
         self.cc.mss = new_mss
         self.tracer.emit(
             self.sim.now, "tcp.pmtud_clamp", self.layer.node_name,
-            conn=str(self), mss=new_mss,
+            conn=self.__repr__, mss=new_mss,
         )
         return True
 

@@ -266,7 +266,7 @@ class TcpLayer:
         self._lingering.pop(key, None)
         self.tracer.emit(
             self.sim.now, "tcp.installed", self.node_name,
-            conn=str(conn), state=snapshot.state,
+            conn=conn.__repr__, state=snapshot.state,
         )
         return conn
 
@@ -327,7 +327,7 @@ class TcpLayer:
             self._m_pmtud_rej.inc()
             self.tracer.emit(
                 self.sim.now, "tcp.pmtud_rejected", self.node_name,
-                to=f"{quoted_dst}:{quoted_dst_port}", mtu=mtu,
+                to=lambda: f"{quoted_dst}:{quoted_dst_port}", mtu=mtu,
             )
             return False
         self.pmtud_accepted += 1
@@ -343,7 +343,7 @@ class TcpLayer:
     ) -> None:
         if not segment.checksum_ok(src_ip, dst_ip):
             self.tracer.emit(
-                self.sim.now, "tcp.bad_checksum", self.node_name, seg=repr(segment)
+                self.sim.now, "tcp.bad_checksum", self.node_name, seg=segment.__repr__
             )
             return
         kwargs = dict(self.conn_defaults)
@@ -395,7 +395,7 @@ class TcpLayer:
             )
         self.tracer.emit(
             self.sim.now, "tcp.rst_sent", self.node_name,
-            to=f"{src_ip}:{segment.src_port}",
+            to=lambda: f"{src_ip}:{segment.src_port}",
         )
         self.send_segment(rst, dst_ip, src_ip)
 
@@ -412,7 +412,7 @@ class TcpLayer:
         self._m_tx_bytes.inc(len(sealed.payload))
         self.tracer.emit(
             self.sim.now, "tcp.tx", self.node_name,
-            seg=repr(sealed), dst=str(dst_ip),
+            seg=sealed.__repr__, dst=dst_ip.__str__,
         )
         if self.spans.enabled:
             self.spans.flow_event(
@@ -453,7 +453,7 @@ class TcpLayer:
         self.linger_acks_sent += 1
         self.tracer.emit(
             self.sim.now, "tcp.linger_ack", self.node_name,
-            to=f"{src_ip}:{segment.src_port}",
+            to=lambda: f"{src_ip}:{segment.src_port}",
         )
         self.send_segment(ack, dst_ip, src_ip)
         return True
@@ -488,7 +488,7 @@ class TcpLayer:
             self._linger_challenges.pop(key, None)
             self.tracer.emit(
                 self.sim.now, "tcp.linger_reset", self.node_name,
-                key=f"{key[2]}:{key[3]}",
+                key=lambda: f"{key[2]}:{key[3]}",
             )
             return
         if not seq_in_window(rcv_nxt, segment.seq, LINGER_WINDOW):
@@ -503,7 +503,7 @@ class TcpLayer:
         self._m_challenge.inc()
         self.tracer.emit(
             self.sim.now, "tcp.challenge_ack", self.node_name,
-            conn=f"timewait {key[0]}:{key[1]}<->{key[2]}:{key[3]}",
+            conn=lambda: f"timewait {key[0]}:{key[1]}<->{key[2]}:{key[3]}",
             reason="in-window-rst-timewait",
         )
         ack = TcpSegment(

@@ -20,7 +20,7 @@ Two header options are modelled:
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Optional
 
 from repro.net.addresses import Ipv4Address
@@ -63,9 +63,24 @@ def payload_sum(payload: bytes) -> int:
     return int.from_bytes(payload, "big") % _CSUM_MOD
 
 
+def _options_size(mss_option: Optional[int], orig_dst_option: Optional[Ipv4Address]) -> int:
+    size = 0
+    if mss_option is not None:
+        size += MSS_OPTION_SIZE
+    if orig_dst_option is not None:
+        size += ORIG_DST_OPTION_SIZE
+    return size
+
+
+def _offset_flags(header_size: int, flags: int) -> int:
+    """The 16-bit header word holding the data offset and the flags."""
+    return ((header_size // 4) << 12) | flags
+
+
 @dataclass(frozen=True)
 class TcpSegment:
-    """One TCP segment.  Immutable: rewrites produce new instances."""
+    """One TCP segment.  Immutable: rewrites produce new instances, built
+    by one constructor call each (``__post_init__`` validates every one)."""
 
     src_port: int
     dst_port: int
@@ -110,12 +125,7 @@ class TcpSegment:
 
     @property
     def options_size(self) -> int:
-        size = 0
-        if self.mss_option is not None:
-            size += MSS_OPTION_SIZE
-        if self.orig_dst_option is not None:
-            size += ORIG_DST_OPTION_SIZE
-        return size
+        return _options_size(self.mss_option, self.orig_dst_option)
 
     @property
     def header_size(self) -> int:
@@ -137,8 +147,7 @@ class TcpSegment:
     # -- checksum ------------------------------------------------------------
 
     def _offset_flags_word(self) -> int:
-        data_offset = self.header_size // 4
-        return (data_offset << 12) | self.flags
+        return _offset_flags(self.header_size, self.flags)
 
     def header_sum(self, src_ip: Ipv4Address, dst_ip: Ipv4Address) -> int:
         """Folded sum of pseudo-header, header and options (not payload)."""
@@ -165,7 +174,11 @@ class TcpSegment:
 
     def sealed(self, src_ip: Ipv4Address, dst_ip: Ipv4Address) -> "TcpSegment":
         """Copy of this segment with a freshly computed checksum."""
-        return replace(self, checksum=self.compute_checksum(src_ip, dst_ip))
+        return TcpSegment(
+            self.src_port, self.dst_port, self.seq, self.ack, self.flags,
+            self.window, self.payload, self.mss_option, self.orig_dst_option,
+            self.compute_checksum(src_ip, dst_ip),
+        )
 
     def checksum_ok(self, src_ip: Ipv4Address, dst_ip: Ipv4Address) -> bool:
         return self.checksum == self.compute_checksum(src_ip, dst_ip)
@@ -215,7 +228,6 @@ def incremental_rewrite(
     (remove it) or left unset (keep as is).
     """
     total = csum_unfinalize(segment.checksum)
-    changes = {}
 
     def swap(old_value: int, new_value: int) -> None:
         nonlocal total
@@ -226,38 +238,41 @@ def incremental_rewrite(
         swap(old_src.value, new_src.value)
     if new_dst is not None and new_dst != old_dst:
         swap(old_dst.value, new_dst.value)
-    if seq is not None and seq != segment.seq:
-        swap(segment.seq, seq)
-        changes["seq"] = seq
-    if ack is not None and ack != segment.ack:
-        swap(segment.ack, ack)
-        changes["ack"] = ack
-    if window is not None and window != segment.window:
-        swap(segment.window, window)
-        changes["window"] = window
+    new_seq = segment.seq if seq is None else seq
+    if new_seq != segment.seq:
+        swap(segment.seq, new_seq)
+    new_ack = segment.ack if ack is None else ack
+    if new_ack != segment.ack:
+        swap(segment.ack, new_ack)
+    new_window = segment.window if window is None else window
+    if new_window != segment.window:
+        swap(segment.window, new_window)
     new_flags = segment.flags if flags is None else flags
-    new_orig = segment.orig_dst_option if orig_dst is _UNSET else orig_dst
+    if orig_dst is _UNSET:
+        new_orig = segment.orig_dst_option
+    elif orig_dst is None or isinstance(orig_dst, Ipv4Address):
+        new_orig = orig_dst
+    else:
+        raise TypeError(f"orig_dst must be an Ipv4Address or None, not {orig_dst!r}")
 
     if new_orig is not segment.orig_dst_option or new_flags != segment.flags:
         # Option / flag changes move the data offset and the TCP length.
-        old_word = segment._offset_flags_word()
-        old_len = segment.wire_size
-        old_opt_sum = (
+        old_header = segment.header_size
+        new_header = TCP_BASE_HEADER + _options_size(segment.mss_option, new_orig)
+        swap(
+            _offset_flags(old_header, segment.flags),
+            _offset_flags(new_header, new_flags),
+        )
+        swap(old_header + len(segment.payload), new_header + len(segment.payload))
+        swap(
             0xFD08 + segment.orig_dst_option.value
             if segment.orig_dst_option is not None
-            else 0
+            else 0,
+            0xFD08 + new_orig.value if new_orig is not None else 0,
         )
-        tentative = replace(segment, flags=new_flags, orig_dst_option=new_orig, **changes)
-        new_word = tentative._offset_flags_word()
-        new_len = tentative.wire_size
-        new_opt_sum = (
-            0xFD08 + new_orig.value if new_orig is not None else 0
-        )
-        swap(old_word, new_word)
-        swap(old_len, new_len)
-        swap(old_opt_sum, new_opt_sum)
-        result = tentative
-    else:
-        result = replace(segment, **changes) if changes else segment
 
-    return replace(result, checksum=csum_finalize(total))
+    return TcpSegment(
+        segment.src_port, segment.dst_port, new_seq, new_ack, new_flags,
+        new_window, segment.payload, segment.mss_option, new_orig,
+        csum_finalize(total),
+    )

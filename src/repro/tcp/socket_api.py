@@ -20,6 +20,7 @@ from __future__ import annotations
 from typing import Any, Generator, Optional
 
 from repro.net.addresses import Ipv4Address
+from repro.sim.process import Event
 from repro.tcp.connection import ConnectionReset, TcpConnection
 from repro.tcp.layer import Listener
 
@@ -64,16 +65,20 @@ class SimSocket:
         copy into the socket buffer — the time the paper's Figure 3
         measures ("the send call returns when the application has passed
         the last byte to the stack").
-        """
-        from repro.sim.process import Event
 
+        The stack is offered a window of the caller's buffer no larger than
+        the send buffer, never a copy of the unsent remainder: the only
+        copy is the one :meth:`SendBuffer.write` makes of what it accepts,
+        so one call moves O(len(data)) bytes however often it blocks.
+        """
         host = getattr(self.conn.layer, "host", None)
         view = memoryview(data)
+        window = self.conn.send_buffer.capacity
         offset = 0
         while offset < len(view):
             if self.conn.reset_received:
                 raise ConnectionReset(f"{self.conn}: reset during send")
-            accepted = self.conn.write(bytes(view[offset:]))
+            accepted = self.conn.write(view[offset : offset + window])
             offset += accepted
             if host is not None and accepted:
                 cost = (

@@ -25,6 +25,7 @@ CASES = [
     ("obs_passive", "obs-passive", "src/repro/obs/fake.py"),
     ("checksum_pair", "checksum-pair", "src/repro/failover/fake.py"),
     ("handler_except", "handler-except", "src/repro/failover/fake.py"),
+    ("eager_trace_arg", "eager-trace-arg", "src/repro/tcp/fake.py"),
 ]
 
 #: Same shape for the --semantic plane; linted with semantic=True.  The
@@ -157,3 +158,28 @@ def test_swallowed_exception_is_src_only():
     source = "try:\n    pass\nexcept Exception:\n    pass\n"
     assert lint_source(source, "tests/tcp/test_fake.py") == []
     assert lint_source(source, "src/repro/tcp/fake.py") != []
+
+
+def test_eager_trace_arg_scope_and_deferred_forms():
+    eager = "def f(self, ip):\n    self.tracer.emit(self.now, 'x', 'n', ip=str(ip))\n"
+    assert [v.rule for v in lint_source(eager, "src/repro/net/fake.py")] == [
+        "eager-trace-arg"
+    ]
+    # Outside the sim layers (the harness, obs, tests) formatting is free.
+    assert lint_source(eager, "src/repro/harness/fake.py") == []
+    assert lint_source(eager, "tests/net/test_fake.py") == []
+    deferred = (
+        "def f(self, ip, port):\n"
+        "    self.tracer.emit(self.now, 'x', 'n', ip=ip.__str__,\n"
+        "                     to=lambda: f'{ip}:{port}')\n"
+    )
+    assert lint_source(deferred, "src/repro/net/fake.py") == []
+
+
+def test_eager_trace_arg_pragma_escape():
+    source = (
+        "def f(self, ip):\n"
+        "    self.tracer.emit(self.now, 'x', 'n', ip=str(ip))"
+        "  # replint: allow(eager-trace-arg) -- fires once per run\n"
+    )
+    assert lint_source(source, "src/repro/net/fake.py") == []

@@ -96,5 +96,6 @@ def test_cli_list_rules(capsys):
     assert main(["--list-rules"]) == 0
     out = capsys.readouterr().out
     for rule in ("seq-arith", "rng-source", "wallclock", "set-order",
-                 "sim-import", "checksum-pair", "handler-except"):
+                 "sim-import", "checksum-pair", "handler-except",
+                 "eager-trace-arg"):
         assert rule in out

@@ -1,6 +1,8 @@
 """Tests for the bulk stream workloads."""
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.apps import bulk
 from repro.sim.process import spawn
@@ -12,6 +14,30 @@ def test_pattern_bytes_deterministic():
     assert bulk.pattern_bytes(1000, salt=1) != bulk.pattern_bytes(1000, salt=2)
     assert len(bulk.pattern_bytes(12345)) == 12345
     assert bulk.pattern_bytes(0) == b""
+
+
+def _reference_pattern(size, salt):
+    """The generator as first written: one period rebuilt per call."""
+    period = bytes((i * 31 + salt * 17 + (i >> 8)) & 0xFF for i in range(2048))
+    reps, rem = divmod(size, len(period))
+    return period * reps + period[:rem]
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.lists(
+    st.tuples(st.integers(0, 3 * 2048 + 1), st.integers(0, 255)),
+    min_size=1, max_size=12,
+))
+def test_pattern_bytes_matches_uncached_reference_in_any_call_order(calls):
+    # Hypothesis draws the calls in arbitrary order and with repeats, so a
+    # period cached under the wrong salt would surface as a mismatch.
+    for size, salt in calls:
+        assert bulk.pattern_bytes(size, salt) == _reference_pattern(size, salt)
+
+
+def test_pattern_bytes_salt_wraps_like_the_reference():
+    for salt in (-1, 256, 257, 20030622):
+        assert bulk.pattern_bytes(5000, salt) == _reference_pattern(5000, salt)
 
 
 def test_push_client_records_timestamps():

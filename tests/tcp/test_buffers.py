@@ -20,6 +20,19 @@ def test_send_buffer_accepts_up_to_capacity():
     assert buf.write(b"z") == 0
 
 
+@pytest.mark.parametrize("kind", [bytes, bytearray, memoryview])
+def test_send_buffer_write_copies_whatever_buffer_type_it_is_given(kind):
+    source = bytearray(b"abcdefghij")
+    data = memoryview(source) if kind is memoryview else kind(source)
+    buf = SendBuffer(6)
+    assert buf.write(data) == 6
+    # The caller may reuse its buffer at once: nothing buffered aliases it.
+    source[:] = b"X" * len(source)
+    if kind is bytearray:
+        data[:] = b"X" * len(data)
+    assert buf.peek_unsent(10) == b"abcdef"
+
+
 def test_send_buffer_mark_sent_and_ack():
     buf = SendBuffer(100)
     buf.write(b"abcdefgh")

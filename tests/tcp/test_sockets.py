@@ -1,5 +1,8 @@
 """Unit tests for the blocking socket facade."""
 
+import hashlib
+import tracemalloc
+
 import pytest
 
 from repro.tcp.connection import ConnectionReset
@@ -162,3 +165,42 @@ def test_multiple_sequential_connections_to_one_listener():
 
     (results,) = run_all(lan.sim, [serial_clients()])
     assert results == [b"msg0", b"msg1", b"msg2"]
+
+
+def test_send_all_copies_only_what_the_buffer_accepts():
+    """One ``send_all`` far larger than the send buffer blocks dozens of
+    times; each resumption may hand the stack a window of the caller's
+    buffer, never a fresh copy of the unsent remainder."""
+    size = 4 * 1024 * 1024
+    lan = TwoHostLan(record_traces=False)
+    payload = bytes(range(256)) * (size // 256)
+    received = hashlib.sha256()
+
+    def server():
+        listening = ListeningSocket.listen(lan.server, 80)
+        sock = yield from listening.accept()
+        while True:
+            data = yield from sock.recv(65536)
+            if not data:
+                break
+            received.update(data)
+        yield from sock.close_and_wait()
+
+    def client():
+        sock = SimSocket.connect(lan.client, SERVER_IP, 80, send_buffer_size=65536)
+        yield from sock.wait_connected()
+        sent = yield from sock.send_all(payload)
+        yield from sock.close_and_wait()
+        return sent
+
+    tracemalloc.start()
+    try:
+        baseline = tracemalloc.get_traced_memory()[0]
+        tracemalloc.reset_peak()
+        _, sent = run_all(lan.sim, [server(), client()], until=120.0)
+        peak = tracemalloc.get_traced_memory()[1] - baseline
+    finally:
+        tracemalloc.stop()
+    assert sent == size
+    assert received.digest() == hashlib.sha256(payload).digest()
+    assert peak < 1024 * 1024, f"send_all held {peak} bytes beyond the payload"
