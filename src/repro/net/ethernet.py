@@ -83,9 +83,6 @@ class EthernetSegment:
         if nic in self._nics:
             self._nics.remove(nic)
 
-    def transmission_time(self, frame: EthernetFrame) -> float:
-        return frame.wire_size * 8 * self._bit_time
-
     def submit(self, sender: "Nic", frame: EthernetFrame) -> None:
         """Transmit ``frame`` from ``sender``, deferring while busy."""
         now = self.sim.now
@@ -101,7 +98,10 @@ class EthernetSegment:
                 now, "eth.collision", self.name, sender=sender.mac.__str__
             )
         start = earliest + delay_extra
-        tx_time = self.transmission_time(frame)
+        # The frame's size is worked out once per hop and rides along to
+        # delivery (frames are immutable).
+        size = frame.wire_size
+        tx_time = size * 8 * self._bit_time
         self._busy_until = start + tx_time
         self._pending += 1
         deliver_at = start + tx_time + self.propagation_delay
@@ -116,7 +116,7 @@ class EthernetSegment:
                     flow_key(datagram.src, seg.src_port,
                              datagram.dst, seg.dst_port),
                     "eth.hop", start, deliver_at, self.name,
-                    size=frame.wire_size,
+                    size=size,
                     collided=delay_extra > 0.0,
                 )
         if self.fault_filter is not None:
@@ -132,23 +132,22 @@ class EthernetSegment:
                 # The plane owns delivery; the medium still frees on time.
                 self.sim.call_at(deliver_at, self._release_medium)
                 return
-        self.sim.call_at(deliver_at, self._deliver, sender, frame)
+        self.sim.call_at(deliver_at, self._deliver, sender, frame, size)
 
     def _release_medium(self) -> None:
         self._pending -= 1
 
-    def _deliver(self, sender: "Nic", frame: EthernetFrame) -> None:
+    def _deliver(self, sender: "Nic", frame: EthernetFrame, size: int) -> None:
         self._release_medium()
-        self._fan_out(frame, exclude=sender)
+        self._fan_out(frame, sender, size)
 
     def _deliver_copy(self, frame: EthernetFrame) -> None:
         """Fault-injected delivery: the sender is identified by MAC."""
-        self._fan_out(frame, exclude=None)
+        self._fan_out(frame, None, frame.wire_size)
 
-    def _fan_out(self, frame: EthernetFrame, exclude: Optional["Nic"]) -> None:
+    def _fan_out(self, frame: EthernetFrame, exclude: Optional["Nic"], size: int) -> None:
         self.frames_delivered += 1
         self._m_frames.inc()
-        size = frame.wire_size
         self._m_bytes.inc(size)
         # The frame object rides along in the detail so the pcap exporter
         # and flight recorder can reconstruct the wire (frames are frozen

@@ -67,6 +67,9 @@ class Cpu:
         self._busy_until = 0.0
         self.busy_time = 0.0
         metrics = metrics or NULL_METRICS
+        # run() is per segment: with the inert registry it skips the two
+        # gauge updates instead of making two calls that do nothing.
+        self._metered = metrics is not NULL_METRICS
         self._m_busy = metrics.gauge("cpu.busy_seconds", host=owner)
         self._m_backlog = metrics.gauge("cpu.backlog_peak", host=owner)
 
@@ -76,12 +79,14 @@ class Cpu:
             cost *= 1.0 + self.jitter * self.rng.random()
         if self.spike_prob > 0 and self.rng.random() < self.spike_prob:
             cost += self.spike_cost * (0.5 + self.rng.random())
-        start = max(self.sim.now, self._busy_until)
-        self._busy_until = start + cost
+        now = self.sim.now
+        start = max(now, self._busy_until)
+        self._busy_until = done = start + cost
         self.busy_time += cost
-        self._m_busy.add(cost)
-        self._m_backlog.set(self._busy_until - self.sim.now)
-        self.sim.call_at(self._busy_until, fn, *args)
+        if self._metered:
+            self._m_busy.add(cost)
+            self._m_backlog.set(done - now)
+        self.sim.call_at(done, fn, *args)
 
     @property
     def backlog(self) -> float:

@@ -82,18 +82,29 @@ class EthernetInterface:
         return self.address.same_subnet(ip, self.prefix_len)
 
     def send_datagram(self, datagram: Ipv4Datagram, next_hop: Ipv4Address) -> None:
-        """Resolve the next hop and transmit; queues behind ARP if needed."""
+        """Resolve the next hop and transmit; queues behind ARP if needed.
+
+        Warm cache or cold, the frame reaches the NIC one zero-delay
+        scheduler hop later, never synchronously: a frame handed straight to
+        the NIC later in the same instant (a gratuitous ARP) is on the wire
+        first.
+        """
+        mac = self.arp.cache.get(next_hop)
+        if mac is not None:
+            self.sim.schedule(0.0, self._send_resolved, mac, datagram)
+            return
 
         def on_resolved(event: Event) -> None:
             try:
-                mac = event.value
+                resolved = event.value
             except ArpService.ResolutionFailed:
                 return  # drop: unreachable next hop (host down)
-            self.nic.send(
-                EthernetFrame(self.nic.mac, mac, ETHERTYPE_IPV4, datagram)
-            )
+            self._send_resolved(resolved, datagram)
 
         self.arp.resolve(next_hop).add_waiter(on_resolved)
+
+    def _send_resolved(self, mac: MacAddress, datagram: Ipv4Datagram) -> None:
+        self.nic.send(EthernetFrame(self.nic.mac, mac, ETHERTYPE_IPV4, datagram))
 
 
 class PointToPointInterface:
@@ -187,7 +198,10 @@ class IpLayer:
         return ips
 
     def owns(self, ip: Ipv4Address) -> bool:
-        return any(interface.owns(ip) for interface in self.interfaces)
+        for interface in self.interfaces:
+            if ip in interface.addresses:
+                return True
+        return False
 
     def primary_address(self) -> Ipv4Address:
         if not self.interfaces:

@@ -140,7 +140,10 @@ def percentile(ordered: List[float], fraction: float) -> float:
     low = int(math.floor(rank))
     high = min(low + 1, len(ordered) - 1)
     weight = rank - low
-    return ordered[low] * (1.0 - weight) + ordered[high] * weight
+    value = ordered[low] * (1.0 - weight) + ordered[high] * weight
+    # Rounding may carry the blend an ulp outside its bracket (two equal
+    # neighbours near 1e6 do); a quantile never exceeds the samples around it.
+    return min(max(value, ordered[low]), ordered[high])
 
 
 def stddev(samples: List[float]) -> float:

@@ -11,13 +11,14 @@ expressed in seconds.
 Storage for pending timers lives behind the :class:`EventQueue` interface
 with two interchangeable backends:
 
-* ``"wheel"`` (default) — the hierarchical timer wheel in
-  :mod:`repro.sim.wheel`, O(1) amortised schedule/cancel and bulk disposal
-  of cancelled timers during slot cascades;
-* ``"heap"`` — the classic binary heap with lazy compaction of cancelled
-  entries (:class:`HeapEventQueue`), kept as a fallback and as the
-  reference implementation for the differential equivalence suite
-  (``tests/differential/``).
+* ``"heap"`` (default) — the classic binary heap with lazy compaction of
+  cancelled entries (:class:`HeapEventQueue`).  Its per-event work is two
+  calls into C ``heapq``, which is what the traffic this repository
+  actually carries rewards (DESIGN.md §10 has the per-workload table);
+* ``"wheel"`` — the hierarchical timer wheel in :mod:`repro.sim.wheel`,
+  O(1) amortised schedule/cancel and bulk disposal of cancelled timers
+  during slot cascades, kept selectable and held to the heap by the
+  differential equivalence suite (``tests/differential/``).
 
 Both backends are observationally identical: same firing order, same
 timestamps, same counter semantics — the property the differential test
@@ -27,9 +28,10 @@ or process-wide with the ``REPRO_SIM_SCHEDULER`` environment variable.
 
 from __future__ import annotations
 
-import heapq
 import itertools
 import os
+from functools import partial
+from heapq import heapify, heappop, heappush
 from typing import TYPE_CHECKING, Any, Callable, List, Optional, Tuple, Union
 
 if TYPE_CHECKING:  # the sim core stays import-free of the obs plane
@@ -44,7 +46,9 @@ Entry = Tuple[float, int, "Timer"]
 #: Environment override for the default scheduler backend.
 SCHEDULER_ENV = "REPRO_SIM_SCHEDULER"
 
-DEFAULT_SCHEDULER = "wheel"
+DEFAULT_SCHEDULER = "heap"
+
+_FOREVER = float("inf")
 
 
 class SimulationError(RuntimeError):
@@ -97,7 +101,7 @@ class Timer:
         if not self._fired and not self._cancelled:
             self._cancelled = True
             if self._sim is not None:
-                self._sim._timer_cancelled()
+                self._sim._on_cancel()
 
     def _fire(self) -> None:
         if self._cancelled:
@@ -121,6 +125,9 @@ class EventQueue:
       ``cancelled_pending`` for each);
     * :meth:`pop` removes the entry the immediately-preceding ``peek``
       returned;
+    * :meth:`pop_due` is the two fused — what the event loop calls, once
+      per event: remove and return the earliest live entry unless its
+      deadline lies beyond the given bound;
     * ``len()`` counts every stored entry, cancelled ones included;
     * cancellation is O(1) via :meth:`on_cancel`, which compacts dead
       entries away only once they exceed ``COMPACT_DEAD_RATIO`` of the
@@ -163,6 +170,15 @@ class EventQueue:
     def pop(self) -> Entry:
         raise NotImplementedError
 
+    def pop_due(self, limit: float) -> Optional[Entry]:
+        """Remove and return the earliest live entry with ``deadline <=
+        limit``; ``None`` (and nothing removed but cancelled heads) when
+        there is no such entry."""
+        head = self.peek()
+        if head is None or head[0] > limit:
+            return None
+        return self.pop()
+
     def compact(self) -> None:
         raise NotImplementedError
 
@@ -197,37 +213,56 @@ class HeapEventQueue(EventQueue):
     def __init__(self) -> None:
         super().__init__()
         self._heap: List[Entry] = []
+        # Instances push through C ``heappush`` bound to the list object
+        # itself (no Python frame per timer); the method below is the same
+        # operation spelled out.  The list is therefore never rebound, only
+        # mutated — see compact().
+        self.push = partial(heappush, self._heap)  # type: ignore[method-assign]
 
     def __len__(self) -> int:
         return len(self._heap)
 
     def push(self, entry: Entry) -> None:
-        heapq.heappush(self._heap, entry)
+        heappush(self._heap, entry)
 
     def peek(self) -> Optional[Entry]:
         heap = self._heap
         while heap:
             head = heap[0]
             if head[2]._cancelled:
-                heapq.heappop(heap)
+                heappop(heap)
                 self.cancelled_pending -= 1
                 continue
             return head
         return None
 
     def pop(self) -> Entry:
-        return heapq.heappop(self._heap)
+        return heappop(self._heap)
+
+    def pop_due(self, limit: float) -> Optional[Entry]:
+        heap = self._heap
+        while heap:
+            head = heap[0]
+            if head[2]._cancelled:
+                heappop(heap)
+                self.cancelled_pending -= 1
+            elif head[0] > limit:
+                return None
+            else:
+                return heappop(heap)
+        return None
 
     def compact(self) -> None:
-        """Drop cancelled entries and re-heapify the survivors.
+        """Drop cancelled entries and re-heapify the survivors, in place.
 
         Entries keep their original ``(deadline, sequence)`` keys, so the
         firing order of live timers — including insertion-order
         tie-breaking — is unchanged.
         """
-        self.compaction_work += len(self._heap)
-        self._heap = [entry for entry in self._heap if not entry[2]._cancelled]
-        heapq.heapify(self._heap)
+        heap = self._heap
+        self.compaction_work += len(heap)
+        heap[:] = [entry for entry in heap if not entry[2]._cancelled]
+        heapify(heap)
         self.cancelled_pending = 0
         self.compactions += 1
 
@@ -258,8 +293,8 @@ class Simulator:
         sim.schedule(1.5, print, "fires at t=1.5")
         sim.run()
 
-    ``scheduler`` selects the timer-storage backend: ``"wheel"`` (default),
-    ``"heap"``, or an :class:`EventQueue` instance.  When omitted, the
+    ``scheduler`` selects the timer-storage backend: ``"heap"`` (default),
+    ``"wheel"``, or an :class:`EventQueue` instance.  When omitted, the
     ``REPRO_SIM_SCHEDULER`` environment variable is consulted first.
     """
 
@@ -269,11 +304,14 @@ class Simulator:
     def __init__(self, scheduler: Union[str, EventQueue, None] = None) -> None:
         self._now = 0.0
         self._queue: EventQueue = _make_queue(scheduler)
+        # Bound once: call_at and Timer.cancel run per timer, and the
+        # queue object never changes.
+        self._push = self._queue.push
+        self._on_cancel = self._queue.on_cancel
         self._sequence = itertools.count()
         self._running = False
         self._events_processed = 0
-        # Optional observability hook (see set_metrics); None keeps the
-        # hot loop to a single identity check per event.
+        # Optional observability hook (see set_metrics).
         self._m_events: Optional[Any] = None
         self._m_queue_peak: Optional[Any] = None
 
@@ -281,15 +319,19 @@ class Simulator:
         """Attach a :class:`repro.obs.metrics.MetricsRegistry`.
 
         Publishes ``sim.events`` (callbacks executed) and
-        ``sim.queue_depth_peak`` (event-loop occupancy high watermark).
+        ``sim.queue_depth_peak`` (event-loop occupancy high watermark)
+        when ``run``/``run_until`` returns — not per event.
         """
         self._m_events = metrics.counter("sim.events")
         self._m_queue_peak = metrics.gauge("sim.queue_depth_peak")
 
-    def _note_event(self) -> None:
+    def _publish_events(self, fired: int, peak: int, depth: int) -> None:
+        """What per-event ``inc()`` + ``set(len(queue))`` would have left:
+        the count, the last depth as the value, the peak as the watermark."""
         assert self._m_events is not None and self._m_queue_peak is not None
-        self._m_events.inc()
-        self._m_queue_peak.set(len(self._queue))
+        self._m_events.inc(fired)
+        self._m_queue_peak.set(peak)
+        self._m_queue_peak.set(depth)
 
     @property
     def now(self) -> float:
@@ -338,12 +380,9 @@ class Simulator:
             raise SimulationError(
                 f"cannot schedule at t={when} (now={self._now})"
             )
-        timer = Timer(when, callback, args, sim=self)
-        self._queue.push((when, next(self._sequence), timer))
+        timer = Timer(when, callback, args, self)
+        self._push((when, next(self._sequence), timer))
         return timer
-
-    def _timer_cancelled(self) -> None:
-        self._queue.on_cancel()
 
     def run(self, until: Optional[float] = None, max_events: Optional[int] = None) -> float:
         """Process events until the queue drains, ``until`` or ``max_events``.
@@ -352,30 +391,7 @@ class Simulator:
         given and the queue drains earlier, the clock is advanced to
         ``until`` so repeated bounded runs compose naturally.
         """
-        if self._running:
-            raise SimulationError("simulator is not re-entrant")
-        self._running = True
-        queue = self._queue
-        processed = 0
-        try:
-            while True:
-                head = queue.peek()
-                if head is None:
-                    break
-                when = head[0]
-                if until is not None and when > until:
-                    break
-                queue.pop()
-                self._now = when
-                head[2]._fire()
-                self._events_processed += 1
-                if self._m_events is not None:
-                    self._note_event()
-                processed += 1
-                if max_events is not None and processed >= max_events:
-                    break
-        finally:
-            self._running = False
+        self._fire_due(_FOREVER if until is None else until, max_events, None)
         if until is not None and self._now < until and not self._queue_has_work(until):
             self._now = until
         return self._now
@@ -389,22 +405,50 @@ class Simulator:
         deadline = self._now + timeout
         if predicate():
             return True
-        queue = self._queue
-        while True:
-            head = queue.peek()
-            if head is None or head[0] > deadline:
-                break
-            queue.pop()
-            self._now = head[0]
-            head[2]._fire()
-            self._events_processed += 1
-            if self._m_events is not None:
-                self._note_event()
-            if predicate():
-                return True
+        if self._fire_due(deadline, None, predicate):
+            return True
         if self._now < deadline:
             self._now = deadline
         return predicate()
+
+    def _fire_due(
+        self,
+        limit: float,
+        max_events: Optional[int],
+        predicate: Optional[Callable[[], bool]],
+    ) -> bool:
+        """The event loop: fire live timers in order while none lies beyond
+        ``limit``, ``max_events`` have not fired and ``predicate`` (checked
+        after every event) is false.  Returns True when the predicate
+        stopped it."""
+        if self._running:
+            raise SimulationError("simulator is not re-entrant")
+        self._running = True
+        queue = self._queue
+        pop_due = queue.pop_due
+        metered = self._m_events is not None
+        fired = peak = depth = 0
+        try:
+            while True:
+                entry = pop_due(limit)
+                if entry is None:
+                    return False
+                self._now = entry[0]
+                entry[2]._fire()
+                self._events_processed += 1
+                fired += 1
+                if metered:
+                    depth = len(queue)
+                    if depth > peak:
+                        peak = depth
+                if predicate is not None and predicate():
+                    return True
+                if max_events is not None and fired >= max_events:
+                    return False
+        finally:
+            self._running = False
+            if metered and fired:
+                self._publish_events(fired, peak, depth)
 
     def _queue_has_work(self, until: float) -> bool:
         head = self._queue.peek()

@@ -1,4 +1,4 @@
-"""Hierarchical timer wheel: the default scheduler backend.
+"""Hierarchical timer wheel: the selectable, non-default scheduler backend.
 
 Deadlines are quantised onto a 15.625 ms tick axis (64 ticks per
 simulated second) and stored in four levels of 256 slots each.  Level

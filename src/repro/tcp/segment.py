@@ -123,17 +123,27 @@ class TcpSegment:
 
     # -- sizes ---------------------------------------------------------------
 
-    @property
-    def options_size(self) -> int:
-        return _options_size(self.mss_option, self.orig_dst_option)
+    # header_size and wire_size are read several times per segment per hop
+    # (checksum, frame sizing, MTU checks), so both spell the option
+    # arithmetic out instead of chaining through further properties.
 
     @property
     def header_size(self) -> int:
-        return TCP_BASE_HEADER + self.options_size
+        size = TCP_BASE_HEADER
+        if self.mss_option is not None:
+            size += MSS_OPTION_SIZE
+        if self.orig_dst_option is not None:
+            size += ORIG_DST_OPTION_SIZE
+        return size
 
     @property
     def wire_size(self) -> int:
-        return self.header_size + len(self.payload)
+        size = TCP_BASE_HEADER + len(self.payload)
+        if self.mss_option is not None:
+            size += MSS_OPTION_SIZE
+        if self.orig_dst_option is not None:
+            size += ORIG_DST_OPTION_SIZE
+        return size
 
     @property
     def seq_length(self) -> int:
@@ -151,22 +161,27 @@ class TcpSegment:
 
     def header_sum(self, src_ip: Ipv4Address, dst_ip: Ipv4Address) -> int:
         """Folded sum of pseudo-header, header and options (not payload)."""
+        header_size = TCP_BASE_HEADER
+        options = 0
+        if self.mss_option is not None:
+            header_size += MSS_OPTION_SIZE
+            options += 0x0204 + self.mss_option
+        if self.orig_dst_option is not None:
+            header_size += ORIG_DST_OPTION_SIZE
+            options += 0xFD08 + self.orig_dst_option.value
         total = (
             src_ip.value  # replint: allow(seq) -- one's-complement folding: seq/ack enter the mod-65535 checksum domain as 32-bit words, not sequence points
             + dst_ip.value
             + 6  # protocol
-            + self.wire_size  # TCP length in pseudo-header
+            + header_size + len(self.payload)  # TCP length in pseudo-header
             + self.src_port
             + self.dst_port
             + self.seq
             + self.ack
-            + self._offset_flags_word()
+            + _offset_flags(header_size, self.flags)
             + self.window
+            + options
         )
-        if self.mss_option is not None:
-            total += 0x0204 + self.mss_option
-        if self.orig_dst_option is not None:
-            total += 0xFD08 + self.orig_dst_option.value
         return csum_fold(total)
 
     def compute_checksum(self, src_ip: Ipv4Address, dst_ip: Ipv4Address) -> int:

@@ -14,12 +14,23 @@ Counters that describe *disposal timing* of cancelled entries
 compared: the heap disposes dead entries one-by-one at peek, the wheel
 in bulk at slot scans — both are correct.  After a full drain both
 backends must agree that nothing is left.
+
+The event loop dequeues through one fused call, ``EventQueue.pop_due``.
+The second half of this module holds it, on each backend, to the
+``peek()`` + ``pop()`` pair it replaced — same entry, same
+``cancelled_pending``, same ``len()`` after every step — and holds the
+heap's in-place compaction to the one property the loop depends on: a
+push bound before a compaction still lands in the live heap after it.
 """
 
+from types import SimpleNamespace
+
+import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from repro.sim.engine import Simulator
+from repro.sim.engine import EventQueue, HeapEventQueue, Simulator, Timer
+from repro.sim.wheel import TimerWheel
 
 # Deadline pools.  TIGHT forces ties and same-tick collisions (the wheel
 # quantises to 1/64 s, so 0.001 vs 0.002 land in one slot); WIDE spans
@@ -131,3 +142,145 @@ def test_cancellation_storms_equivalent(delays, cancels, data):
     ops += [("cancel", c) for c in cancels]
     ops.append(("advance", data.draw(st.sampled_from(TIGHT_DELAYS + WIDE_DELAYS))))
     _assert_equivalent(ops)
+
+
+# -- the fused dequeue -----------------------------------------------------------
+
+BACKENDS = {"heap": HeapEventQueue, "wheel": TimerWheel}
+
+
+class _QueueDriver:
+    """One bare EventQueue plus the clock/sequence bookkeeping the
+    simulator would do, dequeuing either fused or as peek + pop."""
+
+    def __init__(self, backend, fused):
+        self.queue = BACKENDS[backend]()
+        self.fused = fused
+        self.now = 0.0
+        self.sequence = 0
+        self.timers = []
+        # Timer.cancel reports to its simulator; the queue is all of it here.
+        self._sim = SimpleNamespace(_on_cancel=self.queue.on_cancel)
+
+    def push(self, delay):
+        timer = Timer(self.now + delay, lambda: None, (), self._sim)
+        self.queue.push((timer.deadline, self.sequence, timer))
+        self.sequence += 1
+        self.timers.append(timer)
+
+    def cancel(self, index):
+        if self.timers:
+            self.timers[index % len(self.timers)].cancel()
+
+    def dequeue(self, delay):
+        limit = self.now + delay
+        if self.fused:
+            entry = self.queue.pop_due(limit)
+        else:
+            entry = self.queue.peek()
+            if entry is not None and entry[0] > limit:
+                entry = None
+            if entry is not None:
+                assert self.queue.pop() is entry
+        if entry is None:
+            return None
+        self.now = entry[0]
+        entry[2]._fire()
+        return entry[:2]
+
+    def state(self):
+        return len(self.queue), self.queue.cancelled_pending
+
+
+_QUEUE_OPS = st.lists(
+    st.one_of(
+        st.tuples(st.just("push"), st.sampled_from(TIGHT_DELAYS + WIDE_DELAYS)),
+        st.tuples(st.just("cancel"), st.integers(0, 200)),
+        st.tuples(st.just("dequeue"), st.sampled_from(TIGHT_DELAYS + WIDE_DELAYS)),
+    ),
+    max_size=80,
+)
+
+
+@given(_QUEUE_OPS)
+def test_fused_dequeue_matches_peek_then_pop(ops):
+    drivers = {
+        (backend, fused): _QueueDriver(backend, fused)
+        for backend in BACKENDS for fused in (True, False)
+    }
+
+    def step(kind, argument):
+        results = {key: getattr(driver, kind)(argument) for key, driver in drivers.items()}
+        # Same entries in the same order on every backend, either way ...
+        assert len(set(results.values())) == 1
+        # ... and on one backend the fused call leaves the same storage
+        # behind as the pair did, after every single step.
+        for backend in BACKENDS:
+            assert drivers[backend, True].state() == drivers[backend, False].state()
+        return results["heap", True]
+
+    for kind, argument in ops:
+        step(kind, argument)
+    while step("dequeue", 4.0e9) is not None:
+        pass
+    assert all(driver.state() == (0, 0) for driver in drivers.values())
+
+
+@pytest.mark.parametrize("backend", sorted(BACKENDS))
+def test_bound_holds_behind_a_cancelled_head(backend):
+    """A dead head must not let the live, later entry behind it through."""
+    driver = _QueueDriver(backend, fused=True)
+    driver.push(1.0)
+    driver.push(5.0)
+    driver.cancel(0)
+    assert driver.dequeue(2.0) is None
+    # The dead head went on the way; the late entry is untouched.
+    assert driver.state() == (1, 0)
+    assert driver.dequeue(5.0) == (5.0, 1)
+
+    sim = Simulator(scheduler=backend)
+    fired = []
+    sim.schedule(1.0, fired.append, "dead").cancel()
+    sim.schedule(5.0, fired.append, "late")
+    assert sim.run(until=2.0) == 2.0 and fired == []
+    assert not sim.run_until(lambda: bool(fired), timeout=2.0)
+    assert sim.now == 4.0 and sim.pending_events == 1
+    assert sim.run_until(lambda: bool(fired), timeout=2.0)
+    assert sim.now == 5.0 and fired == ["late"]
+
+
+@pytest.mark.parametrize("backend", sorted(BACKENDS))
+def test_compaction_inside_the_loop_loses_nothing(backend):
+    """``compact()`` fires from a callback, under the running loop and under
+    the push ``call_at`` bound at construction: timers armed before it keep
+    their order, timers armed after it (same callback and later ones) fire."""
+    sim = Simulator(scheduler=backend)
+    fired = []
+    doomed = [
+        sim.schedule(2.0 + i * 0.001, fired.append, f"dead{i}")
+        for i in range(4 * EventQueue.COMPACT_MIN_CANCELLED)
+    ]
+    for i in range(10):
+        sim.schedule(3.0 + i, fired.append, f"before{i}")
+
+    def massacre():
+        for timer in doomed:
+            timer.cancel()
+        assert sim.compactions >= 1
+        sim.schedule(0.0, fired.append, "same-instant")
+        sim.schedule(2.5, rearm, 0)
+
+    def rearm(count):
+        fired.append(f"after{count}")
+        if count < 5:
+            sim.schedule(1.0, rearm, count + 1)
+
+    sim.schedule(1.0, massacre)
+    sim.run()
+    assert fired == [
+        "same-instant",
+        "before0", "after0", "before1", "after1", "before2", "after2",
+        "before3", "after3", "before4", "after4", "before5", "after5",
+        "before6", "before7", "before8", "before9",
+    ]
+    assert sim.pending_events == 0 and sim.cancelled_pending == 0

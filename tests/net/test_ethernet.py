@@ -6,7 +6,9 @@ from repro.net.addresses import MacAddress
 from repro.net.ethernet import EthernetSegment
 from repro.net.nic import Nic
 from repro.net.packet import EthernetFrame
+from repro.obs.metrics import MetricsRegistry
 from repro.sim.engine import Simulator
+from repro.sim.trace import Tracer
 
 
 class FakePayload:
@@ -68,6 +70,32 @@ def test_transmission_time_matches_bandwidth():
     nics[0].send(frame(nics[0], nics[1], size=1518))
     sim.run()
     assert abs(sim.now - (1518 * 8 / 100e6 + 1e-6)) < 1e-9
+
+
+def test_frame_is_sized_once_per_hop():
+    class CountingPayload:
+        reads = 0
+
+        @property
+        def wire_size(self):
+            CountingPayload.reads += 1
+            return 482
+
+    sim = Simulator()
+    registry = MetricsRegistry()
+    tracer = Tracer(record=True)
+    segment = EthernetSegment(sim, collision_prob=0.0, metrics=registry, tracer=tracer)
+    sender, receiver = Nic(MacAddress(1)), Nic(MacAddress(2))
+    sender.attach(segment)
+    receiver.attach(segment)
+    sender.send(EthernetFrame(sender.mac, receiver.mac, 0x0800, CountingPayload()))
+    sim.run()
+    # Timing, the byte counter and the trace record all saw the same 500.
+    assert abs(sim.now - (500 * 8 / 100e6 + 1e-6)) < 1e-12
+    assert registry.counter("eth.bytes", segment="eth0").value == 500
+    (record,) = tracer.select("eth.rx")
+    assert record.detail["size"] == 500
+    assert CountingPayload.reads == 1
 
 
 def test_minimum_frame_size_enforced():

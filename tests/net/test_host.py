@@ -4,6 +4,7 @@ import random
 
 from repro.net.addresses import Ipv4Address
 from repro.net.host import Cpu, Host
+from repro.obs.metrics import NULL_METRICS, MetricsRegistry
 from repro.sim.engine import Simulator
 from tests.util import TwoHostLan, mac
 
@@ -56,6 +57,31 @@ def test_busy_time_accumulates():
     cpu.run(5e-6, lambda: None)
     sim.run()
     assert abs(cpu.busy_time - 10e-6) < 1e-12
+
+
+def test_cpu_gauges_follow_every_run_with_a_live_registry():
+    """``run`` skips its gauge updates only for the inert NULL_METRICS."""
+    sim = Simulator()
+    registry = MetricsRegistry()
+    cpu = Cpu(sim, metrics=registry, owner="h")
+    busy = registry.gauge("cpu.busy_seconds", host="h")
+    backlog = registry.gauge("cpu.backlog_peak", host="h")
+    cpu.run(30e-6, lambda: None)
+    assert (busy.value, backlog.value, backlog.high_watermark) == (30e-6, 30e-6, 30e-6)
+    cpu.run(10e-6, lambda: None)
+    assert busy.value == 30e-6 + 10e-6
+    assert backlog.value == backlog.high_watermark == 30e-6 + 10e-6
+    sim.run()
+    # Idle again: the next job's backlog is its own cost, the peak stays.
+    cpu.run(5e-6, lambda: None)
+    assert busy.value == cpu.busy_time == 30e-6 + 10e-6 + 5e-6
+    assert abs(backlog.value - 5e-6) < 1e-12
+    assert backlog.high_watermark == 30e-6 + 10e-6
+
+    unmetered = Cpu(sim)
+    unmetered.run(5e-6, lambda: None)
+    assert unmetered.busy_time == 5e-6
+    assert NULL_METRICS.gauge("cpu.busy_seconds", host="cpu").value == 0.0
 
 
 def test_host_default_rngs_differ_by_name():

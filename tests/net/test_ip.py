@@ -2,10 +2,13 @@
 
 import pytest
 
+import repro.net.arp as arp_module
 from repro.net.addresses import Ipv4Address
+from repro.net.arp import ArpPacket
 from repro.net.ethernet import EthernetSegment
 from repro.net.host import Host
 from repro.net.ip import RoutingError
+from repro.net.nic import Nic
 from repro.net.packet import IPPROTO_HEARTBEAT, HeartbeatPayload, Ipv4Datagram
 from repro.net.router import Router
 from repro.sim.engine import Simulator
@@ -160,3 +163,80 @@ def test_crashed_host_is_silent():
     a.send_raw_datagram(heartbeat(a.primary_ip(), b.primary_ip()))
     sim.run()
     assert seen == []
+
+
+# -- EthernetInterface.send_datagram: one zero-delay hop, warm or cold -----------
+
+
+def sniff(segment):
+    """Every frame on ``segment``, in wire order."""
+    frames = []
+    sniffer = Nic(mac(9), name="sniffer")
+    sniffer.attach(segment)
+    sniffer.set_promiscuous(True)
+    sniffer.set_receiver(frames.append)
+    return frames
+
+
+def test_warm_send_is_one_timer_and_no_event(monkeypatch):
+    sim, a, b = build_pair()
+    events_built = []
+    real_event = arp_module.Event
+    monkeypatch.setattr(
+        arp_module, "Event",
+        lambda *args, **kwargs: events_built.append(1) or real_event(*args, **kwargs),
+    )
+    sent_so_far = []
+    sim.schedule(0.0, lambda: sent_so_far.append(a.nic.frames_sent))
+    pending = sim.pending_events
+    a.eth_interface.send_datagram(heartbeat(a.primary_ip(), b.primary_ip()), b.primary_ip())
+    # Exactly one scheduler entry (one sequence number), nothing sent yet ...
+    assert sim.pending_events == pending + 1
+    assert a.nic.frames_sent == 0
+    assert events_built == []
+    sim.schedule(0.0, lambda: sent_so_far.append(a.nic.frames_sent))
+    sim.run()
+    # ... and it fires in its place between the neighbours scheduled around it.
+    assert sent_so_far == [0, 1]
+    # The cold path does build an Event: the probe above would have seen one.
+    a.eth_interface.send_datagram(heartbeat(a.primary_ip(), b.primary_ip()),
+                                  Ipv4Address("10.0.0.3"))
+    assert events_built == [1]
+
+
+def test_gratuitous_arp_later_in_the_instant_is_on_the_wire_first():
+    """The order the ``crash_pull`` golden pins at t = 0.050: a datagram sent
+    on a warm cache waits one zero-delay hop, so an ``announce()`` issued
+    after it in the same instant still precedes it on the wire."""
+    sim, a, b = build_pair()
+    frames = sniff(a.nic.segment)
+    a.send_raw_datagram(heartbeat(a.primary_ip(), b.primary_ip()))
+    a.eth_interface.arp.announce(a.primary_ip())
+    assert a.nic.frames_sent == 1  # the announcement only, so far
+    sim.run()
+    assert [type(frame.payload) for frame in frames] == [ArpPacket, Ipv4Datagram]
+
+
+def test_cold_send_queues_behind_resolution():
+    sim, a, b = build_pair()
+    del a.eth_interface.arp.cache[b.primary_ip()]
+    frames = sniff(a.nic.segment)
+    seen = []
+    b.set_heartbeat_handler(seen.append)
+    a.send_raw_datagram(heartbeat(a.primary_ip(), b.primary_ip(), seq=1))
+    a.send_raw_datagram(heartbeat(a.primary_ip(), b.primary_ip(), seq=2))
+    assert a.nic.frames_sent == 1  # the ARP request
+    sim.run()
+    assert [type(frame.payload) for frame in frames] == [
+        ArpPacket, ArpPacket, Ipv4Datagram, Ipv4Datagram,
+    ]
+    assert [datagram.payload.sequence for datagram in seen] == [1, 2]
+
+
+def test_unresolvable_next_hop_drops_the_datagram():
+    sim, a, b = build_pair()
+    frames = sniff(a.nic.segment)
+    a.send_raw_datagram(heartbeat(a.primary_ip(), Ipv4Address("10.0.0.77")))
+    sim.run()  # three requests, then ResolutionFailed — swallowed, not raised
+    assert frames and all(frame.ethertype != 0x0800 for frame in frames)
+    assert a.ip.datagrams_sent == 1

@@ -1,7 +1,10 @@
 """Unit tests for the discrete-event scheduler."""
 
+import random
+
 import pytest
 
+from repro.obs.metrics import MetricsRegistry
 from repro.sim.engine import SimulationError, Simulator
 
 
@@ -275,3 +278,148 @@ def test_trace_streams_identical_across_backends(monkeypatch):
         return stream
 
     assert trace_stream("heap") == trace_stream("wheel")
+
+
+# -- re-entrancy ----------------------------------------------------------------
+
+
+def _reentry_errors(outer, inner):
+    """Run ``outer(sim)`` with one callback that calls ``inner(sim)``."""
+    sim = Simulator()
+    errors = []
+
+    def reenter():
+        try:
+            inner(sim)
+        except SimulationError as exc:
+            errors.append(exc)
+
+    sim.schedule(1.0, reenter)
+    outer(sim)
+    return sim, errors
+
+
+def _run(sim):
+    sim.run()
+
+
+def _run_until_never(sim):
+    sim.run_until(lambda: False, timeout=5.0)
+
+
+@pytest.mark.parametrize(
+    "outer, inner",
+    [(_run_until_never, _run_until_never), (_run_until_never, _run), (_run, _run_until_never)],
+)
+def test_run_until_is_not_reentrant(outer, inner):
+    sim, errors = _reentry_errors(outer, inner)
+    assert len(errors) == 1 and "re-entrant" in str(errors[0])
+    # The guard is released again once the outer loop returns.
+    sim.schedule(1.0, lambda: None)
+    sim.run()
+
+
+def test_run_until_satisfied_predicate_returns_before_the_guard():
+    """The early ``predicate()`` return never touches the queue, so it
+    stays callable from inside a callback."""
+    sim = Simulator()
+    answers = []
+    sim.schedule(1.0, lambda: answers.append(sim.run_until(lambda: True, timeout=1.0)))
+    sim.run()
+    assert answers == [True]
+
+
+def test_run_until_clears_the_guard_when_a_callback_raises():
+    sim = Simulator()
+
+    def boom():
+        raise ValueError("boom")
+
+    sim.schedule(1.0, boom)
+    with pytest.raises(ValueError):
+        sim.run_until(lambda: False, timeout=5.0)
+    fired = []
+    sim.schedule(1.0, fired.append, "after")
+    assert sim.run_until(lambda: bool(fired), timeout=5.0)
+
+
+# -- sim.events / sim.queue_depth_peak publication ---------------------------------
+
+
+def _metered_program(backend, explode_after=None):
+    """A seeded schedule/cancel/nested-schedule program on a metered sim."""
+    rng = random.Random(11)
+    sim = Simulator(scheduler=backend)
+    registry = MetricsRegistry()
+    sim.set_metrics(registry)
+    timers = []
+    fired = []
+
+    def fire(tag):
+        fired.append(tag)
+        if len(fired) == explode_after:
+            raise ValueError(f"callback {tag} failed")
+        if tag % 3 == 0:
+            timers.append(sim.schedule(rng.choice([0.0, 0.01, 0.7, 3.0]), fire, 1000 + tag))
+        if tag % 4 == 0:
+            rng.choice(timers).cancel()
+
+    for tag in range(120):
+        timers.append(sim.schedule(rng.uniform(0.0, 5.0), fire, tag))
+    for victim in rng.sample(timers, 30):
+        victim.cancel()
+    return sim, registry, fired
+
+
+def _published(registry):
+    gauge = registry.gauge("sim.queue_depth_peak")
+    return registry.counter("sim.events").value, gauge.value, gauge.high_watermark
+
+
+def _step_to_the_end(sim, until=None):
+    """One event per ``run`` call: that *is* publication after every event."""
+    while True:
+        before = sim.events_processed
+        sim.run(until=until, max_events=1)
+        if sim.events_processed == before:
+            return
+
+
+@pytest.mark.parametrize("backend", ["heap", "wheel"])
+def test_metrics_published_at_return_equal_per_event_publication(backend):
+    batch, batch_registry, batch_fired = _metered_program(backend)
+    stepped, stepped_registry, stepped_fired = _metered_program(backend)
+    batch.run()
+    _step_to_the_end(stepped)
+    assert batch_fired == stepped_fired and len(batch_fired) > 60
+    assert _published(batch_registry) == _published(stepped_registry)
+    events, last_depth, peak = _published(batch_registry)
+    assert events == batch.events_processed == len(batch_fired)
+    assert last_depth == 0 < peak
+
+
+@pytest.mark.parametrize("backend", ["heap", "wheel"])
+def test_metrics_published_when_a_callback_raises(backend):
+    """The loop's ``finally`` publishes what fired before the failure; the
+    failing callback itself is not counted, as it never was."""
+    batch, batch_registry, batch_fired = _metered_program(backend, explode_after=40)
+    stepped, stepped_registry, stepped_fired = _metered_program(backend, explode_after=40)
+    with pytest.raises(ValueError):
+        batch.run()
+    with pytest.raises(ValueError):
+        _step_to_the_end(stepped)
+    assert batch_fired == stepped_fired and len(batch_fired) == 40
+    assert _published(batch_registry) == _published(stepped_registry)
+    assert _published(batch_registry)[0] == batch.events_processed == 39
+
+
+@pytest.mark.parametrize("backend", ["heap", "wheel"])
+def test_run_until_publishes_like_run(backend):
+    batch, batch_registry, batch_fired = _metered_program(backend)
+    stepped, stepped_registry, stepped_fired = _metered_program(backend)
+    assert not batch.run_until(lambda: False, timeout=2.5)
+    _step_to_the_end(stepped, until=2.5)
+    assert batch_fired == stepped_fired and 0 < len(batch_fired) < 120
+    assert batch.now == stepped.now == 2.5
+    assert _published(batch_registry) == _published(stepped_registry)
+    assert _published(batch_registry)[1] >= batch.pending_events > 0

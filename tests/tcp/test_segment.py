@@ -5,6 +5,8 @@ exactly with a from-scratch recomputation for every field combination —
 this is the §3.1 technique the whole diversion scheme rests on.
 """
 
+import struct
+
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -167,3 +169,95 @@ def test_double_rewrite_roundtrips(src, dst, payload):
     back = incremental_rewrite(away, old_src=src, old_dst=IP_C, new_dst=dst,
                                orig_dst=None)
     assert back.checksum_ok(src, dst)
+
+
+# -- sizes and sums against a reference that serialises the header -----------------
+#
+# TcpSegment works the option arithmetic out inline, in three places
+# (header_size, wire_size, header_sum).  The reference below packs the real
+# bytes — pseudo-header, header, options, payload — and sums 16-bit words.
+
+
+def reference_header(seg):
+    options = b""
+    if seg.mss_option is not None:
+        options += struct.pack("!BBH", 2, 4, seg.mss_option)
+    if seg.orig_dst_option is not None:
+        options += struct.pack("!BBIH", 253, 8, seg.orig_dst_option.value, 0)
+    data_offset = (20 + len(options)) // 4
+    return struct.pack(
+        "!HHIIHHHH", seg.src_port, seg.dst_port, seg.seq, seg.ack,
+        (data_offset << 12) | seg.flags, seg.window, 0, 0,
+    ) + options
+
+
+def reference_sum(seg, src, dst, with_payload):
+    header = reference_header(seg)
+    pseudo = struct.pack("!IIBBH", src.value, dst.value, 0, 6,
+                         len(header) + len(seg.payload))
+    data = pseudo + header + (seg.payload if with_payload else b"")
+    if len(data) % 2:
+        data += b"\x00"
+    return sum(struct.unpack(f"!{len(data) // 2}H", data)) % 0xFFFF
+
+
+def assert_matches_reference(seg, src, dst):
+    header = reference_header(seg)
+    assert seg.header_size == len(header)
+    assert seg.wire_size == len(header) + len(seg.payload)
+    assert seg.header_sum(src, dst) == reference_sum(seg, src, dst, with_payload=False)
+    expected = ~reference_sum(seg, src, dst, with_payload=True) & 0xFFFF
+    assert seg.compute_checksum(src, dst) == expected
+    assert seg.sealed(src, dst).checksum == expected
+
+
+EDGE_SEQS = [0, 1, 0xFFFF, 0x10000, 0xFFFF0000, (1 << 32) - 2, (1 << 32) - 1]
+edge_seqs = st.one_of(st.sampled_from(EDGE_SEQS), seqs)
+mss_options = st.one_of(st.none(), st.sampled_from([0, 536, 1460, 0xFFFF]),
+                        st.integers(0, 0xFFFF))
+orig_dsts = st.one_of(st.none(), ips)
+
+
+@given(ips, ips, edge_seqs, edge_seqs, windows, payloads, flag_bits, mss_options, orig_dsts)
+def test_sizes_and_sums_match_serialised_reference(
+    src, dst, seq, ack, win, payload, flags, mss, orig
+):
+    seg = TcpSegment(
+        src_port=4321, dst_port=80, seq=seq, ack=ack, flags=flags, window=win,
+        payload=payload, mss_option=mss, orig_dst_option=orig,
+    )
+    assert_matches_reference(seg, src, dst)
+
+
+def test_sizes_and_sums_match_reference_on_the_option_grid():
+    """Every option combination x payload parity x 2^32-edge seq/ack."""
+    for mss in (None, 0, 1460, 0xFFFF):
+        for orig in (None, IP_C, Ipv4Address(0xFFFFFFFF)):
+            for payload in (b"", b"\x01", b"ab", b"\xff\xff\xff"):
+                for seq, ack in zip(EDGE_SEQS, reversed(EDGE_SEQS)):
+                    seg = make(payload=payload, seq=seq, ack=ack,
+                               mss_option=mss, orig_dst_option=orig)
+                    assert_matches_reference(seg, IP_A, IP_B)
+
+
+@given(
+    ips, ips, ips, ips, edge_seqs, edge_seqs, edge_seqs, edge_seqs, payloads,
+    mss_options, orig_dsts, st.one_of(st.just("keep"), orig_dsts), flag_bits,
+)
+def test_incremental_rewrite_matches_serialised_reference(
+    src, dst, new_src, new_dst, seq, ack, new_seq, new_ack, payload,
+    mss, orig, new_orig, new_flags,
+):
+    seg = TcpSegment(
+        src_port=1, dst_port=2, seq=seq, ack=ack, flags=FLAG_ACK | FLAG_PSH,
+        window=100, payload=payload, mss_option=mss, orig_dst_option=orig,
+    ).sealed(src, dst)
+    options = {} if new_orig == "keep" else {"orig_dst": new_orig}
+    rewritten = incremental_rewrite(
+        seg, old_src=src, old_dst=dst, new_src=new_src, new_dst=new_dst,
+        seq=new_seq, ack=new_ack, flags=new_flags, **options,
+    )
+    assert rewritten.orig_dst_option == (orig if new_orig == "keep" else new_orig)
+    assert rewritten.mss_option == mss
+    assert_matches_reference(rewritten, new_src, new_dst)
+    assert rewritten.checksum == ~reference_sum(rewritten, new_src, new_dst, True) & 0xFFFF
