@@ -13,13 +13,9 @@ Run:  python examples/chain_replication.py
 
 from repro.apps.store import shopping_session, store_server
 from repro.failover.chain import ReplicatedChain
-from repro.harness.topology import CLIENT_PROFILE, SERVER_PROFILE, _make_host
+from repro.harness.topology import CLIENT_IP, CLIENT_PROFILE, SERVER_PROFILE, Lan
 from repro.net.addresses import Ipv4Address
-from repro.net.ethernet import EthernetSegment
-from repro.sim.engine import Simulator
 from repro.sim.process import spawn
-from repro.sim.rng import RngRegistry
-from repro.sim.trace import Tracer
 
 PORT = 8080
 
@@ -35,22 +31,16 @@ SCRIPT = [
 
 
 def main() -> None:
-    sim = Simulator()
-    tracer = Tracer(record=True)
-    rng = RngRegistry(21)
-    segment = EthernetSegment(sim, tracer=tracer, rng=rng.stream("eth"))
-    client = _make_host(sim, "client", 1, CLIENT_PROFILE, tracer, rng,
-                        gratuitous_apply_delay=300e-6)
-    client.attach_ethernet(segment, Ipv4Address("10.0.0.1"))
-    replicas = []
-    for i in range(3):
-        host = _make_host(sim, f"replica{i}", 10 + i, SERVER_PROFILE, tracer, rng)
-        host.attach_ethernet(segment, Ipv4Address(f"10.0.0.{10 + i}"))
-        replicas.append(host)
-    for a in [client] + replicas:
-        for b in [client] + replicas:
-            if a is not b:
-                a.eth_interface.arp.prime(b.ip.primary_address(), b.nic.mac)
+    lan = Lan(seed=21, collision_prob=0.05, record_traces=True)
+    sim = lan.sim
+    client = lan.add_host("client", 1, CLIENT_IP, CLIENT_PROFILE,
+                          gratuitous_apply_delay=300e-6)
+    replicas = [
+        lan.add_host(f"replica{i}", 10 + i, Ipv4Address(f"10.0.0.{10 + i}"),
+                     SERVER_PROFILE)
+        for i in range(3)
+    ]
+    lan.warm_arp()
 
     chain = ReplicatedChain(replicas, failover_ports=[PORT],
                             detector_interval=0.005, detector_timeout=0.020)

@@ -18,8 +18,9 @@ and ``cmp``'s the artifacts).
 Cell topology by strategy:
 
 * segment strategies (``rst-sweep``, ``syn-sweep``, ``fin-ack-sweep``,
-  ``pmtud-probe``, ``seq-infer``, ``arp-race``) run on an ``AttackLan``
-  — the chaos LAN plus an attacker station — against one bulk upload
+  ``pmtud-probe``, ``seq-infer``, ``arp-race``) run on an
+  :class:`AttackLan` — the chaos LAN plus an attacker station — against
+  the shared bridge cell (:mod:`repro.harness.cells`), one bulk upload
   through the replicated pair;
 * ``flow-poison`` runs on a small :class:`~repro.cluster.fleet.
   ShardedFleet` with the attacker on the front LAN, poisoning the
@@ -38,20 +39,22 @@ from repro.adversary.strategies import (
     STRATEGIES,
     AttackContext,
 )
-from repro.apps.bulk import pattern_bytes
+from repro.harness import cells
+from repro.harness.cells import (
+    PORT,
+    BridgeCell,
+    CellResult,
+    attach_incident,
+    clean_duration,
+    summarize,  # re-exported: the matrix's public summary
+)
 from repro.harness.invariants import InvariantChecker, Violation
+from repro.harness.topology import CLIENT_IP, ChaosLan
 from repro.net.addresses import Ipv4Address, MacAddress
 from repro.net.host import Host
+from repro.obs.metrics import MetricsRegistry
 from repro.sim.process import spawn
-from repro.tcp.seqnum import seq_add
-from repro.tcp.socket_api import ListeningSocket, SimSocket
 
-# Same wrap-crossing ISS pin as the chaos matrix: every adversarial
-# cell also exercises sequence arithmetic across 2^32.
-CLIENT_ISS = 0xFFFF_F000
-STREAM_START = seq_add(CLIENT_ISS, 1)
-
-PORT = 80
 # Big enough that a ~0.13 s attack burst overlaps the transfer (and the
 # mid-transfer crash + takeover) instead of outliving it.
 DEFAULT_SIZE = 2_000_000
@@ -101,26 +104,14 @@ class AttackSpec:
 
 
 @dataclass
-class AttackResult:
-    """Everything a cell needs to be diagnosed, replayed and compared."""
+class AttackResult(CellResult):
+    """An attack cell's result: the shared verdicts plus the attacker's
+    accounting, comparable across replays by :meth:`fingerprint`."""
 
-    spec: AttackSpec
-    violations: List[Violation] = field(default_factory=list)
     injections: int = 0
     injections_by_kind: Dict[str, int] = field(default_factory=dict)
     counters: Dict[str, int] = field(default_factory=dict)
     results: Dict[str, object] = field(default_factory=dict)
-    acked: int = 0
-    delivered: int = 0
-    finished: bool = False
-    failed_over: bool = False
-    duration: float = 0.0
-    incident: str = ""
-    tracer: object = field(default=None, repr=False, compare=False)
-
-    @property
-    def ok(self) -> bool:
-        return not self.violations
 
     def fingerprint(self) -> str:
         """Canonical byte-stable summary for replay comparison."""
@@ -138,18 +129,11 @@ class AttackResult:
         ]
         return "|".join(parts)
 
-    def describe(self) -> str:
-        status = "ok" if self.ok else "FAIL"
-        lines = [
-            f"[{status}] {self.spec}: injections={self.injections}"
-            f" failed_over={self.failed_over} delivered={self.delivered}"
-            f" t={self.duration:.3f}"
-        ]
-        lines += [f"  {v}" for v in self.violations]
-        if not self.ok and self.incident:
-            lines.append("  incident report:")
-            lines += [f"    {line}" for line in self.incident.splitlines()]
-        return "\n".join(lines)
+    def counts(self) -> str:
+        return (
+            f"injections={self.injections} failed_over={self.failed_over}"
+            f" delivered={self.delivered}"
+        )
 
 
 def attack_matrix(
@@ -173,70 +157,43 @@ def attack_matrix(
 # bridge cells (AttackLan)
 # ----------------------------------------------------------------------
 
-_CLEAN_CACHE: Dict[Tuple[int, int], float] = {}
+ATTACKER_IP = Ipv4Address("10.0.0.9")
 
 
-def _clean_duration(seed: int, size: int) -> float:
-    """Attack-free, fault-free transfer time — anchors burst/crash times."""
-    key = (seed, size)
-    if key not in _CLEAN_CACHE:
-        result = _bridge_cell(
-            AttackSpec("none", "client", "early", seed=seed, size=size),
-            until=60.0,
+class AttackLan(ChaosLan):
+    """ChaosLan plus an off-path attacker station on the shared segment.
+
+    Metrics are always on: the ``tcp.challenge_acks`` counter *is* the
+    modeled side channel the sequence-inference strategy reads, so an
+    adversarial cell without metrics would silently test nothing.
+    """
+
+    def __init__(self, seed: int = 0, metrics: Optional[MetricsRegistry] = None,
+                 **kwargs):
+        if metrics is None:
+            metrics = MetricsRegistry()
+        super().__init__(seed=seed, metrics=metrics, **kwargs)
+        # Off-path, not blind to L2: the attacker shares the segment, so
+        # it knows every station's MAC (and could learn them passively).
+        self.attacker = AttackerHost(
+            self.add_station("attacker", 9, ATTACKER_IP),
+            self.rng.stream("adversary.attacker"),
         )
-        _CLEAN_CACHE[key] = result.duration
-    return _CLEAN_CACHE[key]
 
 
 def _bridge_cell(spec: AttackSpec, until: float = 30.0) -> AttackResult:
-    # Imported here: repro.adversary must stay importable without the
-    # test tree, but the topology builders live in tests/util.
-    from tests.util import CLIENT_IP, AttackLan
-
     lan = AttackLan(seed=spec.seed, failover_ports=(PORT,))
-    lan.client.tcp.choose_iss = lambda: CLIENT_ISS
-    lan.start_detectors()
-    blob = pattern_bytes(spec.size)
+    cell = BridgeCell(lan, spec.size)
     result = AttackResult(spec=spec)
-    attacking = spec.strategy != "none"
-
-    received: Dict[str, bytearray] = {}
-    client_state: Dict[str, object] = {}
-
-    def server_app(host):
-        def app():
-            listening = ListeningSocket.listen(host, PORT)
-            sock = yield from listening.accept()
-            data = received.setdefault(host.name, bytearray())
-            while True:
-                chunk = yield from sock.recv(65536)
-                if not chunk:
-                    break
-                data.extend(chunk)
-            yield from sock.close_and_wait()
-
-        return app()
-
-    def client():
-        sock = SimSocket.connect(lan.client, lan.server_ip, PORT, min_rto=0.05)
-        client_state["sock"] = sock
-        yield from sock.wait_connected()
-        yield from sock.send_all(blob)
-        yield from sock.close_and_wait()
 
     # -- attacker wiring -------------------------------------------------
     def client_port() -> Optional[int]:
-        sock = client_state.get("sock")
-        return sock.conn.local_port if sock is not None else None
-
-    def serving_host() -> Host:
-        return lan.pair.secondary if lan.pair.failed_over else lan.pair.primary
+        return cell.sock.conn.local_port if cell.sock is not None else None
 
     def victim():
         if spec.position == "client":
-            sock = client_state.get("sock")
-            return "client", (sock.conn if sock is not None else None)
-        host = serving_host()
+            return "client", (cell.sock.conn if cell.sock is not None else None)
+        host = cell.serving_host()
         cport = client_port()
         conn = None
         if cport is not None:
@@ -260,7 +217,6 @@ def _bridge_cell(spec: AttackSpec, until: float = 30.0) -> AttackResult:
     )
 
     checker: InvariantChecker = lan.checker
-    process = None
 
     def burst():
         yield burst_at
@@ -271,7 +227,7 @@ def _bridge_cell(spec: AttackSpec, until: float = 30.0) -> AttackResult:
         # live (a closed-because-finished connection is not a violation).
         label = str(spec)
         post_name, post_conn = victim()
-        if post_conn is not None and not process.done_event.triggered:
+        if post_conn is not None and not cell.process.done_event.triggered:
             checker.check_connection_survived(
                 post_conn, f"{label} [{post_name}]", now=lan.sim.now
             )
@@ -284,43 +240,16 @@ def _bridge_cell(spec: AttackSpec, until: float = 30.0) -> AttackResult:
                 post_conn, floor_mss, label, now=lan.sim.now
             )
 
+    attacking = spec.strategy != "none"  # "none": the attack-off baseline
     if attacking:
-        t_clean = _clean_duration(spec.seed, spec.size)
+        t_clean = clean_duration(spec.seed, cell.direction, spec.size)
         lan.plane.crash_at(lan.primary, max(1e-4, CRASH_FRACTION * t_clean))
         burst_at = max(2e-4, ATTACK_FRACTIONS[spec.fraction] * t_clean)
 
-    lan.pair.run_app(server_app)
-    process = spawn(lan.sim, client(), "attack-client")
+    cell.start()
     if attacking:
         spawn(lan.sim, burst(), "attack-burst")
-    lan.sim.run_until(lambda: process.done_event.triggered, timeout=until)
-    result.finished = process.done_event.triggered
-    result.duration = lan.sim.now
-    lan.sim.run(until=lan.sim.now + 0.3)  # let in-flight events settle
-
-    # -- invariants ------------------------------------------------------
-    if not result.finished:
-        checker.violations.append(Violation(
-            lan.sim.now, "liveness",
-            f"client did not finish within {until}s of simulated time",
-        ))
-    result.failed_over = lan.pair.failed_over
-    surviving = serving_host().name
-    delivered = bytes(received.get(surviving, b""))
-    checker.check_stream_prefix(surviving, blob, delivered, now=lan.sim.now)
-    sock = client_state.get("sock")
-    acked_seq = sock.conn.snd_una if sock is not None else None
-    result.acked = checker.check_acked_bytes_delivered(
-        blob, acked_seq, STREAM_START, len(delivered), now=lan.sim.now
-    )
-    result.delivered = len(delivered)
-    if result.finished and len(delivered) != spec.size:
-        checker.violations.append(Violation(
-            lan.sim.now, "completeness",
-            f"transfer finished but {surviving} delivered"
-            f" {len(delivered)}/{spec.size} bytes",
-        ))
-    lan.finish_checks()
+    cell.finish(result, until)
     checker.check_no_spoofed_teardown()
     if spec.strategy == "seq-infer":
         result.results = dict(ctx.results)
@@ -331,7 +260,6 @@ def _bridge_cell(spec: AttackSpec, until: float = 30.0) -> AttackResult:
             min_error=INFER_MIN_ERROR,
             now=lan.sim.now,
         )
-    result.violations = checker.violations
 
     # -- accounting ------------------------------------------------------
     result.injections = lan.attacker.injections
@@ -350,7 +278,7 @@ def _bridge_cell(spec: AttackSpec, until: float = 30.0) -> AttackResult:
         lan.pair.primary_bridge, "rsts_ignored", 0
     )
 
-    _attach_incident(result, lan.tracer)
+    attach_incident(result, lan.tracer)
     return result
 
 
@@ -488,22 +416,8 @@ def _dispatcher_cell(spec: AttackSpec, until: float = 30.0) -> AttackResult:
         "workload.sessions_failed": stats.sessions_failed,
     }
 
-    _attach_incident(result, fleet.tracer)
+    attach_incident(result, fleet.tracer)
     return result
-
-
-def _attach_incident(result: AttackResult, tracer) -> None:
-    """Keep the trace stream; render an incident report on failure."""
-    if not getattr(tracer, "records", None):
-        return
-    from repro.obs.flight import FlightRecorder
-
-    result.tracer = tracer
-    if not result.ok:
-        result.incident = FlightRecorder(tracer).incident_report(
-            title=str(result.spec),
-            violations=[str(v) for v in result.violations],
-        )
 
 
 # ----------------------------------------------------------------------
@@ -528,11 +442,4 @@ def run_attack_matrix(
     specs: List[AttackSpec], until: float = 30.0
 ) -> List[AttackResult]:
     """Run many cells; returns every result (callers assert on failures)."""
-    return [run_attack_cell(spec, until=until) for spec in specs]
-
-
-def summarize(results: List[AttackResult]) -> str:
-    failed = [r for r in results if not r.ok]
-    lines = [f"{len(results) - len(failed)}/{len(results)} cells passed"]
-    lines += [r.describe() for r in failed]
-    return "\n".join(lines)
+    return cells.run_matrix(run_attack_cell, specs, until)

@@ -2,7 +2,9 @@
 
 ``sim-import`` keeps the deterministic layers (sim/tcp/failover/net)
 hermetic: no real sockets, threads or host clocks — everything flows
-through the discrete-event engine.
+through the discrete-event engine.  It also keeps the whole package
+shippable: nothing under ``src/repro/`` may import the test tree, which
+an installed ``repro`` does not have.
 
 ``checksum-pair`` enforces the paper's §3.1 contract in bridge code:
 whenever a TCP segment's addressed fields are rewritten (Δseq shift,
@@ -21,7 +23,7 @@ import ast
 from typing import Iterator
 
 from repro.analysis.engine import FileContext, Violation
-from repro.analysis.rules.base import Rule, call_name, in_sim_layers
+from repro.analysis.rules.base import Rule, call_name, in_sim_layers, in_src
 
 #: Modules that reach outside the simulation.
 _FORBIDDEN_IMPORTS = frozenset({
@@ -46,38 +48,43 @@ class SimImportRule(Rule):
     name = "sim-import"
     description = (
         "real socket/threading/time imports in the deterministic layers"
-        " (sim, tcp, failover, net)"
+        " (sim, tcp, failover, net); test-tree imports anywhere in src/repro"
     )
 
     def applies_to(self, path: str) -> bool:
-        return in_sim_layers(path)
+        return in_src(path)
 
     def check(self, ctx: FileContext) -> Iterator[Violation]:
+        hermetic = in_sim_layers(ctx.path)
         for node in ast.walk(ctx.tree):
             if isinstance(node, ast.Import):
-                for alias in node.names:
-                    root = alias.name.split(".")[0]
-                    if root in _FORBIDDEN_IMPORTS:
-                        yield ctx.violation(
-                            node, self.name,
-                            f"`import {alias.name}` in a deterministic layer;"
-                            " use the Simulator event loop instead of real"
-                            " I/O, threads or clocks",
-                        )
+                modules = [alias.name for alias in node.names]
             elif isinstance(node, ast.ImportFrom):
-                root = (node.module or "").split(".")[0]
-                if root in _FORBIDDEN_IMPORTS:
+                modules = [node.module or ""]
+            else:
+                modules = []
+                if hermetic and isinstance(node, ast.Call) and call_name(node) == "sleep":
                     yield ctx.violation(
                         node, self.name,
-                        f"`from {node.module} import ...` in a deterministic"
-                        " layer; use the Simulator event loop instead",
+                        "sleep() blocks the host; schedule with"
+                        " Simulator.call_later / process timeouts",
                     )
-            elif isinstance(node, ast.Call) and call_name(node) == "sleep":
-                yield ctx.violation(
-                    node, self.name,
-                    "sleep() blocks the host; schedule with"
-                    " Simulator.call_later / process timeouts",
-                )
+            for module in modules:
+                root = module.split(".")[0]
+                if root == "tests":
+                    yield ctx.violation(
+                        node, self.name,
+                        f"`{module}` imported under src/repro; an installed"
+                        " package has no test tree, so the code it needs"
+                        " belongs in src/",
+                    )
+                elif hermetic and root in _FORBIDDEN_IMPORTS:
+                    yield ctx.violation(
+                        node, self.name,
+                        f"`{module}` imported in a deterministic layer;"
+                        " use the Simulator event loop instead of real"
+                        " I/O, threads or clocks",
+                    )
 
 
 class ChecksumPairRule(Rule):

@@ -32,6 +32,7 @@ artifact's contract (CI runs the cell twice and ``cmp``'s them).
 
 from __future__ import annotations
 
+import math
 from typing import Callable, Dict, Generator, List, Optional, Tuple
 
 from repro.apps.request_reply import pattern_bytes, reply_server
@@ -42,18 +43,13 @@ from repro.clients.pool import (
 )
 from repro.clients.proxy import L4Proxy, PRIMARY_WEIGHT, STANDBY_WEIGHT
 from repro.harness.invariants import InvariantChecker
-from repro.harness.metrics import Stats, summarize
+from repro.harness.metrics import Stats, latency_windows
 from repro.harness.topology import (
-    BRIDGE_COST, CLIENT_ARP_DELAY, CLIENT_PROFILE, EMIT_COST, SERVER_PROFILE,
-    HostProfile,
+    BRIDGE_COST, CLIENT_ARP_DELAY, CLIENT_PROFILE, CLIENT_TIER_MAC_BASE,
+    EMIT_COST, PRIMARY_IP, SECONDARY_IP, SERVER_PROFILE, Lan,
 )
-from repro.failover.replicated import ReplicatedServerPair
-from repro.net.addresses import Ipv4Address, MacAddress
-from repro.net.ethernet import EthernetSegment
+from repro.net.addresses import Ipv4Address
 from repro.net.host import Host
-from repro.obs.spans import NULL_SPANS, SpanTracer
-from repro.sim.engine import Simulator
-from repro.sim.rng import RngRegistry
 from repro.sim.trace import Tracer
 
 #: The recovery paths E14 compares, in publication order.  The ISSUE's
@@ -64,8 +60,6 @@ PATHS: Tuple[str, ...] = ("bridge", "vip", "proxy", "dns")
 SERVICE_NAME = "svc.shop.example"
 SERVICE_PORT = 8000
 
-PRIMARY_IP = Ipv4Address("10.0.0.2")
-SECONDARY_IP = Ipv4Address("10.0.0.3")
 MONITOR_IP = Ipv4Address("10.0.0.9")
 PROXY_IP = Ipv4Address("10.0.0.10")
 
@@ -78,22 +72,6 @@ TIMELINE_CATEGORIES = (
     "clients.proxy.failover",
     "clients.vip.takeover",
 )
-
-EMPTY_STATS = Stats(count=0, median=0.0, mean=0.0, minimum=0.0, maximum=0.0,
-                    p90=0.0, p99=0.0, stddev=0.0)
-
-
-def _summarize(samples: List[float]) -> Stats:
-    return summarize(samples) if samples else EMPTY_STATS
-
-
-def _mac(index: int) -> MacAddress:
-    return MacAddress(0x0200_00CE_0000 + index)
-
-
-def _client_ip(index: int) -> Ipv4Address:
-    return Ipv4Address(f"10.0.0.{50 + index}")
-
 
 class PathStats:
     """Per-request samples and failures for one path's run."""
@@ -160,14 +138,10 @@ class PathResult:
         self.extras = extras
 
     def latency_windows(self) -> Dict[str, Stats]:
-        stats = self.stats
-        return {
-            "pre": _summarize(stats.latencies_between(0.0, self.crash_at)),
-            "during": _summarize(stats.latencies_between(
-                self.crash_at, self.crash_at + self.recovery_window)),
-            "post": _summarize(stats.latencies_between(
-                self.crash_at + self.recovery_window, self.finished_at + 1.0)),
-        }
+        return latency_windows(
+            self.stats, self.crash_at, self.recovery_window, self.finished_at,
+            labels=("pre", "during", "post"),
+        )
 
     def timeline(self) -> List[Tuple[float, str, str]]:
         """First occurrence of each recovery milestone, time-ordered."""
@@ -197,70 +171,6 @@ class PathResult:
         return self.checker.ok
 
 
-class _PathLan:
-    """One path's topology: clients, servers and the recovery machinery."""
-
-    def __init__(self, seed: int, clients: int, span_sample_rate: float,
-                 record_traces: bool):
-        self.sim = Simulator()
-        self.registry = RngRegistry(seed)
-        self.tracer = Tracer(record=record_traces, max_records=200_000)
-        if span_sample_rate > 0:
-            self.spans: SpanTracer = SpanTracer(
-                sample_rate=span_sample_rate,
-                rng=self.registry.stream("obs.spans"),
-            )
-        else:
-            self.spans = NULL_SPANS
-        self.segment = EthernetSegment(
-            self.sim, name="lan", collision_prob=0.0, tracer=self.tracer,
-            rng=self.registry.stream("ethernet"),
-        )
-        self.clients: List[Host] = []
-        for i in range(clients):
-            client = self._host(f"client{i}", 50 + i, CLIENT_PROFILE,
-                                gratuitous_apply_delay=CLIENT_ARP_DELAY)
-            client.attach_ethernet(self.segment, _client_ip(i))
-            client.tcp.conn_defaults.update({"min_rto": 0.05})
-            self.clients.append(client)
-        self.servers: List[Host] = []
-
-    def _host(self, name: str, index: int, profile: HostProfile,
-              gratuitous_apply_delay: float = 0.0) -> Host:
-        return Host(
-            self.sim, name, _mac(index), tracer=self.tracer,
-            rng=self.registry.stream(f"host.{name}"),
-            spans=self.spans,
-            rx_segment_cost=profile.rx_segment_cost,
-            rx_byte_cost=profile.rx_byte_cost,
-            tx_segment_cost=profile.tx_segment_cost,
-            tx_byte_cost=profile.tx_byte_cost,
-            cpu_jitter=profile.cpu_jitter,
-            cpu_spike_prob=profile.cpu_spike_prob,
-            cpu_spike_cost=profile.cpu_spike_cost,
-            app_write_fixed_cost=profile.app_write_fixed_cost,
-            app_write_byte_cost=profile.app_write_byte_cost,
-            gratuitous_apply_delay=gratuitous_apply_delay,
-        )
-
-    def add_server(self, name: str, index: int, ip: Ipv4Address) -> Host:
-        server = self._host(name, index, SERVER_PROFILE)
-        server.attach_ethernet(self.segment, ip)
-        self.servers.append(server)
-        return server
-
-    def warm_arp(self) -> None:
-        """Prime every host pair so ARP traffic never perturbs timing."""
-        hosts = self.clients + self.servers
-        for a in hosts:
-            for b in hosts:
-                if a is b:
-                    continue
-                a.eth_interface.arp.prime(
-                    b.ip.primary_address(), b.nic.mac,
-                )
-
-
 class ClientWorkload:
     """Closed-loop sessions round-robinned over the per-client pools.
 
@@ -270,7 +180,7 @@ class ClientWorkload:
     :class:`PathStats` and completion counter.
     """
 
-    def __init__(self, lan: _PathLan, pools: List[ConnectionPool],
+    def __init__(self, lan: Lan, pools: List[ConnectionPool],
                  sessions: int, stop_at: float, think_mean: float):
         self.lan = lan
         self.pools = pools
@@ -287,7 +197,7 @@ class ClientWorkload:
     def start(self) -> None:
         for i in range(self.sessions):
             pool = self.pools[i % len(self.pools)]
-            rng = self.lan.registry.stream(f"clients.workload.session{i}")
+            rng = self.lan.rng.stream(f"clients.workload.session{i}")
             start_at = 0.010 + 0.005 * i
             self.stats.sessions_started += 1
             self.lan.sim.call_at(
@@ -314,19 +224,12 @@ class ClientWorkload:
                 self.stats.corrupt_replies += 1
             self.stats.record(
                 self.lan.sim.now, self.lan.sim.now - started, session_id)
-            yield self.think_mean * -_ln(1.0 - rng.random())
+            yield self.think_mean * -math.log(1.0 - rng.random())
         if failed:
             self.stats.sessions_failed += 1
         else:
             self.stats.sessions_completed += 1
         self.finished += 1
-
-
-def _ln(x: float) -> float:
-    # math.log inlined via import at module scope would be fine; keep the
-    # exponential-think draw explicit and centralized here.
-    import math
-    return math.log(x) if x > 0 else -50.0
 
 
 def run_client_path(
@@ -355,7 +258,33 @@ def run_client_path(
     """Run one recovery path's cell and return its measurements."""
     if path not in PATHS:
         raise ValueError(f"unknown path {path!r}; expected one of {PATHS}")
-    lan = _PathLan(seed, clients, span_sample_rate, record_traces)
+    lan = Lan(
+        seed, record_traces=record_traces, max_trace_records=200_000,
+        span_sample_rate=span_sample_rate, mac_base=CLIENT_TIER_MAC_BASE,
+    )
+    client_hosts = [
+        lan.add_host(
+            f"client{i}", 50 + i, Ipv4Address(f"10.0.0.{50 + i}"),
+            CLIENT_PROFILE, gratuitous_apply_delay=CLIENT_ARP_DELAY,
+            conn_defaults={"min_rto": 0.05},
+        )
+        for i in range(clients)
+    ]
+
+    def plain_servers(*extra: Tuple[str, int, Ipv4Address]) -> List[Host]:
+        """The unreplicated paths' boxes: primary and standby, each running
+        the reply server, plus the path's own middlebox."""
+        boxes = (("primary", 2, PRIMARY_IP), ("standby", 3, SECONDARY_IP)) + extra
+        hosts = [
+            lan.add_host(name, index, ip, SERVER_PROFILE)
+            for name, index, ip in boxes
+        ]
+        lan.warm_arp()
+        for server in hosts[:2]:
+            server.spawn(
+                reply_server(server, SERVICE_PORT, max_requests=None), "reply")
+        return hosts
+
     ledger = RequestLedger()
     extras: Dict[str, object] = {}
     crash_time = float(crash_at)
@@ -365,10 +294,8 @@ def run_client_path(
     crash: Callable[[], None]
     resolvers: List[Callable[[], Generator]] = []
     if path == "bridge":
-        primary = lan.add_server("primary", 2, PRIMARY_IP)
-        secondary = lan.add_server("secondary", 3, SECONDARY_IP)
-        pair = ReplicatedServerPair(
-            primary, secondary, failover_ports=(SERVICE_PORT,),
+        pair = lan.add_pair(
+            (SERVICE_PORT,), SERVER_PROFILE,
             detector_interval=detector_interval,
             detector_timeout=detector_timeout,
             bridge_cost=BRIDGE_COST, emit_cost=EMIT_COST,
@@ -384,13 +311,7 @@ def run_client_path(
         resolvers = [constant_resolver(service_ip) for _ in range(clients)]
         extras["pair"] = pair
     elif path == "vip":
-        primary = lan.add_server("primary", 2, PRIMARY_IP)
-        standby = lan.add_server("standby", 3, SECONDARY_IP)
-        lan.warm_arp()
-        primary.spawn(
-            reply_server(primary, SERVICE_PORT, max_requests=None), "reply")
-        standby.spawn(
-            reply_server(standby, SERVICE_PORT, max_requests=None), "reply")
+        primary, standby = plain_servers()
 
         def take_vip() -> None:
             standby.eth_interface.add_address(PRIMARY_IP)
@@ -409,16 +330,9 @@ def run_client_path(
         resolvers = [constant_resolver(PRIMARY_IP) for _ in range(clients)]
         extras["monitor"] = monitor
     elif path == "proxy":
-        primary = lan.add_server("primary", 2, PRIMARY_IP)
-        standby = lan.add_server("standby", 3, SECONDARY_IP)
-        frontend = lan.add_server("proxy", 10, PROXY_IP)
-        lan.warm_arp()
-        primary.spawn(
-            reply_server(primary, SERVICE_PORT, max_requests=None), "reply")
-        standby.spawn(
-            reply_server(standby, SERVICE_PORT, max_requests=None), "reply")
+        primary, standby, frontend = plain_servers(("proxy", 10, PROXY_IP))
         proxy = L4Proxy(
-            frontend, SERVICE_PORT, lan.registry.stream("clients.proxy"),
+            frontend, SERVICE_PORT, lan.rng.stream("clients.proxy"),
             health_interval=detector_interval, health_timeout=detector_timeout,
         )
         proxy.add_backend("primary", primary, SERVICE_PORT,
@@ -430,14 +344,8 @@ def run_client_path(
         resolvers = [constant_resolver(PROXY_IP) for _ in range(clients)]
         extras["proxy"] = proxy
     else:  # dns
-        primary = lan.add_server("primary", 2, PRIMARY_IP)
-        standby = lan.add_server("standby", 3, SECONDARY_IP)
-        monitor_host = lan.add_server("dns-monitor", 9, MONITOR_IP)
-        lan.warm_arp()
-        primary.spawn(
-            reply_server(primary, SERVICE_PORT, max_requests=None), "reply")
-        standby.spawn(
-            reply_server(standby, SERVICE_PORT, max_requests=None), "reply")
+        primary, standby, monitor_host = plain_servers(
+            ("dns-monitor", 9, MONITOR_IP))
         zone = AuthoritativeZone(lan.sim, tracer=lan.tracer)
         record = HealthCheckedRecord(
             zone, SERVICE_NAME, PRIMARY_IP, SECONDARY_IP, ttl,
@@ -446,7 +354,7 @@ def run_client_path(
         )
         record.start()
         caches: List[ResolverCache] = []
-        for i, client in enumerate(lan.clients):
+        for i, client in enumerate(client_hosts):
             cache = ResolverCache(
                 client, zone,
                 respect_ttl=(i >= ttl_ignoring_clients),
@@ -461,10 +369,10 @@ def run_client_path(
 
     # -- pools and workload ----------------------------------------------
     pools: List[ConnectionPool] = []
-    for i, client in enumerate(lan.clients):
+    for i, client in enumerate(client_hosts):
         pool = ConnectionPool(
             client, SERVICE_PORT, resolvers[i],
-            lan.registry.stream(f"clients.pool.client{i}"),
+            lan.rng.stream(f"clients.pool.client{i}"),
             max_size=pool_size, retry_budget=retry_budget,
             backoff_base=backoff_base, attempt_timeout=attempt_timeout,
             health_interval=health_interval, ledger=ledger,

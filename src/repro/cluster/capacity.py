@@ -20,7 +20,7 @@ from typing import Dict, List, Optional
 
 from repro.cluster.fleet import ShardedFleet
 from repro.harness.invariants import InvariantChecker
-from repro.harness.metrics import Stats, summarize
+from repro.harness.metrics import Stats, latency_windows
 from repro.workload.distributions import Distribution, Exponential, Fixed
 from repro.workload.generator import ClosedLoopWorkload, WorkloadStats
 
@@ -29,15 +29,6 @@ from repro.workload.generator import ClosedLoopWorkload, WorkloadStats
 #: retransmission backoff — the stalled in-flight requests complete a
 #: few hundred ms after the kill).
 RECOVERY_WINDOW = 0.500
-
-#: An all-zero summary for a window no request completed in (e.g. a run
-#: short enough that every session finished inside the recovery window).
-EMPTY_STATS = Stats(count=0, median=0.0, mean=0.0, minimum=0.0, maximum=0.0,
-                    p90=0.0, p99=0.0, stddev=0.0)
-
-
-def _summarize(samples: List[float]) -> Stats:
-    return summarize(samples) if samples else EMPTY_STATS
 
 
 class CapacityResult:
@@ -80,19 +71,11 @@ class CapacityResult:
 
     def latency_windows(self) -> Dict[str, Stats]:
         """Pre / during / post-storm request-latency summaries."""
-        stats = self.workload.stats
-        pre = stats.latencies_between(0.0, self.storm_at)
-        during = stats.latencies_between(
-            self.storm_at, self.storm_at + RECOVERY_WINDOW
+        return latency_windows(
+            self.workload.stats, self.storm_at, RECOVERY_WINDOW,
+            self.finished_at,
+            labels=("pre_storm", "during_storm", "post_storm"),
         )
-        post = stats.latencies_between(
-            self.storm_at + RECOVERY_WINDOW, self.finished_at + 1.0
-        )
-        return {
-            "pre_storm": _summarize(pre),
-            "during_storm": _summarize(during),
-            "post_storm": _summarize(post),
-        }
 
     def goodput_bytes_per_s(self) -> float:
         if self.finished_at <= 0:

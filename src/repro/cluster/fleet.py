@@ -33,9 +33,10 @@ from repro.harness.topology import (
     BRIDGE_COST,
     CLIENT_PROFILE,
     EMIT_COST,
+    FLEET_MAC_BASE,
     ROUTER_ARP_DELAY,
     SERVER_PROFILE,
-    HostProfile,
+    make_host,
 )
 from repro.net.addresses import Ipv4Address, MacAddress
 from repro.net.ethernet import EthernetSegment
@@ -57,42 +58,9 @@ MAX_CLIENTS = 64
 
 
 def _fleet_mac(index: int) -> MacAddress:
-    # Distinct base from repro.harness.topology._mac so mixed topologies
-    # in one test file never collide; dispatcher extra NICs derive their
-    # MACs from base+0 in a different byte (see Host.attach_ethernet).
-    return MacAddress(0x0200_00AA_0000 + index)
-
-
-def _make_host(
-    sim: Simulator,
-    name: str,
-    index: int,
-    profile: HostProfile,
-    tracer: Tracer,
-    rng: RngRegistry,
-    metrics: Optional[MetricsRegistry],
-    gratuitous_apply_delay: float = 0.0,
-    spans: Optional[SpanTracer] = None,
-) -> Host:
-    return Host(
-        sim,
-        name,
-        _fleet_mac(index),
-        tracer=tracer,
-        metrics=metrics,
-        spans=spans,
-        rng=rng.stream(f"host.{name}"),
-        rx_segment_cost=profile.rx_segment_cost,
-        rx_byte_cost=profile.rx_byte_cost,
-        tx_segment_cost=profile.tx_segment_cost,
-        tx_byte_cost=profile.tx_byte_cost,
-        cpu_jitter=profile.cpu_jitter,
-        cpu_spike_prob=profile.cpu_spike_prob,
-        cpu_spike_cost=profile.cpu_spike_cost,
-        app_write_fixed_cost=profile.app_write_fixed_cost,
-        app_write_byte_cost=profile.app_write_byte_cost,
-        gratuitous_apply_delay=gratuitous_apply_delay,
-    )
+    # Dispatcher extra NICs derive their MACs from base+0 in a different
+    # byte (see Host.attach_ethernet).
+    return MacAddress(FLEET_MAC_BASE + index)
 
 
 class Shard:
@@ -221,10 +189,9 @@ class ShardedFleet:
 
         self.clients: List[Host] = []
         for i in range(clients):
-            client = _make_host(
-                self.sim, f"client{i}", 1 + i, CLIENT_PROFILE,
-                self.tracer, self.rng, self.front_metrics if enable_metrics else None,
-                spans=self.spans,
+            client = make_host(
+                self.sim, f"client{i}", _fleet_mac(1 + i), CLIENT_PROFILE,
+                self.tracer, self.rng, self.front_metrics, self.spans,
             )
             client.attach_ethernet(
                 self.front_segment, Ipv4Address(f"10.0.0.{1 + i}")
@@ -247,15 +214,13 @@ class ShardedFleet:
                 metrics=shard_metrics if enable_metrics else None,
                 spans=self.spans,
             )
-            primary = _make_host(
-                self.sim, f"p{s}", 100 + 2 * s, SERVER_PROFILE,
-                self.tracer, self.rng, shard_metrics if enable_metrics else None,
-                spans=self.spans,
+            primary = make_host(
+                self.sim, f"p{s}", _fleet_mac(100 + 2 * s), SERVER_PROFILE,
+                self.tracer, self.rng, shard_metrics, self.spans,
             )
-            secondary = _make_host(
-                self.sim, f"b{s}", 101 + 2 * s, SERVER_PROFILE,
-                self.tracer, self.rng, shard_metrics if enable_metrics else None,
-                spans=self.spans,
+            secondary = make_host(
+                self.sim, f"b{s}", _fleet_mac(101 + 2 * s), SERVER_PROFILE,
+                self.tracer, self.rng, shard_metrics, self.spans,
             )
             subnet = 32 + s
             primary.attach_ethernet(segment, Ipv4Address(f"10.{subnet}.0.2"))

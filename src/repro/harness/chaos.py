@@ -14,20 +14,29 @@ carries the master seed, the rule descriptions and every fault firing —
 re-running :func:`run_cell` with the same :class:`CellSpec` replays the
 identical event sequence (see ``tests/sim/test_rng_isolation.py``).
 
-The workload is a bulk transfer through the replicated pair, upload
-(client → servers) by default because the acked-byte-lost invariant
-lives on that path; ``direction="download"`` exercises the reverse.
-The client's ISS is pinned just below the 2³²-wraparound so every cell
-also crosses sequence-number wrap within its first few kilobytes.
+The workload, the run and the standard verdicts are the shared bridge
+cell of :mod:`repro.harness.cells`: a bulk transfer through the replicated
+pair, upload (client → servers) by default, ``direction="download"`` for
+the reverse.  This module adds the disturbance (fault rules, host crashes,
+reintegration) and the reintegration read-outs.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional
+from typing import Callable, Dict, List
 
-from repro.apps.bulk import pattern_bytes
-from repro.harness.invariants import InvariantChecker, Violation
+from repro.harness import cells
+from repro.harness.cells import (
+    PORT,
+    STREAM_START,
+    BridgeCell,
+    CellResult,
+    attach_incident,
+    clean_duration,
+    summarize,  # re-exported: the matrix's public summary
+)
+from repro.harness.topology import CLIENT_IP, ChaosLan
 from repro.net.faults import (
     Corrupt,
     Delay,
@@ -43,17 +52,9 @@ from repro.net.faults import (
     is_syn_ack,
     to_ip,
 )
-from repro.sim.process import spawn
-from repro.tcp.seqnum import seq_add
-from repro.tcp.socket_api import ListeningSocket, SimSocket
-
-# Client ISS pinned so payload byte ~4k crosses the 32-bit wrap: the
-# chaos matrix stresses wraparound arithmetic in every single cell.
-CLIENT_ISS = 0xFFFF_F000
-STREAM_START = seq_add(CLIENT_ISS, 1)
+from repro.obs.flight import FlightRecorder
 
 DEFAULT_SIZE = 120_000
-PORT = 80
 
 
 # ----------------------------------------------------------------------
@@ -79,46 +80,20 @@ class CellSpec:
 
 
 @dataclass
-class ChaosResult:
-    """Everything a failing cell needs to be diagnosed and replayed."""
+class ChaosResult(CellResult):
+    """A chaos cell's result: the shared verdicts plus the fault read-outs."""
 
-    spec: CellSpec
-    violations: List[Violation] = field(default_factory=list)
-    recipe: str = ""
-    incident: str = ""
     phase_durations: Dict[str, float] = field(default_factory=dict)
     fires: int = 0
-    failed_over: bool = False
     reintegrations: int = 0
     reintegration_phases: Dict[str, float] = field(default_factory=dict)
-    acked: int = 0
-    delivered: int = 0
-    finished: bool = False
-    duration: float = 0.0
-    # Trace stream of the run (a Tracer), for post-hoc flight-recorder
-    # analysis; excluded from repr to keep describe()/logs readable.
-    tracer: object = field(default=None, repr=False, compare=False)
 
-    @property
-    def ok(self) -> bool:
-        return not self.violations
-
-    def describe(self) -> str:
-        status = "ok" if self.ok else "FAIL"
-        lines = [
-            f"[{status}] {self.spec}: fires={self.fires}"
-            f" failed_over={self.failed_over}"
+    def counts(self) -> str:
+        return (
+            f"fires={self.fires} failed_over={self.failed_over}"
             f" reintegrations={self.reintegrations} acked={self.acked}"
-            f" delivered={self.delivered} t={self.duration:.3f}"
-        ]
-        lines += [f"  {v}" for v in self.violations]
-        if not self.ok and self.recipe:
-            lines.append("  recipe:")
-            lines += [f"    {line}" for line in self.recipe.splitlines()]
-        if not self.ok and self.incident:
-            lines.append("  incident report:")
-            lines += [f"    {line}" for line in self.incident.splitlines()]
-        return "\n".join(lines)
+            f" delivered={self.delivered}"
+        )
 
 
 # ----------------------------------------------------------------------
@@ -310,25 +285,10 @@ def reintegration_matrix(
 # ----------------------------------------------------------------------
 
 
-def _measure_clean_duration(spec: CellSpec) -> float:
-    """Clean-run transfer time for this seed/size — anchors crash times."""
-    result = run_cell(
-        CellSpec("none", "none", seed=spec.seed,
-                 direction=spec.direction, size=spec.size)
-    )
-    return result.duration
-
-
 def run_cell(spec: CellSpec, until: float = 90.0) -> ChaosResult:
     """Run one chaos cell end-to-end and check every invariant."""
-    # Imported here: repro.harness must stay importable without the test
-    # tree, but the builders live in tests/util (they wire test IPs).
-    from tests.util import CLIENT_IP, ChaosLan
-
     lan = ChaosLan(seed=spec.seed, failover_ports=(PORT,))
-    lan.client.tcp.choose_iss = lambda: CLIENT_ISS
-    lan.start_detectors()
-    blob = pattern_bytes(spec.size)
+    cell = BridgeCell(lan, spec.size, spec.direction)
     env = {
         "client_ip": CLIENT_IP,
         "service_ip": lan.server_ip,
@@ -348,19 +308,19 @@ def run_cell(spec: CellSpec, until: float = 90.0) -> ChaosResult:
             nth=point["nth"],
         )
     elif spec.fault in HOST_FAULTS or spec.fault in REINTEGRATE_FAULTS:
-        t_clean = _measure_clean_duration(spec)
+        t_clean = clean_duration(spec.seed, spec.direction, spec.size)
         when = max(1e-4, CRASH_FRACTIONS[spec.point] * t_clean)
         if spec.fault in REINTEGRATE_FAULTS:
             # The crashed primary reboots and is automatically re-admitted
             # as the live secondary (the pair's restart hook fires after
-            # ``reintegrate_delay``); the workload section below installs
-            # the warm-sync resume app.
+            # ``reintegrate_delay``), resuming through the warm-sync apps.
             lan.pair.auto_reintegrate = True
             lan.pair.reintegrate_delay = 0.020
             lan.plane.crash_at(lan.primary, when)
             lan.plane.restart_at(lan.primary, when + RESTART_DELAY)
             if spec.fault == "reintegrate-crash-again":
                 lan.plane.crash_at(lan.secondary, when + SECOND_CRASH_DELAY)
+            _install_warm_sync(cell)
         elif spec.fault == "crash-primary":
             lan.plane.crash_at(lan.primary, when)
         elif spec.fault == "crash-primary-restart":
@@ -379,182 +339,14 @@ def run_cell(spec: CellSpec, until: float = 90.0) -> ChaosResult:
     elif spec.fault != "none":
         raise ValueError(f"unknown fault {spec.fault!r}")
 
-    # -- workload --------------------------------------------------------
-    # Receive buffers are registered up front and grown chunk-by-chunk so
-    # a cell that stalls mid-transfer still reports how far each side got.
-    received: Dict[str, bytearray] = {}
-    client_state: Dict[str, object] = {}
-
-    if spec.direction == "upload":
-
-        def server_app(host):
-            def app():
-                listening = ListeningSocket.listen(host, PORT)
-                sock = yield from listening.accept()
-                data = received.setdefault(host.name, bytearray())
-                while True:
-                    chunk = yield from sock.recv(65536)
-                    if not chunk:
-                        break
-                    data.extend(chunk)
-                yield from sock.close_and_wait()
-            return app()
-
-        def client():
-            sock = SimSocket.connect(
-                lan.client, lan.server_ip, PORT, min_rto=0.05
-            )
-            client_state["sock"] = sock
-            yield from sock.wait_connected()
-            yield from sock.send_all(blob)
-            yield from sock.close_and_wait()
-
-    else:  # download
-
-        def server_app(host):
-            def app():
-                listening = ListeningSocket.listen(host, PORT)
-                sock = yield from listening.accept()
-                request = yield from sock.recv_exactly(4)
-                assert request == b"PULL", request
-                yield from sock.send_all(blob)
-                yield from sock.close_and_wait()
-            return app()
-
-        def client():
-            sock = SimSocket.connect(
-                lan.client, lan.server_ip, PORT, min_rto=0.05
-            )
-            client_state["sock"] = sock
-            yield from sock.wait_connected()
-            yield from sock.send_all(b"PULL")
-            data = received.setdefault("client", bytearray())
-            while len(data) < len(blob):
-                chunk = yield from sock.recv(65536)
-                if not chunk:
-                    break
-                data.extend(chunk)
-            yield from sock.close_and_wait()
-
-    if spec.fault in REINTEGRATE_FAULTS:
-        if spec.direction == "upload":
-
-            def resume_server(host, sock, resume):
-                def app():
-                    # Warm sync: adopt the survivor's already-consumed
-                    # prefix (the replicated app is deterministic, so the
-                    # first ``resume.read`` bytes are identical), then
-                    # keep receiving through the adopted socket.
-                    other = next(
-                        (buf for name, buf in received.items()
-                         if name != host.name),
-                        b"",
-                    )
-                    data = received.setdefault(host.name, bytearray())
-                    del data[:]
-                    data.extend(other[: resume.read])
-                    while True:
-                        chunk = yield from sock.recv(65536)
-                        if not chunk:
-                            break
-                        data.extend(chunk)
-                    yield from sock.close_and_wait()
-                return app()
-
-        else:  # download
-
-            def resume_server(host, sock, resume):
-                def app():
-                    if resume.written == 0 and resume.read < 4:
-                        yield from sock.recv_exactly(4 - resume.read)
-                    yield from sock.send_all(blob[resume.written:])
-                    yield from sock.close_and_wait()
-                return app()
-
-        lan.pair.set_resume_app(resume_server)
-
-        if spec.direction == "upload":
-            # Whole-app warm sync: stream bytes whose connection already
-            # closed live only in the survivor's buffer — copy them, or a
-            # second crash loses data the client saw acknowledged.
-            def warm_sync(survivor_host, joiner_host):
-                src = received.get(survivor_host.name)
-                if src is None:
-                    return
-                dst = received.setdefault(joiner_host.name, bytearray())
-                if len(src) > len(dst):
-                    del dst[:]
-                    dst.extend(src)
-
-            lan.pair.set_warm_sync(warm_sync)
-
-    lan.pair.run_app(server_app)
-    process = spawn(lan.sim, client(), "chaos-client")
-    lan.sim.run_until(lambda: process.done_event.triggered, timeout=until)
-    result.finished = process.done_event.triggered
-    result.duration = lan.sim.now
-    lan.sim.run(until=lan.sim.now + 0.3)  # let in-flight events settle
-
-    # -- invariants ------------------------------------------------------
-    checker: InvariantChecker = lan.checker
-    if not result.finished:
-        checker.violations.append(Violation(
-            lan.sim.now, "liveness",
-            f"client did not finish within {until}s of simulated time",
-        ))
-    result.failed_over = lan.pair.failed_over
+    cell.start()
+    cell.finish(result, until)
     result.reintegrations = len(lan.pair.reintegrations)
-
-    if spec.direction == "upload":
-        # The replica holding the authoritative stream is the pair's
-        # *current* primary — reintegration swaps roles, so go through the
-        # live pair object rather than assuming the original assignment.
-        survivor_host = (
-            lan.pair.secondary if lan.pair.failed_over else lan.pair.primary
-        )
-        surviving = survivor_host.name
-        delivered = bytes(received.get(surviving, b""))
-        checker.check_stream_prefix(surviving, blob, delivered, now=lan.sim.now)
-        other = "primary" if surviving == "secondary" else "secondary"
-        if other in received and spec.fault != "crash-secondary":
-            checker.check_stream_prefix(
-                other, blob, bytes(received[other]), now=lan.sim.now
-            )
-        sock = client_state.get("sock")
-        acked_seq = sock.conn.snd_una if sock is not None else None
-        result.acked = checker.check_acked_bytes_delivered(
-            blob, acked_seq, STREAM_START, len(delivered), now=lan.sim.now
-        )
-        result.delivered = len(delivered)
-        if result.finished and len(delivered) != spec.size:
-            checker.violations.append(Violation(
-                lan.sim.now, "completeness",
-                f"transfer finished but {surviving} delivered"
-                f" {len(delivered)}/{spec.size} bytes",
-            ))
-    else:
-        data = bytes(received.get("client", b""))
-        checker.check_stream_prefix("client", blob, data, now=lan.sim.now)
-        result.delivered = len(data)
-        if result.finished and len(data) != spec.size:
-            checker.violations.append(Violation(
-                lan.sim.now, "completeness",
-                f"download finished but client got {len(data)}/{spec.size}",
-            ))
-
-    lan.finish_checks()
-    result.violations = checker.violations
     result.fires = len(lan.plane.fires)
-    result.recipe = lan.plane.recipe()
 
-    # -- observability ---------------------------------------------------
-    # Imported lazily: repro.obs.flight pulls in repro.net, and this module
-    # is imported from repro.harness.__init__.
-    if lan.tracer.records:
-        from repro.obs.flight import FlightRecorder
-
-        result.tracer = lan.tracer
-        recorder = FlightRecorder(lan.tracer)
+    attach_incident(result, lan.tracer)
+    if result.tracer is not None:
+        recorder = FlightRecorder(result.tracer)
         breakdown = recorder.phase_breakdown()
         if breakdown is not None:
             result.phase_durations = breakdown.durations()
@@ -562,21 +354,55 @@ def run_cell(spec: CellSpec, until: float = 90.0) -> ChaosResult:
             if reint.phases:
                 result.reintegration_phases = reint.durations()
                 break
-        if not result.ok:
-            result.incident = recorder.incident_report(
-                title=str(spec),
-                violations=[str(v) for v in result.violations],
-            )
     return result
+
+
+def _install_warm_sync(cell: BridgeCell) -> None:
+    """Give the pair the apps a rejoining replica resumes through."""
+    received, blob = cell.received, cell.blob
+
+    if cell.direction == "upload":
+
+        def resume_server(host, sock, resume):
+            # Warm sync: adopt the survivor's already-consumed prefix (the
+            # replicated app is deterministic, so the first ``resume.read``
+            # bytes are identical), then keep receiving through the
+            # adopted socket.
+            other = next(
+                (buf for name, buf in received.items() if name != host.name),
+                b"",
+            )
+            data = received.setdefault(host.name, bytearray())
+            del data[:]
+            data.extend(other[: resume.read])
+            yield from cell.drain(sock, data)
+            yield from sock.close_and_wait()
+
+        # Whole-app warm sync: stream bytes whose connection already
+        # closed live only in the survivor's buffer — copy them, or a
+        # second crash loses data the client saw acknowledged.
+        def warm_sync(survivor_host, joiner_host):
+            src = received.get(survivor_host.name)
+            if src is None:
+                return
+            dst = received.setdefault(joiner_host.name, bytearray())
+            if len(src) > len(dst):
+                del dst[:]
+                dst.extend(src)
+
+        cell.lan.pair.set_warm_sync(warm_sync)
+
+    else:  # download
+
+        def resume_server(host, sock, resume):
+            if resume.written == 0 and resume.read < 4:
+                yield from sock.recv_exactly(4 - resume.read)
+            yield from sock.send_all(blob[resume.written:])
+            yield from sock.close_and_wait()
+
+    cell.lan.pair.set_resume_app(resume_server)
 
 
 def run_matrix(specs: List[CellSpec], until: float = 90.0) -> List[ChaosResult]:
     """Run many cells; returns every result (callers assert on failures)."""
-    return [run_cell(spec, until=until) for spec in specs]
-
-
-def summarize(results: List[ChaosResult]) -> str:
-    failed = [r for r in results if not r.ok]
-    lines = [f"{len(results) - len(failed)}/{len(results)} cells passed"]
-    lines += [r.describe() for r in failed]
-    return "\n".join(lines)
+    return cells.run_matrix(run_cell, specs, until)

@@ -482,7 +482,6 @@ def cmd_adversary(args) -> None:
     CLI even when every invariant holds.
     """
     from repro.adversary import attack_matrix, run_attack_matrix, summarize
-    from repro.obs.flight import FlightRecorder
     from repro.sim.rng import seeded_rng
 
     seed = args.seed or 1
@@ -539,10 +538,7 @@ def cmd_adversary(args) -> None:
         traced = [r for r in results if r.tracer is not None]
         if traced:
             busiest = max(traced, key=lambda r: r.injections)
-            report = FlightRecorder(busiest.tracer).incident_report(
-                title=f"{busiest.spec} (all invariants held)",
-                violations=[str(v) for v in busiest.violations],
-            )
+            report = busiest.incident_report(" (all invariants held)")
     if report:
         print()
         print(report)

@@ -504,37 +504,25 @@ def measure_chain_depth(
     from repro.failover.chain import ReplicatedChain
     from repro.harness.topology import (
         BRIDGE_COST,
+        CLIENT_IP,
         CLIENT_PROFILE,
         EMIT_COST,
         SERVER_PROFILE,
-        _make_host,
+        Lan,
     )
     from repro.net.addresses import Ipv4Address
-    from repro.net.ethernet import EthernetSegment
-    from repro.sim.engine import Simulator
-    from repro.sim.rng import RngRegistry
-    from repro.sim.trace import Tracer
 
-    sim = Simulator()
-    tracer = Tracer(record=False)
-    rng = RngRegistry(seed)
-    segment = EthernetSegment(
-        sim, collision_prob=0.05, tracer=tracer, rng=rng.stream("ethernet")
-    )
-    client = _make_host(sim, "client", 1, CLIENT_PROFILE, tracer, rng)
-    client.attach_ethernet(segment, Ipv4Address("10.0.0.1"))
-    members = []
-    for index in range(replicas):
-        host = _make_host(
-            sim, f"replica{index}", 10 + index, SERVER_PROFILE, tracer, rng
+    lan = Lan(seed, collision_prob=0.05)
+    sim = lan.sim
+    client = lan.add_host("client", 1, CLIENT_IP, CLIENT_PROFILE)
+    members = [
+        lan.add_host(
+            f"replica{index}", 10 + index,
+            Ipv4Address(f"10.0.0.{10 + index}"), SERVER_PROFILE,
         )
-        host.attach_ethernet(segment, Ipv4Address(f"10.0.0.{10 + index}"))
-        members.append(host)
-    everyone = [client] + members
-    for a in everyone:
-        for b in everyone:
-            if a is not b:
-                a.eth_interface.arp.prime(b.ip.primary_address(), b.nic.mac)
+        for index in range(replicas)
+    ]
+    lan.warm_arp()
 
     from repro.apps import bulk as bulk_app
 

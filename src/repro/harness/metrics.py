@@ -85,6 +85,30 @@ def summarize(samples: Iterable[float]) -> Stats:
     )
 
 
+#: An all-zero summary for a window no request completed in (e.g. a run
+#: short enough that every session finished inside the recovery window).
+EMPTY_STATS = Stats(count=0, median=0.0, mean=0.0, minimum=0.0, maximum=0.0,
+                    p90=0.0, p99=0.0, stddev=0.0)
+
+
+def latency_windows(
+    stats, event_at: float, window: float, finished_at: float,
+    labels: Sequence[str],
+) -> Dict[str, Stats]:
+    """Request-latency summaries before / during / after a disruption.
+
+    ``stats.latencies_between(start, end)`` yields the samples; the
+    "during" window is ``window`` seconds from ``event_at``; ``labels``
+    names the three windows (artifacts keep their per-plane keys).
+    """
+    edges = (0.0, event_at, event_at + window, finished_at + 1.0)
+    windows = {}
+    for label, start, end in zip(labels, edges, edges[1:]):
+        samples = stats.latencies_between(start, end)
+        windows[label] = summarize(samples) if samples else EMPTY_STATS
+    return windows
+
+
 def rate_kb_s(byte_count: int, seconds: float) -> float:
     """Transfer rate in KB/s (the paper's unit: 1 KB = 1024 bytes)."""
     if seconds <= 0:

@@ -26,8 +26,9 @@ from repro.adversary import (
     run_attack_matrix,
     summarize,
 )
-from repro.adversary.matrix import _CLEAN_CACHE, POSITIONS
+from repro.adversary.matrix import POSITIONS
 from repro.adversary.strategies import INFER_BUDGET, INFER_MIN_ERROR
+from repro.harness.cells import clean_duration
 
 
 def _assert_all_ok(results):
@@ -111,7 +112,7 @@ def test_flow_poison_spoofed_syns_are_refused():
 
 
 def _fingerprint_fresh(spec):
-    _CLEAN_CACHE.clear()
+    clean_duration.cache_clear()
     return run_attack_cell(spec).fingerprint()
 
 
@@ -152,10 +153,10 @@ def test_adversary_smoke_shard():
     # Whatever the sample drew, always cover the adaptive strategy.
     if not any(s.strategy == "seq-infer" for s in shard):
         shard.append(AttackSpec("seq-infer", "client", "late", seed=seed))
-    _CLEAN_CACHE.clear()
+    clean_duration.cache_clear()
     first = run_attack_matrix(shard)
     _assert_all_ok(first)
-    _CLEAN_CACHE.clear()
+    clean_duration.cache_clear()
     second = run_attack_matrix(shard)
     for a, b in zip(first, second):
         assert a.fingerprint() == b.fingerprint(), str(a.spec)

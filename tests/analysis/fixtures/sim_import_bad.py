@@ -4,6 +4,8 @@ import socket
 import threading
 from time import sleep
 
+from tests.util import ChaosLan  # src/ may not reach into the test tree
+
 
 def serve():
     sock = socket.socket()

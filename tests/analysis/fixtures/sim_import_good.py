@@ -1,4 +1,7 @@
-# The deterministic alternative: everything through the engine.
+# The deterministic alternative: everything through the engine, and
+# testbeds from the shipped builder rather than the test tree.
+
+from repro.harness.topology import ChaosLan
 
 
 def serve(sim, host, deliver):

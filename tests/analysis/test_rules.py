@@ -127,6 +127,14 @@ def test_sim_import_scope_is_the_deterministic_layers():
     assert lint_source(source, "src/repro/harness/fake.py") == []
 
 
+def test_sim_import_forbids_the_test_tree_everywhere_under_src():
+    for source in ("from tests.util import ChaosLan\n", "import tests.util\n"):
+        for layer in ("harness", "adversary", "net"):
+            found = lint_source(source, f"src/repro/{layer}/fake.py")
+            assert [v.rule for v in found] == ["sim-import"], (source, layer)
+        assert lint_source(source, "tests/failover/test_fake.py") == []
+
+
 def test_obs_passive_scope_is_the_obs_plane():
     source = "def f(sim, cb):\n    sim.call_later(0.1, cb)\n"
     assert any(

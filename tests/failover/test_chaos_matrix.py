@@ -21,6 +21,7 @@ import random
 
 import pytest
 
+from repro.harness.cells import clean_duration
 from repro.harness.chaos import (
     CRASH_FRACTIONS,
     HOST_FAULTS,
@@ -85,6 +86,25 @@ def test_representative_cell(spec):
 # ----------------------------------------------------------------------
 # full sweeps (chaos-marked)
 # ----------------------------------------------------------------------
+
+
+def test_host_fault_shard_measures_the_clean_cell_once():
+    """The timing anchor is a pure function of (seed, direction, size): a
+    shard shares one clean transfer, and sharing it changes nothing."""
+    shard = host_fault_matrix(
+        faults=("crash-primary",), fractions=("early", "midpoint", "late")
+    )
+    clean_duration.cache_clear()
+    shared = run_matrix(shard)
+    info = clean_duration.cache_info()
+    assert (info.misses, info.hits) == (1, 2)
+    for spec, cell in zip(shard, shared):
+        clean_duration.cache_clear()
+        alone = run_cell(spec)
+        assert clean_duration.cache_info().misses == 1
+        assert (alone.duration, alone.fires, alone.acked, alone.delivered) == (
+            cell.duration, cell.fires, cell.acked, cell.delivered), str(spec)
+    _assert_all_ok(shared)
 
 
 @pytest.mark.chaos

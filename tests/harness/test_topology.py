@@ -1,7 +1,15 @@
-"""Tests for the calibrated testbeds."""
+"""Tests for the testbed builder and the calibrated testbeds on it."""
 
 from repro.apps.echo import echo_once, echo_server
-from repro.harness.topology import LanTestbed, WanTestbed
+from repro.harness.topology import (
+    CLIENT_IP,
+    SERVER_PROFILE,
+    ChaosLan,
+    Lan,
+    LanTestbed,
+    WanTestbed,
+)
+from repro.net.addresses import Ipv4Address
 from repro.sim.process import spawn
 from repro.tcp.socket_api import ListeningSocket, SimSocket
 
@@ -113,3 +121,64 @@ def test_warm_arp_means_no_requests_on_lan():
     spawn(bed.sim, client(), "c")
     bed.run(until=5.0)
     assert bed.tracer.count("arp.request") == 0
+
+
+# ----------------------------------------------------------------------
+# the builder surface
+# ----------------------------------------------------------------------
+
+
+def _arp_view(host):
+    return dict(host.eth_interface.arp.cache)
+
+
+def test_warm_arp_primes_every_ordered_member_pair_and_nothing_else():
+    lan = Lan(seed=1)
+    lan.add_host("client", 1, CLIENT_IP)
+    lan.add_pair((80,), SERVER_PROFILE)
+    loner = lan.add_host("loner", 7)  # built on the LAN's plumbing, never attached
+    for host in lan.hosts:
+        assert _arp_view(host) == {}
+    lan.warm_arp()
+    assert [h.name for h in lan.hosts] == ["client", "primary", "secondary"]
+    for host in lan.hosts:
+        assert _arp_view(host) == {
+            other.ip.primary_address(): other.nic.mac
+            for other in lan.hosts if other is not host
+        }
+    assert loner._eth_interface is None
+
+
+def test_attach_checks_names_its_taps_and_follows_a_reintegration():
+    lan = ChaosLan(seed=3)
+    assert "points=['lan', 'nic:client', 'nic:primary', 'nic:secondary']" in repr(lan.plane)
+    first_bridge = lan.pair.primary_bridge
+    assert lan.checker.bridges == [first_bridge]
+
+    lan.start_detectors()
+    lan.sim.schedule(0.010, lan.primary.crash)
+    lan.sim.schedule(0.110, lan.primary.restart)
+    lan.sim.schedule(0.140, lan.pair.reintegrate)
+    lan.run(until=1.0)
+
+    # The survivor re-armed with a brand-new merging bridge: checked too.
+    assert len(lan.pair.reintegrations) == 1
+    assert lan.pair.primary_bridge is not first_bridge
+    assert lan.checker.bridges == [first_bridge, lan.pair.primary_bridge]
+    lan.finish_checks()
+    lan.assert_invariants()
+
+
+def test_add_station_knows_every_member_but_no_member_knows_it():
+    lan = ChaosLan(seed=1)
+    before = {host.name: _arp_view(host) for host in lan.hosts}
+    station = lan.add_station("attacker", 9, Ipv4Address("10.0.0.9"))
+    assert _arp_view(station) == {
+        host.ip.primary_address(): host.nic.mac for host in lan.hosts
+    }
+    assert station not in lan.hosts
+    assert {host.name: _arp_view(host) for host in lan.hosts} == before
+    for host in lan.hosts:
+        assert station.nic.mac not in _arp_view(host).values()
+    lan.warm_arp()  # the mesh stays the membership's: still no way in
+    assert {host.name: _arp_view(host) for host in lan.hosts} == before

@@ -1,194 +1,38 @@
-"""Shared builders for the test suite."""
+"""Shared helpers for the test suite.
+
+The testbeds themselves are built by :mod:`repro.harness.topology`; the
+names the test files use are re-exported here.
+"""
 
 from __future__ import annotations
 
-from typing import Generator, List, Optional, Tuple
+from typing import Generator, List
 
-from repro.failover.replicated import ReplicatedServerPair
-from repro.harness.invariants import InvariantChecker
-from repro.net.addresses import Ipv4Address, MacAddress
-from repro.net.ethernet import EthernetSegment
-from repro.net.faults import FaultPlane
-from repro.net.host import Host
+from repro.adversary.matrix import AttackLan
+from repro.harness.topology import (
+    CLIENT_IP,
+    LAN_MAC_BASE,
+    PRIMARY_IP,
+    SECONDARY_IP,
+    ChaosLan,
+    ReplicatedLan,
+    TwoHostLan,
+)
+from repro.net.addresses import MacAddress
 from repro.sim.engine import Simulator
-from repro.sim.process import Process, spawn
-from repro.sim.rng import RngRegistry
-from repro.sim.trace import Tracer
+from repro.sim.process import spawn
 
-CLIENT_IP = Ipv4Address("10.0.0.1")
-SERVER_IP = Ipv4Address("10.0.0.2")
-PRIMARY_IP = Ipv4Address("10.0.0.2")
-SECONDARY_IP = Ipv4Address("10.0.0.3")
+__all__ = [
+    "CLIENT_IP", "SERVER_IP", "PRIMARY_IP", "SECONDARY_IP", "mac",
+    "TwoHostLan", "ReplicatedLan", "ChaosLan", "AttackLan",
+    "run_process", "run_all",
+]
+
+SERVER_IP = PRIMARY_IP  # TwoHostLan's single server sits at the primary's address
 
 
 def mac(index: int) -> MacAddress:
-    return MacAddress(0x0200_0000_0000 + index)
-
-
-class TwoHostLan:
-    """Client and a single server on a fast, collision-free segment."""
-
-    def __init__(
-        self,
-        seed: int = 0,
-        record_traces: bool = True,
-        max_trace_records: Optional[int] = None,
-        metrics=None,
-        **host_kwargs,
-    ):
-        self.sim = Simulator()
-        self.rng = RngRegistry(seed)
-        self.tracer = Tracer(record=record_traces, max_records=max_trace_records)
-        if metrics is not None:
-            self.sim.set_metrics(metrics)
-        self.segment = EthernetSegment(
-            self.sim, collision_prob=0.0, tracer=self.tracer,
-            rng=self.rng.stream("ethernet"), metrics=metrics,
-        )
-        self.client = Host(self.sim, "client", mac(1), tracer=self.tracer,
-                           metrics=metrics,
-                           rng=self.rng.stream("host.client"), **host_kwargs)
-        self.server = Host(self.sim, "server", mac(2), tracer=self.tracer,
-                           metrics=metrics,
-                           rng=self.rng.stream("host.server"), **host_kwargs)
-        self.client.attach_ethernet(self.segment, CLIENT_IP)
-        self.server.attach_ethernet(self.segment, SERVER_IP)
-        self.warm_arp()
-
-    def warm_arp(self) -> None:
-        self.client.eth_interface.arp.prime(SERVER_IP, self.server.nic.mac)
-        self.server.eth_interface.arp.prime(CLIENT_IP, self.client.nic.mac)
-
-    def run(self, until: float = 30.0) -> None:
-        self.sim.run(until=until)
-
-
-class ReplicatedLan:
-    """Client + replicated primary/secondary pair, warm ARP, no collisions."""
-
-    def __init__(
-        self,
-        seed: int = 0,
-        failover_ports: Tuple[int, ...] = (80,),
-        record_traces: bool = True,
-        max_trace_records: Optional[int] = None,
-        metrics=None,
-        detector_interval: float = 0.005,
-        detector_timeout: float = 0.020,
-        client_arp_delay: float = 300e-6,
-        **pair_kwargs,
-    ):
-        self.sim = Simulator()
-        self.rng = RngRegistry(seed)
-        self.tracer = Tracer(record=record_traces, max_records=max_trace_records)
-        if metrics is not None:
-            self.sim.set_metrics(metrics)
-        self.segment = EthernetSegment(self.sim, collision_prob=0.0, tracer=self.tracer,
-                                       rng=self.rng.stream("ethernet"), metrics=metrics)
-        self.client = Host(
-            self.sim, "client", mac(1), tracer=self.tracer,
-            gratuitous_apply_delay=client_arp_delay, metrics=metrics,
-            rng=self.rng.stream("host.client"),
-        )
-        self.primary = Host(self.sim, "primary", mac(2), tracer=self.tracer,
-                            metrics=metrics,
-                            rng=self.rng.stream("host.primary"))
-        self.secondary = Host(self.sim, "secondary", mac(3), tracer=self.tracer,
-                              metrics=metrics,
-                              rng=self.rng.stream("host.secondary"))
-        self.client.attach_ethernet(self.segment, CLIENT_IP)
-        self.primary.attach_ethernet(self.segment, PRIMARY_IP)
-        self.secondary.attach_ethernet(self.segment, SECONDARY_IP)
-        for host in (self.client, self.primary, self.secondary):
-            for other in (self.client, self.primary, self.secondary):
-                if host is not other:
-                    host.eth_interface.arp.prime(
-                        other.ip.primary_address(), other.nic.mac
-                    )
-        self.pair = ReplicatedServerPair(
-            self.primary,
-            self.secondary,
-            failover_ports=failover_ports,
-            detector_interval=detector_interval,
-            detector_timeout=detector_timeout,
-            **pair_kwargs,
-        )
-        self.server_ip = self.pair.service_ip
-
-    def start_detectors(self) -> None:
-        self.pair.start_detectors()
-
-    def run(self, until: float = 30.0) -> None:
-        self.sim.run(until=until)
-
-
-class ChaosLan(ReplicatedLan):
-    """ReplicatedLan with the fault plane and invariant checker pre-wired.
-
-    The plane taps the shared segment (point ``"lan"``) and each station's
-    receive path (``"nic:client"`` / ``"nic:primary"`` / ``"nic:secondary"``),
-    so rules can target the medium or one receiver; the checker wraps the
-    primary bridge's emissions from the first segment on.  All randomness
-    (host ISS, collisions, fault jitter) derives from the one ``seed``.
-    """
-
-    def __init__(self, seed: int = 0, **kwargs):
-        super().__init__(seed=seed, **kwargs)
-        self.plane = FaultPlane(self.sim, rng=self.rng, tracer=self.tracer)
-        self.plane.tap_segment(self.segment, point="lan")
-        self.plane.tap_nic(self.client.nic, point="nic:client")
-        self.plane.tap_nic(self.primary.nic, point="nic:primary")
-        self.plane.tap_nic(self.secondary.nic, point="nic:secondary")
-        self.checker = InvariantChecker(tracer=self.tracer)
-        self.checker.attach_primary_bridge(self.pair.primary_bridge)
-        # After a reintegration the survivor's (possibly brand-new) merging
-        # bridge must be checked too — every emission, from either epoch.
-        self.pair.on_reintegrated.append(
-            lambda pair: self.checker.attach_primary_bridge(pair.primary_bridge)
-        )
-
-    def finish_checks(self, node: str = "client") -> None:
-        """Run the end-of-run invariants that need no stream data."""
-        self.checker.check_no_peer_reset(node=node)
-        self.checker.check_replica_agreement()
-
-    def assert_invariants(self) -> None:
-        self.checker.assert_ok(recipe=self.plane.recipe())
-
-
-ATTACKER_IP = Ipv4Address("10.0.0.9")
-
-
-class AttackLan(ChaosLan):
-    """ChaosLan plus an off-path attacker station on the shared segment.
-
-    Metrics are always on: the ``tcp.challenge_acks`` counter *is* the
-    modeled side channel the sequence-inference strategy reads, so an
-    adversarial cell without metrics would silently test nothing.
-    """
-
-    def __init__(self, seed: int = 0, metrics=None, **kwargs):
-        from repro.adversary.attacker import AttackerHost
-        from repro.obs.metrics import MetricsRegistry
-
-        if metrics is None:
-            metrics = MetricsRegistry()
-        super().__init__(seed=seed, metrics=metrics, **kwargs)
-        self.metrics = metrics
-        station = Host(
-            self.sim, "attacker", mac(9), tracer=self.tracer,
-            metrics=metrics, rng=self.rng.stream("host.attacker"),
-        )
-        station.attach_ethernet(self.segment, ATTACKER_IP)
-        # Off-path, not blind to L2: the attacker shares the segment, so
-        # it knows every station's MAC (and could learn them passively).
-        for victim in (self.client, self.primary, self.secondary):
-            station.eth_interface.arp.prime(
-                victim.ip.primary_address(), victim.nic.mac
-            )
-        self.attacker = AttackerHost(
-            station, self.rng.stream("adversary.attacker")
-        )
+    return MacAddress(LAN_MAC_BASE + index)
 
 
 def run_process(
