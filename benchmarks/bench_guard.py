@@ -23,7 +23,6 @@ import sys
 from pathlib import Path
 
 BASELINE_DIR = Path(__file__).parent / "baseline"
-DEFAULT_BASELINE = BASELINE_DIR / "BENCH_sim_engine.json"
 DEFAULT_TOLERANCE = 0.10
 
 # label -> metric -> hard floor, compared directly (machine-independent).
@@ -44,14 +43,12 @@ RATIO_FLOORS = {
 
 
 def default_baseline(fresh_path):
-    """Committed baseline matching the fresh artifact's filename, if any.
+    """The committed baseline with the fresh artifact's filename.
 
     ``--fresh artifacts/BENCH_obs_overhead.json`` compares against
-    ``baseline/BENCH_obs_overhead.json`` without needing ``--baseline``;
-    unmatched names keep the historical sim-engine default.
+    ``baseline/BENCH_obs_overhead.json`` without needing ``--baseline``.
     """
-    candidate = BASELINE_DIR / Path(fresh_path).name
-    return candidate if candidate.exists() else DEFAULT_BASELINE
+    return BASELINE_DIR / Path(fresh_path).name
 
 
 def load_metrics(path):
@@ -100,8 +97,7 @@ def main(argv=None):
     parser.add_argument("--fresh", required=True, help="freshly produced BENCH json")
     parser.add_argument("--baseline", default=None,
                         help="baseline artifact (default: the committed"
-                             " baseline with the fresh file's name, falling"
-                             " back to BENCH_sim_engine.json)")
+                             " baseline with the fresh file's name)")
     parser.add_argument(
         "--tolerance",
         type=float,
@@ -112,6 +108,11 @@ def main(argv=None):
     if args.baseline is None:
         args.baseline = str(default_baseline(args.fresh))
         print(f"[guard] baseline: {args.baseline}")
+    for role, path in (("fresh artifact", args.fresh), ("baseline", args.baseline)):
+        if not Path(path).is_file():
+            print(f"[guard] no {role} at {path}: nothing was compared"
+                  " (--baseline names a baseline explicitly)", file=sys.stderr)
+            return 2
     failures = check(args.baseline, args.fresh, args.tolerance)
     if failures:
         for failure in failures:

@@ -7,31 +7,19 @@ scaled run that preserves every reported shape while finishing quickly.
 
 import os
 
-from repro.obs import bench as obs_bench
-
 FULL = os.environ.get("REPRO_FULL", "0") == "1"
 
 
-def write_artifact(name, params, results, stats=None, phases=None):
-    """Every bench run leaves a machine-readable ``BENCH_<name>.json``
+def emit(report):
+    """Print the report and file its artifact, tagged with the scale.
+
+    Every bench run leaves a machine-readable ``BENCH_<name>.json``
     behind (in ``$REPRO_BENCH_DIR``, or the working directory) so perf
     trajectories can be compared across commits."""
-    params = dict(params, full=FULL)
-    path = obs_bench.write_bench_artifact(
-        name, params, results, stats=stats, phases=phases
-    )
-    print(f"[bench] wrote {path}")
-    return path
+    report.params["full"] = FULL
+    print(report.render())
+    print(f"[bench] wrote {report.write()}")
 
 
 def fig_sizes(full_sizes, quick_sizes):
     return full_sizes if FULL else quick_sizes
-
-
-def print_table(title, header, rows):
-    print()
-    print(f"== {title} ==")
-    print(" | ".join(header))
-    print("-+-".join("-" * len(h) for h in header))
-    for row in rows:
-        print(" | ".join(str(c).rjust(len(h)) for c, h in zip(row, header)))

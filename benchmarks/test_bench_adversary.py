@@ -20,8 +20,9 @@ than an amplifier: see ``RATIO_FLOORS['adversary:ratio']`` in
 import statistics
 import time
 
-from benchmarks.conftest import FULL, print_table, write_artifact
+from benchmarks.conftest import FULL, emit
 from repro.adversary import AttackSpec, run_attack_cell
+from repro.harness.report import Report, Table
 
 SIZE = 2_000_000 if FULL else 1_000_000
 SEED = 1
@@ -68,7 +69,7 @@ def test_bench_adversary(benchmark):
         return out
 
     results = benchmark.pedantic(experiment, rounds=1, iterations=1)
-    print_table(
+    table = Table(
         "Adversarial-plane overhead (bridge cell)",
         ["cell", "bytes/host-s", "vs off"],
         [
@@ -80,7 +81,7 @@ def test_bench_adversary(benchmark):
             for label, _spec in CELLS
         ],
     )
-    write_artifact(
+    emit(Report(
         "adversary",
         {"size": SIZE, "seed": SEED, "trials": TRIALS},
         [
@@ -98,5 +99,6 @@ def test_bench_adversary(benchmark):
                 "metrics": {"sweep_over_off": results["sweep_over_off"]},
             }
         ],
-    )
+        tables=[table],
+    ))
     assert results["sweep_over_off"] >= MIN_SWEEP_RATIO, results

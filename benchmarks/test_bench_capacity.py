@@ -13,8 +13,9 @@ pure function of the seed (no wallclock pragmas needed).
 
 import json
 
-from benchmarks.conftest import FULL, print_table, write_artifact
+from benchmarks.conftest import FULL, emit
 from repro.cluster import capacity_bench_rows, run_capacity
+from repro.harness.report import Report, Table
 
 # Shard sweep at fixed load; load sweep at fixed shard count.
 SHARD_POINTS = (2, 4, 8, 16) if FULL else (2, 4, 8)
@@ -103,7 +104,7 @@ def test_bench_capacity(benchmark):
     )
     assert once == again
 
-    print_table(
+    table = Table(
         "E12: capacity sweep + 25% failover storm",
         ["cell", "conns/s", "goodput B/s", "pre p99", "during p99", "post p99"],
         [
@@ -118,7 +119,7 @@ def test_bench_capacity(benchmark):
             for label, row in rows
         ],
     )
-    write_artifact(
+    emit(Report(
         "capacity",
         {
             "sweep_sessions": SWEEP_SESSIONS,
@@ -128,4 +129,5 @@ def test_bench_capacity(benchmark):
         },
         [row for _label, row in rows],
         stats={label: w.as_dict() for label, w in windows.items()},
-    )
+        tables=[table],
+    ))

@@ -7,29 +7,21 @@ already pays ~2.4×): every extra link adds one more wire crossing and one
 more merge on the shared segment.
 """
 
-from benchmarks.conftest import FULL, print_table, write_artifact
-from repro.harness.experiments import measure_chain_depth
+from benchmarks.conftest import FULL, emit
+from repro.harness.experiments import chain_report
 
 STREAM = 6_000_000 if FULL else 2_500_000
 DEPTHS = [1, 2, 3, 4]
 
 
-def run_sweep():
-    return [(depth, measure_chain_depth(depth, total_bytes=STREAM)) for depth in DEPTHS]
-
-
 def test_bench_chain_depth(benchmark):
-    rates = benchmark.pedantic(run_sweep, rounds=1, iterations=1)
+    report = benchmark.pedantic(
+        chain_report, args=(DEPTHS,), kwargs={"total_bytes": STREAM},
+        rounds=1, iterations=1,
+    )
+    emit(report)
+    rates = list(report.raw.items())
     base = rates[0][1]
-    print_table(
-        "E9: server->client rate vs replication depth",
-        ["replicas", "KB/s", "vs-unreplicated"],
-        [(d, f"{r:.0f}", f"{base / r:.2f}x") for d, r in rates],
-    )
-    write_artifact(
-        "chain_depth", {"bytes": STREAM},
-        [{"label": f"depth-{d}", "metrics": {"rate_kb_s": r}} for d, r in rates],
-    )
     # Monotone cost: every extra replica slows the stream further.
     for (_, faster), (_, slower) in zip(rates, rates[1:]):
         assert slower < faster

@@ -4,8 +4,8 @@ Paper: standard TCP median 294 µs / max 603 µs; TCP Failover median
 505 µs / max 1193 µs (warm ARP caches).
 """
 
-from benchmarks.conftest import FULL, print_table, write_artifact
-from repro.harness.experiments import measure_connection_setup
+from benchmarks.conftest import FULL, emit
+from repro.harness.experiments import setup_report
 
 PAPER = {
     "standard": {"median_us": 294, "max_us": 603},
@@ -15,43 +15,10 @@ PAPER = {
 TRIALS = 100 if FULL else 60
 
 
-def run_experiment():
-    return {
-        "standard": measure_connection_setup(replicated=False, trials=TRIALS),
-        "failover": measure_connection_setup(replicated=True, trials=TRIALS),
-    }
-
-
 def test_bench_connection_setup(benchmark):
-    results = benchmark.pedantic(run_experiment, rounds=1, iterations=1)
-    rows = []
-    for mode in ("standard", "failover"):
-        stats = results[mode]
-        rows.append(
-            (
-                mode,
-                f"{stats.median * 1e6:.0f}",
-                f"{stats.p99 * 1e6:.0f}",
-                f"{stats.maximum * 1e6:.0f}",
-                f"{stats.stddev * 1e6:.0f}",
-                PAPER[mode]["median_us"],
-                PAPER[mode]["max_us"],
-            )
-        )
-    print_table(
-        "E1: connection setup time (us)",
-        ["mode", "median", "p99", "max", "stddev", "paper-median", "paper-max"],
-        rows,
-    )
-    write_artifact(
-        "connection_setup", {"trials": TRIALS},
-        [
-            {"label": mode, "metrics": {"median_us": results[mode].median * 1e6,
-                                        "p99_us": results[mode].p99 * 1e6}}
-            for mode in ("standard", "failover")
-        ],
-        stats={mode: results[mode].as_dict() for mode in ("standard", "failover")},
-    )
+    report = benchmark.pedantic(setup_report, args=(TRIALS,), rounds=1, iterations=1)
+    emit(report)
+    results = report.raw
     std, fo = results["standard"], results["failover"]
     # Shape assertions: failover costs more, in the paper's 1.3x-2.5x band.
     ratio = fo.median / std.median

@@ -7,8 +7,8 @@ detector timeout and the ARP-update latency, and verifies the stream is
 byte-identical in every configuration.
 """
 
-from benchmarks.conftest import FULL, print_table, write_artifact
-from repro.harness.experiments import measure_failover
+from benchmarks.conftest import FULL, emit
+from repro.harness.experiments import failover_report
 
 DETECTOR_TIMEOUTS = [0.020, 0.050, 0.200, 0.500] if FULL else [0.020, 0.200, 0.500]
 ARP_DELAYS = [0.2e-3, 2e-3, 20e-3] if FULL else [0.2e-3, 20e-3]
@@ -16,49 +16,18 @@ STREAM = 1_500_000 if FULL else 800_000
 
 
 def run_sweep():
-    rows = []
-    phases = {}
-    for timeout in DETECTOR_TIMEOUTS:
-        result = measure_failover(
-            total_bytes=STREAM, crash_at=0.060, crash="primary",
-            detector_timeout=timeout, seed=9, min_rto=0.05,
-            record_traces=not phases,
-        )
-        assert result["intact"]
-        phases = phases or result.get("phases") or {}
-        rows.append(("detector", timeout, result["stall_s"]))
-    for arp_delay in ARP_DELAYS:
-        result = measure_failover(
-            total_bytes=STREAM, crash_at=0.060, crash="primary",
-            detector_timeout=0.020, client_arp_delay=arp_delay, seed=9,
-            min_rto=0.05,
-        )
-        assert result["intact"]
-        rows.append(("arp-window", arp_delay, result["stall_s"]))
-    secondary = measure_failover(
-        total_bytes=STREAM, crash_at=0.060, crash="secondary",
-        detector_timeout=0.020, seed=9, min_rto=0.05,
+    return failover_report(
+        STREAM, DETECTOR_TIMEOUTS, ARP_DELAYS,
+        secondary={"detector_timeout": 0.020, "min_rto": 0.05},
+        crash_at=0.060, seed=9,
     )
-    assert secondary["intact"]
-    rows.append(("secondary-crash", 0.020, secondary["stall_s"]))
-    return rows, phases
 
 
 def test_bench_failover_time(benchmark):
-    rows, phases = benchmark.pedantic(run_sweep, rounds=1, iterations=1)
-    print_table(
-        "E6: client-visible stall vs recovery parameters (s)",
-        ["knob", "value", "stall"],
-        [(k, f"{v:.4f}", f"{s:.4f}") for k, v, s in rows],
-    )
-    write_artifact(
-        "failover_time", {"bytes": STREAM, "crash_at": 0.060},
-        [
-            {"label": f"{knob}={value:g}", "metrics": {"stall_s": stall}}
-            for knob, value, stall in rows
-        ],
-        phases=phases or None,
-    )
+    report = benchmark.pedantic(run_sweep, rounds=1, iterations=1)
+    emit(report)
+    assert all(result["intact"] for _, _, result in report.raw)
+    rows = [(knob, value, result["stall_s"]) for knob, value, result in report.raw]
     detector_rows = [(v, s) for k, v, s in rows if k == "detector"]
     # A slower detector means a longer stall once it dominates the RTO.
     assert detector_rows[-1][1] > detector_rows[0][1]
@@ -67,5 +36,5 @@ def test_bench_failover_time(benchmark):
     fast = detector_rows[0][1]
     assert fast < 0.5
     # Secondary failure is cheaper than primary failure (no ARP window).
-    secondary_stall = [s for k, _, s in rows if k == "secondary-crash"][0]
+    secondary_stall = [s for k, _, s in rows if k == "secondary crash"][0]
     assert secondary_stall <= detector_rows[0][1] + 0.25

@@ -10,8 +10,8 @@ Failover.  Two properties define the figure's shape:
   curve above the standard one.
 """
 
-from benchmarks.conftest import FULL, fig_sizes, print_table, write_artifact
-from repro.harness.experiments import FIG3_SIZES, measure_send_time
+from benchmarks.conftest import FULL, emit, fig_sizes
+from repro.harness.experiments import FIG3_SIZES, send_time_report
 
 SIZES = fig_sizes(
     FIG3_SIZES,
@@ -20,47 +20,12 @@ SIZES = fig_sizes(
 TRIALS = 9 if FULL else 5
 
 
-def run_sweep():
-    series = {}
-    for replicated in (False, True):
-        label = "failover" if replicated else "standard"
-        series[label] = [
-            (size, measure_send_time(size, replicated=replicated, trials=TRIALS))
-            for size in SIZES
-        ]
-    return series
-
-
 def test_bench_fig3_send_time(benchmark):
-    series = benchmark.pedantic(run_sweep, rounds=1, iterations=1)
-    rows = []
-    bench_rows, bench_stats = [], {}
-    for (size, std), (_, fo) in zip(series["standard"], series["failover"]):
-        rows.append(
-            (
-                f"{size//1024}K" if size >= 1024 else f"{size}B",
-                f"{std.median * 1e6:.0f}",
-                f"{std.p99 * 1e6:.0f}",
-                f"{fo.median * 1e6:.0f}",
-                f"{fo.p99 * 1e6:.0f}",
-                f"{fo.median / std.median:.2f}x",
-            )
-        )
-        for mode, stats in (("standard", std), ("failover", fo)):
-            label = f"{mode} {size}B"
-            bench_rows.append(
-                {"label": label, "metrics": {"median_us": stats.median * 1e6}}
-            )
-            bench_stats[label] = stats.as_dict()
-    print_table(
-        "E2 / Fig 3: client->server send time (us, median)",
-        ["size", "standard", "std-p99", "failover", "fo-p99", "ratio"],
-        rows,
+    report = benchmark.pedantic(
+        send_time_report, args=(SIZES, TRIALS), rounds=1, iterations=1
     )
-    write_artifact("fig3_send_time", {"trials": TRIALS},
-                   bench_rows, stats=bench_stats)
-    std = dict(series["standard"])
-    fo = dict(series["failover"])
+    emit(report)
+    std, fo = report.raw["standard"], report.raw["failover"]
 
     def med(d, size):
         return d[size].median

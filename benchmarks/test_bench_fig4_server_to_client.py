@@ -7,8 +7,8 @@ widening with size (every server byte crosses the shared wire twice); the
 standard curve shows collision-induced non-linearity.
 """
 
-from benchmarks.conftest import FULL, fig_sizes, print_table, write_artifact
-from repro.harness.experiments import FIG4_SIZES, measure_request_reply
+from benchmarks.conftest import FULL, emit, fig_sizes
+from repro.harness.experiments import FIG4_SIZES, request_reply_report
 
 SIZES = fig_sizes(
     FIG4_SIZES,
@@ -17,47 +17,12 @@ SIZES = fig_sizes(
 TRIALS = 9 if FULL else 5
 
 
-def run_sweep():
-    series = {}
-    for replicated in (False, True):
-        label = "failover" if replicated else "standard"
-        series[label] = [
-            (size, measure_request_reply(size, replicated=replicated, trials=TRIALS))
-            for size in SIZES
-        ]
-    return series
-
-
 def test_bench_fig4_server_to_client(benchmark):
-    series = benchmark.pedantic(run_sweep, rounds=1, iterations=1)
-    rows = []
-    bench_rows, bench_stats = [], {}
-    for (size, std), (_, fo) in zip(series["standard"], series["failover"]):
-        rows.append(
-            (
-                f"{size//1024}K" if size >= 1024 else f"{size}B",
-                f"{std.median * 1e3:.2f}",
-                f"{std.p99 * 1e3:.2f}",
-                f"{fo.median * 1e3:.2f}",
-                f"{fo.p99 * 1e3:.2f}",
-                f"{fo.median / std.median:.2f}x",
-            )
-        )
-        for mode, stats in (("standard", std), ("failover", fo)):
-            label = f"{mode} {size}B"
-            bench_rows.append(
-                {"label": label, "metrics": {"median_ms": stats.median * 1e3}}
-            )
-            bench_stats[label] = stats.as_dict()
-    print_table(
-        "E3 / Fig 4: server->client transfer time (ms, median)",
-        ["size", "standard", "std-p99", "failover", "fo-p99", "ratio"],
-        rows,
+    report = benchmark.pedantic(
+        request_reply_report, args=(SIZES, TRIALS), rounds=1, iterations=1
     )
-    write_artifact("fig4_request_reply", {"trials": TRIALS},
-                   bench_rows, stats=bench_stats)
-    std = dict(series["standard"])
-    fo = dict(series["failover"])
+    emit(report)
+    std, fo = report.raw["standard"], report.raw["failover"]
     large = 1024 * 1024
     # Failover above standard at every size.
     for size in SIZES:

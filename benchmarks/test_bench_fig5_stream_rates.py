@@ -12,8 +12,8 @@ twice (S→P, then P→C) and is processed twice at the primary, while the
 send direction only pays the extra acknowledgement handling (~1.34x).
 """
 
-from benchmarks.conftest import FULL, print_table, write_artifact
-from repro.harness.experiments import measure_stream_rates
+from benchmarks.conftest import FULL, emit
+from repro.harness.experiments import stream_rates_report
 
 PAPER = {
     "standard": {"send": 7833.70, "recv": 8707.88},
@@ -23,40 +23,12 @@ PAPER = {
 STREAM_BYTES = 100_000_000 if FULL else 8_000_000
 
 
-def run_experiment():
-    return {
-        "standard": measure_stream_rates(total_bytes=STREAM_BYTES, replicated=False),
-        "failover": measure_stream_rates(total_bytes=STREAM_BYTES, replicated=True),
-    }
-
-
 def test_bench_fig5_stream_rates(benchmark):
-    results = benchmark.pedantic(run_experiment, rounds=1, iterations=1)
-    rows = []
-    for mode in ("standard", "failover"):
-        rows.append(
-            (
-                mode,
-                f"{results[mode]['send_rate_kb_s']:.0f}",
-                f"{PAPER[mode]['send']:.0f}",
-                f"{results[mode]['recv_rate_kb_s']:.0f}",
-                f"{PAPER[mode]['recv']:.0f}",
-            )
-        )
-    print_table(
-        f"E4 / Fig 5: stream rates, {STREAM_BYTES//1_000_000} MB (KB/s)",
-        ["mode", "send", "paper-send", "recv", "paper-recv"],
-        rows,
+    report = benchmark.pedantic(
+        stream_rates_report, args=(STREAM_BYTES,), rounds=1, iterations=1
     )
-    write_artifact(
-        "fig5_stream_rates", {"bytes": STREAM_BYTES},
-        [
-            {"label": mode, "metrics": {
-                "send_kb_s": results[mode]["send_rate_kb_s"],
-                "recv_kb_s": results[mode]["recv_rate_kb_s"]}}
-            for mode in ("standard", "failover")
-        ],
-    )
+    emit(report)
+    results = report.raw
     std, fo = results["standard"], results["failover"]
     send_ratio = std["send_rate_kb_s"] / fo["send_rate_kb_s"]
     recv_ratio = std["recv_rate_kb_s"] / fo["recv_rate_kb_s"]

@@ -16,8 +16,8 @@ and small-file puts are buffered (apparent rates far above the line rate).
 "The measurements ... vary widely" — hence median over seeds.
 """
 
-from benchmarks.conftest import FULL, print_table, write_artifact
-from repro.harness.experiments import FIG6_FILE_SIZES_KB, measure_ftp_rates
+from benchmarks.conftest import FULL, emit
+from repro.harness.experiments import FIG6_FILE_SIZES_KB, ftp_wan_report
 
 PAPER = {
     0.2: {"get_std": 8.75, "get_fo": 8.75, "put_std": 512.38, "put_fo": 536.05},
@@ -31,45 +31,16 @@ SIZES = FIG6_FILE_SIZES_KB if FULL else FIG6_FILE_SIZES_KB[:4]
 TRIALS = 5 if FULL else 3
 
 
-def run_sweep():
-    table = []
-    for size_kb in SIZES:
-        std = measure_ftp_rates(size_kb, replicated=False, trials=TRIALS, seed=1)
-        fo = measure_ftp_rates(size_kb, replicated=True, trials=TRIALS, seed=1)
-        table.append((size_kb, std, fo))
-    return table
-
-
 def test_bench_fig6_ftp_wan(benchmark):
-    table = benchmark.pedantic(run_sweep, rounds=1, iterations=1)
-    rows = []
-    for size_kb, std, fo in table:
-        paper = PAPER[size_kb]
-        rows.append(
-            (
-                size_kb,
-                f"{std['get_kb_s']:.1f}",
-                f"{fo['get_kb_s']:.1f}",
-                f"{paper['get_std']}/{paper['get_fo']}",
-                f"{std['put_kb_s']:.1f}",
-                f"{fo['put_kb_s']:.1f}",
-                f"{paper['put_std']}/{paper['put_fo']}",
-            )
-        )
-    print_table(
-        "E5 / Fig 6: FTP rates over WAN (KB/s, median)",
-        ["fileKB", "get-std", "get-fo", "paper-get", "put-std", "put-fo", "paper-put"],
-        rows,
+    report = benchmark.pedantic(
+        ftp_wan_report, args=(SIZES, TRIALS), kwargs={"seed": 1},
+        rounds=1, iterations=1,
     )
-    write_artifact(
-        "fig6_ftp_wan", {"trials": TRIALS},
-        [
-            {"label": f"{mode} {size_kb}KB",
-             "metrics": {"get_kb_s": res["get_kb_s"], "put_kb_s": res["put_kb_s"]}}
-            for size_kb, std, fo in table
-            for mode, res in (("standard", std), ("failover", fo))
-        ],
-    )
+    emit(report)
+    table = [
+        (size_kb, report.raw["standard"][size_kb], report.raw["failover"][size_kb])
+        for size_kb in SIZES
+    ]
     for size_kb, std, fo in table:
         # The headline shape: failover ~ standard over a WAN.
         assert fo["get_kb_s"] > 0.6 * std["get_kb_s"], f"get diverged at {size_kb}KB"

@@ -11,8 +11,9 @@ fixpoints are charged under ``<rule>:project``.
 
 import time
 
-from benchmarks.conftest import print_table, write_artifact
+from benchmarks.conftest import emit
 from repro.analysis.engine import LintEngine
+from repro.harness.report import Report, Table
 
 PATHS = ("src",)
 
@@ -46,13 +47,13 @@ def test_bench_lint(benchmark):
         (k[len("rule:"):], v) for k, v in results.items()
         if k.startswith("rule:")
     )
-    print_table(
+    table = Table(
         "Semantic lint pass (src/)",
         ["rule", "seconds"],
         [("TOTAL", f"{results['wall_s']:.3f}")]
         + [(name, f"{seconds:.3f}") for name, seconds in rules],
     )
-    write_artifact(
+    emit(Report(
         "lint",
         {"paths": "src", "semantic": True},
         [
@@ -68,5 +69,6 @@ def test_bench_lint(benchmark):
             {"label": f"rule {name}", "metrics": {"wall_s": seconds}}
             for name, seconds in rules
         ],
-    )
+        tables=[table],
+    ))
     assert results["wall_s"] <= MAX_WALL_S, results

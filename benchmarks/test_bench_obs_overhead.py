@@ -20,8 +20,9 @@ allocation) trip the guard even when the sim itself got faster.
 import statistics
 import time
 
-from benchmarks.conftest import FULL, print_table, write_artifact
+from benchmarks.conftest import FULL, emit
 from repro.cluster import run_capacity
+from repro.harness.report import Report, Table
 
 SESSIONS = 96 if FULL else 24
 TRIALS = 3  # best-of-N per cell: the guard compares these, so damp noise
@@ -68,7 +69,7 @@ def test_bench_obs_overhead(benchmark):
         return out
 
     results = benchmark.pedantic(experiment, rounds=1, iterations=1)
-    print_table(
+    table = Table(
         "Span-tracing overhead (capacity storm cell)",
         ["cell", "events/s", "vs off"],
         [
@@ -80,7 +81,7 @@ def test_bench_obs_overhead(benchmark):
             for label, _rate in CELLS
         ],
     )
-    write_artifact(
+    emit(Report(
         "obs_overhead",
         {"sessions": SESSIONS, "shards": 2, "clients": 2, "seed": 11},
         [
@@ -98,5 +99,6 @@ def test_bench_obs_overhead(benchmark):
                 "metrics": {"rate0_over_off": results["rate0_over_off"]},
             }
         ],
-    )
+        tables=[table],
+    ))
     assert results["rate0_over_off"] >= MIN_RATE0_RATIO, results

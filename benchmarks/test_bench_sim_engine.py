@@ -28,7 +28,8 @@ import itertools
 import statistics
 import time
 
-from benchmarks.conftest import FULL, print_table, write_artifact
+from benchmarks.conftest import FULL, emit
+from repro.harness.report import Report, Table
 from repro.sim.engine import HeapEventQueue, Simulator, Timer
 from repro.sim.wheel import TimerWheel
 
@@ -153,7 +154,7 @@ def test_bench_sim_engine(benchmark):
         return out
 
     results = benchmark.pedantic(experiment, rounds=1, iterations=1)
-    print_table(
+    table = Table(
         "Simulator scheduling throughput (per backend)",
         ["load", "heap (ops/s)", "wheel (ops/s)", "floor"],
         [
@@ -177,7 +178,7 @@ def test_bench_sim_engine(benchmark):
             ),
         ],
     )
-    write_artifact(
+    emit(Report(
         "sim_engine",
         {
             "events": EVENTS,
@@ -214,7 +215,8 @@ def test_bench_sim_engine(benchmark):
                 "metrics": {"wheel_over_heap": results["dispose_ratio"]},
             }
         ],
-    )
+        tables=[table],
+    ))
     for backend in BACKENDS:
         assert results[f"{backend}_compactions"] >= 1, results
         assert results[f"{backend}_fire_rate"] > MIN_FIRE_RATE, results

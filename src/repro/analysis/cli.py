@@ -21,13 +21,8 @@ from repro.analysis.engine import LintEngine
 from repro.analysis.rules import ALL_RULES, SEMANTIC_RULES
 
 
-def _build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="python -m repro.analysis",
-        description="AST linter for seq-wrap arithmetic, determinism and"
-                    " sim-safety, plus the --semantic CFG/dataflow and"
-                    " state-machine checks (see DESIGN.md §8, §13).",
-    )
+def lint_command(parser: argparse.ArgumentParser) -> None:
+    """the static-analysis contract (== python -m repro.analysis)"""
     parser.add_argument("paths", nargs="*", default=None,
                         help="files or directories (default: src tests)")
     parser.add_argument("--format", choices=("human", "json"), default="human")
@@ -52,7 +47,7 @@ def _build_parser() -> argparse.ArgumentParser:
                         help="write a BENCH_lint.json wall-time artifact"
                              " here (or to $REPRO_BENCH_DIR when set)")
     parser.add_argument("--list-rules", action="store_true")
-    return parser
+    parser.set_defaults(run=run)
 
 
 def _resolve_baseline_path(args: argparse.Namespace) -> str:
@@ -99,7 +94,19 @@ def _write_bench_artifact(engine: LintEngine, elapsed: float,
 
 
 def main(argv: Optional[List[str]] = None) -> int:
-    args = _build_parser().parse_args(argv)
+    parser = argparse.ArgumentParser(
+        prog="python -m repro.analysis",
+        description="AST linter for seq-wrap arithmetic, determinism and"
+                    " sim-safety, plus the --semantic CFG/dataflow and"
+                    " state-machine checks (see DESIGN.md §8, §13).",
+    )
+    lint_command(parser)
+    args = parser.parse_args(argv)
+    return run(args)
+
+
+def run(args: argparse.Namespace) -> int:
+    """Lint as *args* (a ``lint_command`` namespace) says; the exit status."""
     if args.list_rules:
         rule_classes = list(ALL_RULES)
         if args.semantic:

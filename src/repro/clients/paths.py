@@ -44,6 +44,7 @@ from repro.clients.pool import (
 from repro.clients.proxy import L4Proxy, PRIMARY_WEIGHT, STANDBY_WEIGHT
 from repro.harness.invariants import InvariantChecker
 from repro.harness.metrics import Stats, latency_windows
+from repro.harness.report import Report, Table
 from repro.harness.topology import (
     BRIDGE_COST, CLIENT_ARP_DELAY, CLIENT_PROFILE, CLIENT_TIER_MAC_BASE,
     EMIT_COST, PRIMARY_IP, SECONDARY_IP, SERVER_PROFILE, Lan,
@@ -462,3 +463,62 @@ def client_paths_bench_rows(
     params: Dict[str, object] = {"seed": seed, "paths": sorted(results)}
     params.update({key: cell[key] for key in sorted(cell)})
     return {"params": params, "results": rows, "stats": stats_block}
+
+
+def client_paths_report(seed: int = 0, clients: int = 3, sessions: int = 12) -> Report:
+    """E14: the downtime table, each path's recovery timeline, the
+    client-outcome verdict and the ``client_paths_bench_rows`` payload of
+    one seeded comparison.  ``raw[path]`` is that path's :class:`PathResult`."""
+    cell = {"clients": clients, "sessions": sessions}
+    results = run_client_paths(seed=seed, **cell)
+    table_rows = []
+    for path, result in results.items():
+        during = result.latency_windows()["during"]
+        blackout = result.stats.blackout(result.crash_at)
+        table_rows.append((
+            path,
+            result.stats.requests_completed,
+            result.stats.requests_failed,
+            f"{during.median*1e3:.2f}ms",
+            f"{during.p99*1e3:.2f}ms",
+            f"{during.maximum*1e3:.2f}ms",
+            f"{blackout*1e3:.1f}ms" if blackout is not None else "-",
+        ))
+    notes = ["", "recovery timelines (first occurrence per milestone):"]
+    for path, result in results.items():
+        line = ", ".join(
+            f"{category}@{time*1e3:.1f}ms"
+            for time, category, _ in result.timeline()
+        )
+        notes.append(f"  {path:>7}: {line or '(no milestones recorded)'}")
+    notes.extend(
+        f"  {path}: {result.checker.report()}"
+        for path, result in results.items() if not result.checker.ok
+    )
+    if all(result.checker.ok for result in results.values()):
+        audited = sum(result.ledger.total for result in results.values())
+        notes.append(f"client-outcome invariant held on every path"
+                     f" ({audited} requests audited)")
+    return Report(
+        "client_paths", **client_paths_bench_rows(results, seed=seed, **cell),
+        tables=[Table(
+            f"E14: client-visible downtime by recovery path "
+            f"(seed={seed}, sessions={sessions})",
+            ["path", "ok", "failed", "p50", "p99", "max", "blackout"],
+            table_rows,
+        )],
+        notes=notes,
+        raw=results,
+    )
+
+
+def clients_command(parser) -> None:
+    """E14  one seeded workload, four client-tier recovery paths"""
+    # E14's flagship cell is deliberately small (EXPERIMENTS.md §E14).
+    parser.add_argument("--clients", type=int, default=3,
+                        help="client-host count")
+    parser.add_argument("--sessions", type=int, default=12,
+                        help="pooled session count")
+    parser.add_argument("--seed", type=int, default=0, help="workload seed")
+    parser.set_defaults(run=lambda args: client_paths_report(
+        seed=args.seed, clients=args.clients, sessions=args.sessions))

@@ -21,6 +21,7 @@ from typing import Dict, List, Optional
 from repro.cluster.fleet import ShardedFleet
 from repro.harness.invariants import InvariantChecker
 from repro.harness.metrics import Stats, latency_windows
+from repro.harness.report import Report, Table
 from repro.workload.distributions import Distribution, Exponential, Fixed
 from repro.workload.generator import ClosedLoopWorkload, WorkloadStats
 
@@ -40,6 +41,7 @@ class CapacityResult:
         workload: ClosedLoopWorkload,
         checker: Optional[InvariantChecker],
         storm_at: float,
+        storm_fraction: float,
         killed: List[str],
         concurrent_at_storm: int,
         finished_at: float,
@@ -48,6 +50,7 @@ class CapacityResult:
         self.workload = workload
         self.checker = checker
         self.storm_at = storm_at
+        self.storm_fraction = storm_fraction
         self.killed = killed
         self.concurrent_at_storm = concurrent_at_storm
         self.finished_at = finished_at
@@ -177,6 +180,7 @@ def run_capacity(
         workload=workload,
         checker=checker,
         storm_at=storm_at,
+        storm_fraction=storm_fraction,
         killed=list(storm_state["killed"]),
         concurrent_at_storm=int(storm_state["concurrent"]),
         finished_at=finished_at,
@@ -244,3 +248,90 @@ def capacity_bench_rows(result: CapacityResult) -> Dict[str, object]:
     }
     stats_block = {label: window.as_dict() for label, window in windows.items()}
     return {"params": params, "results": results, "stats": stats_block}
+
+
+def capacity_report(result: CapacityResult) -> Report:
+    """E12: the latency-window and placement tables, the verdict lines and
+    the ``capacity_bench_rows`` payload of one run (``raw`` is *result*)."""
+    stats = result.stats
+    populations = result.shard_populations()
+    misplaced = result.misplaced_failures()
+    notes = [
+        "",
+        f"sessions: {stats.sessions_completed}/{stats.sessions_started} completed,"
+        f" {stats.sessions_failed} failed, {stats.corrupt_replies} corrupt replies",
+        f"concurrent at storm: {result.concurrent_at_storm}"
+        f" (peak {stats.peak_open})",
+        f"goodput: {result.goodput_bytes_per_s()/1e3:.0f} KB/s,"
+        f" {result.connections_per_s():.1f} conns/s",
+        f"failures outside killed shards: {len(misplaced)}",
+        *(f"  {line}" for line in misplaced),
+    ]
+    if result.checker is not None:
+        notes.append(result.checker.report())
+    return Report(
+        "cluster_capacity", **capacity_bench_rows(result),
+        tables=[
+            Table(
+                f"E12: {len(result.fleet.shards)}-shard capacity through a "
+                f"{result.storm_fraction:.0%} primary storm",
+                ["window", "requests", "median", "p99"],
+                [(label, w.count, f"{w.median*1e3:.2f}ms", f"{w.p99*1e3:.2f}ms")
+                 for label, w in result.latency_windows().items()],
+            ),
+            Table(
+                "placement", ["shard", "sessions", "killed", "failed over"],
+                [(s.shard_id, populations[s.shard_id],
+                  "X" if s.shard_id in result.killed else "",
+                  "X" if s.pair.failed_over else "")
+                 for s in result.fleet.shards],
+            ),
+        ],
+        notes=notes,
+        raw=result,
+    )
+
+
+def add_cell_flags(parser) -> None:
+    """The capacity cell's knobs: ``repro cluster`` and the ``obs`` views
+    over the same cell (fleet rollup, causal timeline) all take these."""
+    parser.add_argument("--shards", type=int, default=None,
+                        help="shard count (default 8; 4 at quick scale)")
+    parser.add_argument("--clients", type=int, default=4,
+                        help="client-host count")
+    parser.add_argument("--sessions", type=int, default=None,
+                        help="closed-loop session count (default 256;"
+                             " 64 at quick scale)")
+    parser.add_argument("--seed", type=int, default=0, help="fleet seed")
+    parser.add_argument("--storm-fraction", type=float, default=0.25,
+                        help="fraction of primaries killed by the storm")
+    parser.add_argument("--storm-at", type=float, default=0.9,
+                        help="simulated time (s) of the storm")
+    parser.add_argument("--ramp", type=float, default=0.5,
+                        help="session arrival ramp window (s)")
+    parser.add_argument("--hold", type=float, default=1.6,
+                        help="per-session connection hold time (s)")
+
+
+def run_cell_from_flags(args, quick: bool, **observers) -> CapacityResult:
+    """The one place ``add_cell_flags``' namespace becomes a run;
+    ``observers`` are ``run_capacity``'s metrics / span switches."""
+    return run_capacity(
+        shards=args.shards if args.shards is not None else (4 if quick else 8),
+        clients=args.clients,
+        sessions=(args.sessions if args.sessions is not None
+                  else 64 if quick else 256),
+        seed=args.seed,
+        ramp=args.ramp,
+        hold_for=args.hold,
+        storm_at=args.storm_at,
+        storm_fraction=args.storm_fraction,
+        **observers,
+    )
+
+
+def cluster_command(parser) -> None:
+    """E12  sharded fleet capacity through a failover storm"""
+    add_cell_flags(parser)
+    parser.set_defaults(
+        run=lambda args: capacity_report(run_cell_from_flags(args, args.quick)))

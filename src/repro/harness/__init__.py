@@ -1,8 +1,10 @@
 """Experiment harness: calibrated topologies, workloads and runners.
 
-One function per paper table/figure lives in
-:mod:`repro.harness.experiments`; the benchmarks under ``benchmarks/`` are
-thin wrappers that print the same rows/series the paper reports.
+One ``*_report`` function per paper table/figure lives in
+:mod:`repro.harness.experiments` (run the sweep, return the
+:class:`~repro.harness.report.Report`); ``python -m repro`` and the
+benchmarks under ``benchmarks/`` are thin wrappers over the same function —
+the benchmarks add the shape assertions the paper's claims come down to.
 """
 
 from repro.harness.chaos import (

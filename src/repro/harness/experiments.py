@@ -1,8 +1,13 @@
 """One runner per paper table/figure (see DESIGN.md §4 for the index).
 
-Every runner builds a fresh calibrated testbed, drives the workload as the
-paper describes, and returns plain numbers.  The ``benchmarks/`` wrappers
-print the paper's rows next to the measured ones.
+Every ``measure_*`` runner builds a fresh calibrated testbed, drives the
+workload as the paper describes, and returns plain numbers.  Below them is
+the catalogue: one ``*_report`` function per table/figure that runs the
+sweep and returns a :class:`~repro.harness.report.Report` (table, BENCH
+payload, raw numbers), and one ``*_command`` per CLI subcommand that
+declares the flags that sweep takes.  ``python -m repro`` and the
+``benchmarks/`` wrappers both call the ``*_report`` functions, so a figure
+has one definition.
 
 Figure 3/4 sweeps use the paper's message sizes (64 B – 1 MB, powers of
 two); Figure 6 uses the paper's file sizes.  Figure 5's streams are 100 MB
@@ -13,12 +18,13 @@ in the paper — runners take ``total_bytes`` so CI can use a scaled stream
 from __future__ import annotations
 
 import struct
-from typing import Dict, Generator, List, Optional
+from typing import Dict, Generator, List, Optional, Sequence
 
 from repro.apps import bulk, request_reply
 from repro.apps.ftp import FileStore, FtpClient, ftp_server
 from repro.apps.ftp.protocol import FTP_CONTROL_PORT, FTP_DATA_PORT
 from repro.harness.metrics import Stats, rate_kb_s, summarize
+from repro.harness.report import Report, Table
 from repro.harness.topology import LanTestbed, WanTestbed
 from repro.sim.process import spawn
 from repro.tcp.socket_api import ListeningSocket, SimSocket
@@ -755,3 +761,360 @@ def measure_reintegration(
         result["failover_breakdowns"] = recorder.phase_breakdowns()
         result["reintegration_breakdowns"] = recorder.reintegration_breakdowns()
     return result
+
+
+# ======================================================================
+# The catalogue: one ``sweep parameters -> Report`` per table/figure
+# ======================================================================
+
+#: Every paper figure compares these two, in this order.
+MODES = (("standard", False), ("failover", True))
+
+
+def setup_report(trials: int) -> Report:
+    """E1 (§9 text table).  ``raw[mode]`` is that mode's :class:`Stats`."""
+    raw = {
+        mode: measure_connection_setup(replicated, trials=trials)
+        for mode, replicated in MODES
+    }
+    paper = {"standard": "294 / 603", "failover": "505 / 1193"}
+    return Report(
+        "setup", {"trials": trials},
+        [{"label": mode, "metrics": {"median_us": stats.median * 1e6}}
+         for mode, stats in raw.items()],
+        stats={mode: stats.as_dict() for mode, stats in raw.items()},
+        tables=[Table(
+            "E1: connection setup (us)", ["mode", "median", "max", "paper"],
+            [(mode, f"{stats.median * 1e6:.0f}", f"{stats.maximum*1e6:.0f}",
+              paper[mode]) for mode, stats in raw.items()],
+        )],
+        raw=raw,
+    )
+
+
+def _size_sweep_report(
+    name: str, title: str, measure, sizes: Sequence[int], trials: int,
+    scale: float, metric: str, digits: int,
+) -> Report:
+    """Fig. 3 and Fig. 4 are the same sweep over two measurements:
+    median of ``measure(size, replicated)`` in both modes at every size."""
+    raw: Dict[str, Dict[int, Stats]] = {mode: {} for mode, _ in MODES}
+    rows, results, stats = [], [], {}
+    for size in sizes:
+        for mode, replicated in MODES:
+            measured = raw[mode][size] = measure(size, replicated, trials=trials)
+            label = f"{mode} {size}B"
+            results.append(
+                {"label": label, "metrics": {metric: measured.median * scale}}
+            )
+            stats[label] = measured.as_dict()
+        std, fo = raw["standard"][size], raw["failover"][size]
+        rows.append((
+            size, f"{std.median * scale:.{digits}f}",
+            f"{fo.median * scale:.{digits}f}", f"{fo.median/std.median:.2f}x",
+        ))
+    return Report(
+        name, {"trials": trials}, results, stats=stats,
+        tables=[Table(title, ["bytes", "standard", "failover", "ratio"], rows)],
+        raw=raw,
+    )
+
+
+def send_time_report(sizes: Sequence[int], trials: int) -> Report:
+    """E2 / Fig. 3.  ``raw[mode][size]`` is the :class:`Stats` of send()."""
+    return _size_sweep_report(
+        "fig3_send_time", "E2 / Fig 3: send time (us, median)",
+        measure_send_time, sizes, trials, 1e6, "median_us", 0,
+    )
+
+
+def request_reply_report(sizes: Sequence[int], trials: int) -> Report:
+    """E3 / Fig. 4.  ``raw[mode][size]`` is the request->reply :class:`Stats`."""
+    return _size_sweep_report(
+        "fig4_request_reply", "E3 / Fig 4: request->reply time (ms, median)",
+        measure_request_reply, sizes, trials, 1e3, "median_ms", 2,
+    )
+
+
+def stream_rates_report(total_bytes: int) -> Report:
+    """E4 / Fig. 5.  ``raw[mode]`` is ``measure_stream_rates``' dict."""
+    raw = {
+        mode: measure_stream_rates(total_bytes, replicated=replicated)
+        for mode, replicated in MODES
+    }
+    paper = {"standard": "7834 / 8708", "failover": "5836 / 3510"}
+    return Report(
+        "fig5_stream_rates", {"bytes": total_bytes},
+        [{"label": mode, "metrics": {"send_kb_s": rates["send_rate_kb_s"],
+                                     "recv_kb_s": rates["recv_rate_kb_s"]}}
+         for mode, rates in raw.items()],
+        tables=[Table(
+            f"E4 / Fig 5: stream rates over {total_bytes/1e6:.0f} MB (KB/s)",
+            ["mode", "send", "recv", "paper send/recv"],
+            [(mode, f"{rates['send_rate_kb_s']:.0f}",
+              f"{rates['recv_rate_kb_s']:.0f}", paper[mode])
+             for mode, rates in raw.items()],
+        )],
+        raw=raw,
+    )
+
+
+def ftp_wan_report(sizes_kb: Sequence[float], trials: int, **cell) -> Report:
+    """E5 / Fig. 6.  ``raw[mode][size_kb]`` is ``measure_ftp_rates``' dict;
+    ``cell`` (``seed``) goes to every run and into the artifact's params."""
+    raw: Dict[str, Dict[float, Dict]] = {mode: {} for mode, _ in MODES}
+    rows, results = [], []
+    for size_kb in sizes_kb:
+        for mode, replicated in MODES:
+            rates = raw[mode][size_kb] = measure_ftp_rates(
+                size_kb, replicated, trials=trials, **cell
+            )
+            results.append({
+                "label": f"{mode} {size_kb}KB",
+                "metrics": {"get_kb_s": rates["get_kb_s"],
+                            "put_kb_s": rates["put_kb_s"]},
+            })
+        std, fo = raw["standard"][size_kb], raw["failover"][size_kb]
+        rows.append((
+            size_kb, f"{std['get_kb_s']:.1f}", f"{fo['get_kb_s']:.1f}",
+            f"{std['put_kb_s']:.1f}", f"{fo['put_kb_s']:.1f}",
+        ))
+    return Report(
+        "fig6_ftp_wan", {"trials": trials, **cell}, results,
+        tables=[Table(
+            "E5 / Fig 6: FTP over WAN (KB/s)",
+            ["fileKB", "get std", "get fo", "put std", "put fo"], rows,
+        )],
+        raw=raw,
+    )
+
+
+def failover_report(
+    total_bytes: int = 800_000,
+    detector_timeouts: Sequence[float] = (0.020, 0.100, 0.300),
+    arp_delays: Sequence[float] = (),
+    secondary: Optional[Dict[str, float]] = None,
+    **cell,
+) -> Report:
+    """E6: client-visible stall vs the detector timeout, then vs the
+    client's ARP-update latency (fastest detector), then for a secondary
+    crash.  ``cell`` (``crash_at``, ``seed``) goes to every run;
+    ``secondary`` holds the recovery knobs of the closing secondary-crash
+    run, which otherwise runs at ``measure_failover``'s defaults.
+    ``raw`` is ``[(knob, value, result), ...]`` in table order; the phase
+    breakdown comes from the first run.
+    """
+    recovery = dict(cell, total_bytes=total_bytes, min_rto=0.05)
+    raw, phases = [], None
+    for timeout in detector_timeouts:
+        result = measure_failover(
+            detector_timeout=timeout, record_traces=(phases is None), **recovery
+        )
+        phases = phases or result.get("phases")
+        raw.append(("detector", timeout, result))
+    for delay in arp_delays:
+        result = measure_failover(
+            detector_timeout=0.020, client_arp_delay=delay, **recovery
+        )
+        raw.append(("arp-window", delay, result))
+    result = measure_failover(
+        total_bytes=total_bytes, crash="secondary", **cell, **(secondary or {})
+    )
+    raw.append(("secondary crash", None, result))
+    labels = [
+        knob if value is None else f"{knob}={value*1e3:g}ms"
+        for knob, value, _ in raw
+    ]
+    return Report(
+        "failover_stall", {"bytes": total_bytes, **cell},
+        [{"label": label, "metrics": {"stall_ms": result["stall_s"] * 1e3,
+                                      "intact": int(result["intact"])}}
+         for label, (_, _, result) in zip(labels, raw)],
+        phases=phases,
+        tables=[Table(
+            "E6: failover stall", ["scenario", "stall", "stream intact"],
+            [(label, f"{result['stall_s']*1e3:.1f}ms", result["intact"])
+             for label, (_, _, result) in zip(labels, raw)],
+        )],
+        raw=raw,
+    )
+
+
+def ablation_report() -> Report:
+    """E7 + E8: each merge rule on and off.  ``raw["min-ACK"][merging]`` and
+    ``raw["min-window"][merging]`` are the ``measure_*_ablation`` dicts."""
+    raw = {
+        "min-ACK": {merging: measure_minack_ablation(ack_merging=merging)
+                    for merging in (True, False)},
+        "min-window": {merging: measure_minwindow_ablation(window_merging=merging)
+                       for merging in (True, False)},
+    }
+    results = [
+        {"label": f"min-ACK={'on' if merging else 'off'}",
+         "metrics": {"survivor_bytes": r["survivor_bytes"],
+                     "survivor_intact": int(r["survivor_intact"])}}
+        for merging, r in raw["min-ACK"].items()
+    ] + [
+        {"label": f"min-window={'on' if merging else 'off'}",
+         "metrics": {"completion_s": r["completion_s"],
+                     "secondary_trimmed": r["secondary_trimmed"]}}
+        for merging, r in raw["min-window"].items()
+    ]
+    return Report(
+        "ablation", {}, results,
+        tables=[
+            Table(
+                "E7: min-ACK ablation",
+                ["variant", "survivor bytes", "intact", "client ok"],
+                [(f"min-ACK={'on' if merging else 'OFF'}", r["survivor_bytes"],
+                  r["survivor_intact"], r["client_ok"])
+                 for merging, r in raw["min-ACK"].items()],
+            ),
+            Table(
+                "E8: min-window ablation",
+                ["variant", "completion", "S bytes trimmed", "intact"],
+                [(f"min-window={'on' if merging else 'OFF'}",
+                  f"{r['completion_s']:.3f}s", r["secondary_trimmed"], r["intact"])
+                 for merging, r in raw["min-window"].items()],
+            ),
+        ],
+        raw=raw,
+    )
+
+
+def chain_report(depths: Sequence[int] = (1, 2, 3, 4), **cell) -> Report:
+    """E9.  ``raw[depth]`` is the server->client rate in KB/s; ``cell``
+    (``total_bytes``) goes to every run and into the artifact's params."""
+    raw = {depth: measure_chain_depth(depth, **cell) for depth in depths}
+    base = raw[depths[0]]
+    return Report(
+        "chain_depth", dict(cell),
+        [{"label": f"depth-{depth}", "metrics": {"rate_kb_s": rate}}
+         for depth, rate in raw.items()],
+        tables=[Table(
+            "E9: chain depth vs server->client rate (KB/s)",
+            ["replicas", "KB/s", "slowdown"],
+            [(depth, f"{rate:.0f}", f"{base/rate:.2f}x")
+             for depth, rate in raw.items()],
+        )],
+        raw=raw,
+    )
+
+
+def reintegration_report() -> Report:
+    """E11: crash -> reintegrate -> crash again, client never notices.
+    ``raw[scenario]`` is ``measure_reintegration``'s dict; the phase
+    durations are the first completed reintegration's tiling."""
+    raw, phases = {}, None
+    for label, double in (("single failover + rejoin", False),
+                          ("double failover", True)):
+        result = raw[label] = measure_reintegration(
+            double=double, min_rto=0.05, record_traces=(phases is None),
+        )
+        if phases is None:
+            tiles = result.get("reintegration_breakdowns") or []
+            done = [b for b in tiles if b.phases]
+            if done:
+                phases = done[0].durations()
+    return Report(
+        "reintegration", {},
+        [{"label": label,
+          "metrics": {
+              "stall_ms": result["stall_s"] * 1e3,
+              "intact": int(result["intact"]),
+              "reintegrations": result["reintegrations"],
+              "redundancy_restored": int(result["redundancy_restored"]),
+          }} for label, result in raw.items()],
+        phases=phases,
+        tables=[Table(
+            "E11: reintegration (crash -> rejoin -> crash again)",
+            ["scenario", "worst stall", "stream intact", "rejoins",
+             "redundant again"],
+            [(label, f"{result['stall_s']*1e3:.1f}ms", result["intact"],
+              result["reintegrations"], result["redundancy_restored"])
+             for label, result in raw.items()],
+        )],
+        raw=raw,
+    )
+
+
+# ======================================================================
+# The CLI subcommands over the catalogue (registered in harness/cli.py,
+# which adds the --quick / --bench-dir every experiment shares)
+# ======================================================================
+
+def _add_trials(parser) -> None:
+    parser.add_argument("--trials", type=int, default=None,
+                        help="samples per point (default 20; 5 with --quick)")
+
+
+def _trials(args) -> int:
+    return args.trials if args.trials is not None else (5 if args.quick else 20)
+
+
+def _sweep_sizes(quick: bool) -> List[int]:
+    if quick:
+        return [64, 8 * 1024, 64 * 1024, 512 * 1024]
+    return FIG3_SIZES
+
+
+def _tagged_quick(report: Report, args) -> Report:
+    """Sweeps that ``--quick`` shortens say so in their artifact."""
+    report.params["quick"] = bool(args.quick)
+    return report
+
+
+def setup_command(parser) -> None:
+    """E1  connection setup times"""
+    _add_trials(parser)
+    parser.set_defaults(run=lambda args: setup_report(_trials(args)))
+
+
+def fig3_command(parser) -> None:
+    """E2  client->server send times (--quick: 4 of the 15 sizes)"""
+    _add_trials(parser)
+    parser.set_defaults(run=lambda args: _tagged_quick(
+        send_time_report(_sweep_sizes(args.quick), _trials(args)), args))
+
+
+def fig4_command(parser) -> None:
+    """E3  server->client transfer times (--quick: 4 of the 15 sizes)"""
+    _add_trials(parser)
+    parser.set_defaults(run=lambda args: _tagged_quick(
+        request_reply_report(_sweep_sizes(args.quick), _trials(args)), args))
+
+
+def fig5_command(parser) -> None:
+    """E4  long-stream send/receive rates"""
+    parser.add_argument("--bytes", type=int, default=None,
+                        help="stream length (default 10 MB; 4 MB with --quick)")
+    parser.set_defaults(run=lambda args: stream_rates_report(
+        args.bytes if args.bytes is not None
+        else 4_000_000 if args.quick else 10_000_000))
+
+
+def fig6_command(parser) -> None:
+    """E5  FTP get/put over the WAN (--quick: the 3 smallest files)"""
+    _add_trials(parser)
+    parser.set_defaults(run=lambda args: ftp_wan_report(
+        FIG6_FILE_SIZES_KB[: 3 if args.quick else None], _trials(args)))
+
+
+def failover_command(parser) -> None:
+    """E6  client-visible stall vs detector timeout, either replica crashing"""
+    parser.set_defaults(run=lambda args: failover_report())
+
+
+def ablation_command(parser) -> None:
+    """E7/E8  the min-ACK and min-window merge rules, each on and off"""
+    parser.set_defaults(run=lambda args: ablation_report())
+
+
+def chain_command(parser) -> None:
+    """E9  daisy-chain depth sweep"""
+    parser.set_defaults(run=lambda args: chain_report())
+
+
+def reintegrate_command(parser) -> None:
+    """E11  crash -> rejoin -> crash again"""
+    parser.set_defaults(run=lambda args: reintegration_report())

@@ -22,7 +22,10 @@ Three pillars, all passive with respect to the simulation:
 artifacts every benchmark run emits.
 
 This package deliberately imports nothing from :mod:`repro.harness`:
-the harness (chaos cells, CLI, benchmarks) layers on top of it.
+the harness (chaos cells, CLI, benchmarks) layers on top of it.  The one
+exception is :mod:`repro.obs.views` — the ``python -m repro obs``
+subcommand, which replays harness/cluster runs with the observers on —
+and nothing in this package imports *it*.
 """
 
 from repro.obs.metrics import (

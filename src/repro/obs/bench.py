@@ -64,6 +64,8 @@ def write_bench_artifact(
     if errors:
         raise ValueError(f"invalid bench artifact {name!r}: {errors}")
     path = bench_artifact_path(name, directory)
+    # The directory is usually a --bench-dir typed after a long run.
+    os.makedirs(os.path.dirname(path), exist_ok=True)
     with open(path, "w") as fh:
         json.dump(doc, fh, indent=2, sort_keys=True)
         fh.write("\n")

@@ -15,7 +15,7 @@ Two consumers, two formats:
 Both writers are byte-deterministic: ordering is derived purely from
 span ``(start, trace_id, span_id)``, JSON is emitted with sorted keys
 and no whitespace, so a seeded run exports identically every time — the
-CI obs-smoke job ``cmp``'s two runs to hold that line.
+CI smoke job (plane ``obs``) ``cmp``'s two runs to hold that line.
 """
 
 from __future__ import annotations
