@@ -8,8 +8,8 @@ from benchmarks.conftest import FULL, emit
 from repro.harness.experiments import setup_report
 
 PAPER = {
-    "standard": {"median_us": 294, "max_us": 603},
-    "failover": {"median_us": 505, "max_us": 1193},
+    "standard": {"median_us": 294},
+    "failover": {"median_us": 505},
 }
 
 TRIALS = 100 if FULL else 60

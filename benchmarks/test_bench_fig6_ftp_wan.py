@@ -19,14 +19,6 @@ and small-file puts are buffered (apparent rates far above the line rate).
 from benchmarks.conftest import FULL, emit
 from repro.harness.experiments import FIG6_FILE_SIZES_KB, ftp_wan_report
 
-PAPER = {
-    0.2: {"get_std": 8.75, "get_fo": 8.75, "put_std": 512.38, "put_fo": 536.05},
-    1.3: {"get_std": 59.03, "get_fo": 59.03, "put_std": 2033.76, "put_fo": 2036.87},
-    18.2: {"get_std": 90.41, "get_fo": 70.74, "put_std": 3846.13, "put_fo": 3890.42},
-    144.9: {"get_std": 156.80, "get_fo": 138.35, "put_std": 219.52, "put_fo": 200.31},
-    1738.1: {"get_std": 176.03, "get_fo": 171.72, "put_std": 168.07, "put_fo": 176.63},
-}
-
 SIZES = FIG6_FILE_SIZES_KB if FULL else FIG6_FILE_SIZES_KB[:4]
 TRIALS = 5 if FULL else 3
 

@@ -60,7 +60,8 @@ def declaration(name: str):
 
 
 def _shared_flags() -> argparse.ArgumentParser:
-    shared = argparse.ArgumentParser(add_help=False)
+    shared = argparse.ArgumentParser(
+        add_help=False, prog="python -m repro", usage="%(prog)s command [flags]")
     shared.add_argument("--quick", action="store_true",
                         help="fewer sweep points / smaller streams")
     shared.add_argument("--bench-dir", default=None,
@@ -94,7 +95,30 @@ def build_parser(names: Iterable[str] = tuple(COMMANDS)) -> argparse.ArgumentPar
     return parser
 
 
+def _shared_argv(args: argparse.Namespace) -> List[str]:
+    """The shared flags of *args*, spelled back out."""
+    argv = ["--quick"] * args.quick
+    if args.bench_dir:
+        argv += ["--bench-dir", args.bench_dir]
+    return argv
+
+
 def parse_args(argv: List[str]) -> argparse.Namespace:
+    if argv and argv[0] not in COMMANDS:
+        # `repro --quick setup`: the shared flags may come before the
+        # command word.  Hand them to the command, whose parser decides.
+        shared = _shared_flags()
+        lead, rest = shared.parse_known_args(argv)
+        if rest and rest[0].startswith("-") and rest[0] not in ("-h", "--help"):
+            shared.error(f"{rest[0]} goes after the command word (only"
+                         f" --quick and --bench-dir may come before it)")
+        argv = rest + _shared_argv(lead)
+    if argv[:1] == ["obs"] and (
+        len(argv) == 1
+        or argv[1].startswith("-") and argv[1] not in ("-h", "--help")
+    ):
+        # `repro obs [flags]` has always meant the report view.
+        argv = ["obs", "report", *argv[1:]]
     # `repro setup` must not import (or depend on) the adversary plane:
     # when the first word names a command, only that subparser is built.
     # Anything else (--help, `all`, a typo) gets the full parser.
@@ -112,11 +136,8 @@ def parse_args(argv: List[str]) -> argparse.Namespace:
 def main(argv: Optional[List[str]] = None) -> int:
     args = parse_args(sys.argv[1:] if argv is None else argv)
     if args.command == "all":
-        shared = ["--quick"] * args.quick
-        if args.bench_dir:
-            shared += ["--bench-dir", args.bench_dir]
         for name in EXPERIMENTS:
-            main([name, *shared])
+            main([name, *_shared_argv(args)])
         return 0
     outcome = args.run(args)
     if not isinstance(outcome, Report):

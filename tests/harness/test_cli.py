@@ -54,6 +54,42 @@ def test_arguments_a_command_does_not_read_are_rejected(argv, command, capsys):
     assert f"`{command}` does not take {' '.join(argv[1:])}" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("argv, complaint", [
+    (["obs", "report", "--shards", "99", "--storm-at", "3"],
+     "--shards --storm-at: only read with --cluster"),
+    (["obs", "report", "--quick"], "--quick: only read with --cluster"),
+    (["obs", "report", "--cluster", "--bytes", "5"],
+     "--bytes: not read with --cluster"),
+    (["--seed", "3", "obs"], "--seed goes after the command word"),
+])
+def test_flags_a_view_does_not_read_are_rejected_before_it_runs(
+        argv, complaint, capsys, monkeypatch):
+    from repro.obs import views
+
+    monkeypatch.setattr(views, "report_view", None)  # must not be reached
+    with pytest.raises(SystemExit) as exit_info:
+        cli.main(argv)
+    assert exit_info.value.code == 2
+    assert complaint in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv, canonical", [
+    (["--quick", "setup", "--trials", "2"], ["setup", "--trials", "2", "--quick"]),
+    (["--bench-dir", "d", "fig5"], ["fig5", "--bench-dir", "d"]),
+    (["obs"], ["obs", "report"]),
+    (["obs", "--seed", "3", "--bytes", "9"],
+     ["obs", "report", "--seed", "3", "--bytes", "9"]),
+])
+def test_spellings_the_flat_parser_took_still_parse(argv, canonical):
+    """Shared flags before the command word, and `obs` without a view."""
+    def parsed(words):
+        values = vars(cli.parse_args(words))
+        del values["run"]  # a closure per parser build
+        return values
+
+    assert parsed(argv) == parsed(canonical)
+
+
 def test_adversary_seed_zero_means_seed_zero(capsys):
     assert cli.main(["adversary", "--seed", "0", "--cells", "1"]) == 0
     assert "(1 cells, seed=0)" in capsys.readouterr().out
@@ -134,6 +170,12 @@ def test_ci_smoke_matrix_names_real_paths_and_commands():
         argv = entry["cell"].replace("OUT", "artifacts").split()
         assert argv[0] in cli.COMMANDS, entry["plane"]
         cli.parse_args(argv)
+    # `x | tee f` exits with tee's status unless the step says otherwise:
+    # a crashing example or cell must not leave the job green.
+    for step in workflow["jobs"]["smoke"]["steps"]:
+        script = step.get("run", "")
+        if "| tee" in script or "matrix.extra" in script:
+            assert script.startswith("set -o pipefail\n"), step["name"]
 
 
 def test_chain_depth_runner_monotone():
