@@ -14,6 +14,12 @@ adversary, client-tier and cluster planes), recorded on the commit before
 they were rebuilt on one ``Lan`` and one cell core.  Same stream names,
 MAC plans, addresses and construction order mean the same events at the
 same instants, so every digest must still match.
+
+The third set pins the *bridge* before its algorithm moved out of
+``PrimaryBridge``: the §6 secondary-failure path, a chain that loses its
+middle, its tail and its head around a splice-in, a §7.2 connect-out, and
+one run hashed through all three telemetry consumers (trace, metrics,
+spans).
 """
 
 import hashlib
@@ -257,3 +263,170 @@ def test_unobserved_emit_never_calls_the_renderer():
 
     tracer.emit(0.0, "test.blind", "node", value=renderer)
     assert tracer.count("test.blind") == 1
+
+
+# ----------------------------------------------------------------------
+# bridge goldens: the §6, chain and §7.2 paths, and all three telemetry
+# spellings (trace, metrics, spans) of one run — pinned at the parent of
+# the commit that moved the algorithm out of PrimaryBridge
+# ----------------------------------------------------------------------
+
+GOLDEN_BRIDGE_SHA256 = {
+    "chaos_crash_secondary": "335363882999903d9f369b2edc5a4a22a4acf87ea91f021e1eee61d613a2e924",
+    "chaos_crash_secondary_pull": "cf568317c9455e9bc0d8e919e9d273eacc127e2c17e3b7a7657613cc93494ff7",
+    "chain_splice": "d38e1c89eb58554dc50c3a107453c0175533d5fd65b5ab336f8a9af06efd836e",
+    "connect_out_crash_secondary": "aa7bac3be6bcf5b3e040838b082c6a9d64a93250b892a4da10b823abe78d3c4a",
+    "telemetry_remerge": "ab1fd022932e526a6eb7a7e050256b6e17cbbac83d8f3fa3bb851298b4e7923b",
+}
+
+
+def _chain_splice():
+    """Three replicas: the middle dies, then the tail (§6 on the head),
+    the tail restarts and is spliced back in, then the head dies and the
+    new tail is promoted — every ChainBridge role change in one pull."""
+    from tests.failover.test_chain import ChainLan, pull
+
+    lan = ChainLan(replicas=3)
+    size = 1_500_000
+    blob = bulk.pattern_bytes(size)
+    head, middle, tail = lan.replicas
+
+    def resume_source(host, sock, resume):
+        if resume.written == 0 and resume.read < 4:
+            yield from sock.recv_exactly(4 - resume.read)
+        yield from sock.send_all(blob[resume.written:])
+        yield from sock.close_and_wait()
+
+    lan.sim.schedule(0.010, lan.chain.crash, middle)
+    lan.sim.schedule(0.050, lan.chain.crash, tail)
+    lan.sim.schedule(0.090, tail.restart)
+    lan.sim.schedule(
+        0.100, lambda: lan.chain.splice_in(tail, resume_app=resume_source)
+    )
+    lan.sim.schedule(0.160, lan.chain.crash, head)
+    assert pull(lan, size) == blob
+    for category in ("bridge.p.flushed", "bridge.p.resume_merged", "chain.promoted"):
+        assert lan.tracer.count(category) == 1, category
+    assert lan.tracer.count("bridge.p.resume_merge") == 2  # old tail + joiner
+    assert lan.tracer.select(category="tcp.rst_received", node="client") == []
+    return _digest(lan.tracer, lan.sim.events_processed)
+
+
+def _connect_out_crash_secondary():
+    """§7.2: the pair connects out (``role="client"``) and pushes to an
+    unreplicated back end; the secondary dies mid-stream."""
+    from tests.util import CLIENT_IP
+
+    size = 150_000
+    lan = ReplicatedLan(seed=13, failover_ports=(2000,))
+    lan.start_detectors()
+    blob = bulk.pattern_bytes(size, 4)
+    replies = {}
+
+    def backend():  # the unreplicated server "T" runs on the client host
+        listening = ListeningSocket.listen(lan.client, 7000)
+        sock = yield from listening.accept()
+        data = yield from sock.recv_exactly(size)
+        yield from sock.send_all(b"ack:" + hashlib.sha256(data).digest())
+        yield from sock.close_and_wait()
+        listening.close()
+        return data
+
+    def replica_app(host):
+        sock = SimSocket.connect(host, CLIENT_IP, 7000, local_port=2000, min_rto=0.05)
+        yield from sock.wait_connected()
+        yield from sock.send_all(blob)
+        replies[host.name] = yield from sock.recv_exactly(36)
+        yield from sock.close_and_wait()
+
+    lan.pair.run_app(replica_app, "outbound")
+    lan.sim.schedule(0.006, lan.pair.crash_secondary)
+    (data,) = run_all(lan.sim, [backend()], until=30.0)
+    assert data == blob
+    assert replies == {"primary": b"ack:" + hashlib.sha256(blob).digest()}
+    (created,) = lan.tracer.select(category="bridge.p.conn_created")
+    assert created.detail["role"] == "client"
+    assert lan.tracer.count("bridge.p.flushed") == 1
+    return _digest(lan.tracer, lan.sim.events_processed)
+
+
+def _telemetry_remerge():
+    """A pull through the pair with metrics and spans on: the secondary
+    dies (§6), restarts and remerges.  The digest covers what each of the
+    three consumers saw — the trace, the ``bridge.*``/``queue.*`` metric
+    families, and every span in recording order with its drawn ids."""
+    from repro.harness.topology import CLIENT_IP, Lan
+    from repro.obs.metrics import MetricsRegistry
+    from repro.obs.spans import flow_key
+
+    size = 1_200_000
+    metrics = MetricsRegistry()
+    lan = Lan(seed=17, record_traces=True, metrics=metrics,
+              span_sample_rate=1.0, segment_name="eth0")
+    client_host = lan.add_host("client", 1, CLIENT_IP, gratuitous_apply_delay=300e-6)
+    lan.add_pair((PORT,), detector_interval=0.005, detector_timeout=0.020)
+    lan.warm_arp()
+    lan.start_detectors()
+    blob = bulk.pattern_bytes(size, 6)
+
+    def resume_source(host, sock, resume):
+        if resume.written == 0 and resume.read < 4:
+            yield from sock.recv_exactly(4 - resume.read)
+        yield from sock.send_all(blob[resume.written:])
+        yield from sock.close_and_wait()
+
+    lan.pair.set_resume_app(resume_source)
+    lan.pair.run_app(lambda host: bulk.source_server(host, PORT, size, salt=6))
+
+    def client():
+        root = lan.spans.trace_root("workload.session", lan.sim.now, "client")
+        sock = SimSocket.connect(client_host, lan.server_ip, PORT, min_rto=0.05)
+        lan.spans.bind_flow(
+            flow_key(sock.conn.local_ip, sock.conn.local_port, lan.server_ip, PORT),
+            root,
+        )
+        yield from sock.wait_connected()
+        yield from sock.send_all(b"PULL")
+        data = yield from sock.recv_exactly(size)
+        yield from sock.close_and_wait()
+        lan.spans.finish(root, lan.sim.now)
+        return data
+
+    lan.sim.schedule(0.010, lan.pair.crash_secondary)
+    lan.sim.schedule(0.050, lan.secondary.restart)
+    lan.sim.schedule(0.070, lan.pair.reintegrate)
+    (data,) = run_all(lan.sim, [client()], until=60.0)
+    assert data == blob
+    assert lan.tracer.count("bridge.p.resume_merged") == 1
+    families = {
+        name: value for name, value in metrics.snapshot().items()
+        if name.startswith(("bridge.", "queue."))
+    }
+    assert families["bridge.segments_merged{host=primary}"] > 0
+    spans = [
+        (span.name, span.host, span.start, span.end, span.trace_id,
+         span.span_id, span.parent_id, sorted(span.attrs.items()))
+        for span in lan.spans.finished_spans()
+    ]
+    names = {span[0] for span in spans}
+    assert {"bridge.conn_created", "bridge.syn_merged", "bridge.matched",
+            "bridge.flushed"} <= names
+    return _digest(
+        lan.tracer, lan.sim.events_processed,
+        json.dumps(families, sort_keys=True), spans,
+    )
+
+
+BRIDGE_SCENARIOS = {
+    "chaos_crash_secondary": lambda: _chaos("midpoint", "crash-secondary"),
+    "chaos_crash_secondary_pull": lambda: _chaos(
+        "midpoint", "crash-secondary", direction="download"),
+    "chain_splice": _chain_splice,
+    "connect_out_crash_secondary": _connect_out_crash_secondary,
+    "telemetry_remerge": _telemetry_remerge,
+}
+
+
+@pytest.mark.parametrize("name", sorted(BRIDGE_SCENARIOS))
+def test_bridge_paths_match_parent_golden(name):
+    assert BRIDGE_SCENARIOS[name]() == GOLDEN_BRIDGE_SHA256[name]

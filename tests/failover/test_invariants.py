@@ -6,10 +6,18 @@ segment* the bridge emits, during runs with injected snoop loss (the
 exact condition that makes the invariant load-bearing).
 """
 
+import sys
+
+import pytest
+
+from repro.failover import queues
+from repro.failover.merge import AckWindowMerge
 from repro.failover.primary import PrimaryBridge
-from repro.tcp.seqnum import seq_le
+from repro.harness.cells import BridgeCell
+from repro.harness.invariants import InvariantChecker
+from repro.tcp.seqnum import seq_add, seq_le
 from repro.tcp.socket_api import ListeningSocket, SimSocket
-from tests.util import ReplicatedLan, run_all
+from tests.util import ChaosLan, ReplicatedLan, run_all
 
 PORT = 80
 
@@ -136,3 +144,118 @@ def test_client_sequence_space_is_secondarys():
     assert conn.bytes_received == 50_000
     # Cross-check while the connection was alive was done in
     # test_establishment.py::test_client_sees_secondary_sequence_numbers.
+
+
+# ----------------------------------------------------------------------
+# the emission seam is live, and the checker on it has teeth
+# ----------------------------------------------------------------------
+#
+# ``InvariantChecker`` (and ``instrument_emissions`` above) replace
+# ``bridge._emit`` on the *instance*, after construction.  Whatever sits
+# above that seam must therefore look ``_emit`` up on the bridge at each
+# emission, and call it while the connection state is still what the
+# segment was built from.  Each test below makes the algorithm lie above
+# the seam and expects the named per-emission violation.
+
+
+def _checked_cell(direction, drops=()):
+    """A checked pair cell whose secondary loses the snooped data frames
+    in ``drops``; returns ``(lan, cell)`` with the transfer not yet run."""
+    lan = ChaosLan(seed=2, failover_ports=(PORT,))
+    cell = BridgeCell(lan, 120_000, direction)
+    state = {"index": 0}
+
+    def lossy_snoop(frame):
+        segment = getattr(frame.payload, "payload", None)
+        if not getattr(segment, "payload", None):
+            return False
+        state["index"] += 1
+        return state["index"] - 1 in drops
+
+    lan.secondary.nic.rx_drop_hook = lossy_snoop
+    return lan, cell
+
+
+def _run(lan, cell, until=5.0):
+    cell.start()
+    lan.sim.run_until(lambda: cell.process.done_event.triggered, timeout=until)
+    lan.sim.run(until=lan.sim.now + 0.3)
+    return {violation.invariant for violation in lan.checker.violations}
+
+
+def test_checker_catches_an_ack_the_secondary_has_not_sent(monkeypatch):
+    lan, cell = _checked_cell("upload", drops={3, 7, 20, 21, 22})
+    monkeypatch.setattr(AckWindowMerge, "merged_ack", lambda merge: merge.ack_p)
+    assert "never-ack-unreplicated" in _run(lan, cell)
+    assert lan.checker.emissions > 0
+
+
+def test_checker_catches_a_window_that_is_not_the_minimum(monkeypatch):
+    lan, cell = _checked_cell("upload", drops={3})
+    lan.secondary.tcp.conn_defaults["recv_buffer_size"] = 8 * 1024
+    # The checker's oracle is merged_window() itself, so the lie is told
+    # to the bridge only: the checker gets the truth while it looks.
+    honest_window = AckWindowMerge.merged_window
+    honest_check = InvariantChecker._check_emission
+    checking = []
+
+    def check(checker, bridge, bc, segment):
+        checking.append(True)
+        try:
+            honest_check(checker, bridge, bc, segment)
+        finally:
+            checking.pop()
+
+    monkeypatch.setattr(InvariantChecker, "_check_emission", check)
+    monkeypatch.setattr(
+        AckWindowMerge, "merged_window",
+        lambda merge: honest_window(merge) if checking else merge.win_p,
+    )
+    assert "min-window-merge" in _run(lan, cell)
+    assert lan.checker.emissions > 0
+
+
+def test_checker_catches_data_emitted_beyond_the_high_water_mark(monkeypatch):
+    lan, cell = _checked_cell("download")
+    honest_match = queues.match_prefix
+    lies = []
+
+    def match_one_byte_late(p_queue, s_queue):
+        match = honest_match(p_queue, s_queue)
+        if match is None or lies:
+            return match
+        lies.append(match[0])
+        return seq_add(match[0], 1), match[1]
+
+    # ``from ... import match_prefix`` copies: the lie goes wherever the
+    # algorithm picked its reference up.
+    for name, module in list(sys.modules.items()):
+        if name.startswith("repro.failover") and (
+            getattr(module, "match_prefix", None) is honest_match
+        ):
+            monkeypatch.setattr(module, "match_prefix", match_one_byte_late)
+    violations = _run(lan, cell, until=1.0)
+    assert lies, "no match was ever made"
+    assert "contiguous-emission" in violations
+    assert lan.checker.emissions > 0
+
+
+@pytest.mark.parametrize("direction", ["upload", "download"])
+def test_every_segment_sent_passed_the_checker(direction, monkeypatch):
+    """On a clean cell the checker sees exactly what reaches
+    ``_send_datagram`` through ``_emit``: nothing bypasses the seam and
+    nothing is checked that is not sent."""
+    lan, cell = _checked_cell(direction)
+    bridge = lan.pair.primary_bridge
+    sent = []
+    send_datagram = bridge._send_datagram
+    monkeypatch.setattr(
+        bridge, "_send_datagram",
+        lambda segment, src, dst: (sent.append(segment), send_datagram(segment, src, dst)),
+    )
+    assert _run(lan, cell) == set()
+    assert cell.process.done_event.triggered
+    # The §8 no-state ACKs answer a late segment without bridge state and
+    # are sent below the seam by design.
+    assert lan.checker.emissions == len(sent) - bridge.late_acks_synthesized
+    assert lan.checker.emissions > 40
