@@ -4,7 +4,9 @@
 hermetic: no real sockets, threads or host clocks — everything flows
 through the discrete-event engine.  It also keeps the whole package
 shippable: nothing under ``src/repro/`` may import the test tree, which
-an installed ``repro`` does not have.
+an installed ``repro`` does not have.  And it keeps modules that promise
+to be pure (:data:`_PURE_MODULES`) from importing what they promise not
+to know.
 
 ``checksum-pair`` enforces the paper's §3.1 contract in bridge code:
 whenever a TCP segment's addressed fields are rewritten (Δseq shift,
@@ -31,6 +33,16 @@ _FORBIDDEN_IMPORTS = frozenset({
     "asyncio", "time",
 })
 
+#: Pure modules: file -> package prefixes it may not import.  The bridge
+#: core is the paper's algorithm and nothing else — no simulator, host,
+#: IP layer or observer — so it can be driven without any of them.
+_PURE_MODULES = {
+    "src/repro/failover/core.py": (
+        "repro.sim", "repro.net.host", "repro.net.ip", "repro.net.nic",
+        "repro.net.ethernet", "repro.obs", "repro.harness",
+    ),
+}
+
 #: ``replace(...)`` keywords that rewrite addressed TCP header fields.
 _SEGMENT_FIELDS = frozenset({
     "seq", "ack", "window", "flags", "src_port", "dst_port",
@@ -48,7 +60,8 @@ class SimImportRule(Rule):
     name = "sim-import"
     description = (
         "real socket/threading/time imports in the deterministic layers"
-        " (sim, tcp, failover, net); test-tree imports anywhere in src/repro"
+        " (sim, tcp, failover, net); test-tree imports anywhere in src/repro;"
+        " simulator/host/observer imports in a pure module"
     )
 
     def applies_to(self, path: str) -> bool:
@@ -56,11 +69,14 @@ class SimImportRule(Rule):
 
     def check(self, ctx: FileContext) -> Iterator[Violation]:
         hermetic = in_sim_layers(ctx.path)
+        impure = _PURE_MODULES.get(ctx.path, ())
         for node in ast.walk(ctx.tree):
             if isinstance(node, ast.Import):
                 modules = [alias.name for alias in node.names]
             elif isinstance(node, ast.ImportFrom):
                 modules = [node.module or ""]
+                if impure:  # ``from repro import obs`` names a module too
+                    modules += [f"{node.module}.{alias.name}" for alias in node.names]
             else:
                 modules = []
                 if hermetic and isinstance(node, ast.Call) and call_name(node) == "sleep":
@@ -85,6 +101,16 @@ class SimImportRule(Rule):
                         " use the Simulator event loop instead of real"
                         " I/O, threads or clocks",
                     )
+                elif any(
+                    module == prefix or module.startswith(prefix + ".")
+                    for prefix in impure
+                ):
+                    yield ctx.violation(
+                        node, self.name,
+                        f"`{module}` imported in a pure module; it reaches"
+                        " the outside through the sink it is handed",
+                    )
+                    break  # one finding per import statement
 
 
 class ChecksumPairRule(Rule):

@@ -13,8 +13,9 @@ time iff the record will be seen.
 Flagged inside :data:`~repro.analysis.rules.base.SIM_LAYERS`:
 
 * ``repr(...)``, ``str(...)``, ``<x>.format(...)`` and f-strings anywhere
-  in an argument of ``<obj>.emit(...)`` / ``<obj>._trace(...)``, except
-  inside a ``lambda`` (that *is* the deferred form);
+  in an argument of ``<obj>.emit(...)`` / ``<obj>._event(...)`` (the
+  bridges' one emission point, whose fields reach ``emit``), except inside
+  a ``lambda`` (that *is* the deferred form);
 * the same as the ``name`` of an ``Event(...)``: events are created per
   blocking call, their names are only read by error messages, and a
   constant says as much.
@@ -28,7 +29,7 @@ from typing import Iterator, List, Optional, Tuple
 from repro.analysis.engine import FileContext, Violation
 from repro.analysis.rules.base import Rule, call_name, in_sim_layers
 
-_EMITTERS = frozenset({"emit", "_trace"})
+_EMITTERS = frozenset({"emit", "_event"})
 
 
 def _eager_form(node: ast.AST) -> Optional[str]:
@@ -66,7 +67,7 @@ class EagerTraceArgRule(Rule):
     name = "eager-trace-arg"
     description = (
         "repr()/str()/.format()/f-string evaluated as an argument of"
-        " *.emit()/*._trace() or as Event(name=...) in the sim layers"
+        " *.emit()/*._event() or as Event(name=...) in the sim layers"
     )
 
     def applies_to(self, path: str) -> bool:

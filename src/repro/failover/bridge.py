@@ -1,4 +1,5 @@
-"""Common bridge machinery.
+"""What every bridge shares: the two host hooks, the §3.1 address
+rewrites, and the one place a bridge reports what happened.
 
 A bridge interposes between the host's TCP and IP layers through two hooks
 (see :mod:`repro.net.host` and :mod:`repro.net.ip`):
@@ -8,26 +9,75 @@ A bridge interposes between the host's TCP and IP layers through two hooks
 * ``datagram_from_ip(datagram) -> Optional[Ipv4Datagram]`` — called for
   every received datagram before local delivery; returning None consumes
   it, returning a (possibly rewritten) datagram continues normal delivery.
+
+Telemetry has one spelling: a bridge class declares its named events in an
+``EVENTS`` table (:class:`EventSpec`) and every site calls
+:meth:`BridgeBase._event`, which fans the event out to the plain counters
+tests read, the metrics registry, the tracer and the span tracer
+(DESIGN.md Appendix A is checked against the tables).
 """
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Any, Optional
+from typing import TYPE_CHECKING, Dict, Mapping, NamedTuple, Optional, Tuple
 
 from repro.net.addresses import Ipv4Address
 from repro.net.packet import IPPROTO_TCP, Ipv4Datagram
 from repro.obs.metrics import NULL_METRICS
-from repro.obs.spans import NULL_SPANS
-from repro.tcp.segment import TcpSegment
+from repro.obs.spans import NULL_SPANS, flow_key
+from repro.tcp.segment import TcpSegment, incremental_rewrite
 
 if TYPE_CHECKING:  # net.host imports tcp; keep the bridge layer cycle-free
+    from repro.failover.core import BridgeConnection
     from repro.failover.options import FailoverConfig
     from repro.net.host import Host
     from repro.sim.trace import Tracer
 
 
+class EventSpec(NamedTuple):
+    """What each consumer does with one named event.  Field names refer to
+    the keyword arguments of the :meth:`BridgeBase._event` call."""
+
+    #: plain counter attribute on the bridge, created at 0 (tests and
+    #: benchmarks read it)
+    stat: Optional[str] = None
+    #: counters: (metric name, field holding the amount — None counts 1)
+    counters: Tuple[Tuple[str, Optional[str]], ...] = ()
+    #: histograms: (metric name, field observed, extra labels)
+    histograms: Tuple[Tuple[str, str, Mapping[str, str]], ...] = ()
+    #: trace category, then its detail fields in dump order
+    trace: Tuple[str, ...] = ()
+    #: span flow event, then its attribute fields
+    span: Tuple[str, ...] = ()
+    #: attribute holding an optional ``callable(key)`` the event notifies
+    hook: Optional[str] = None
+
+
+def translate_in(datagram: Ipv4Datagram, local: Ipv4Address) -> Ipv4Datagram:
+    """§3.1 receive side: a snooped datagram re-addressed to ``local``
+    (incremental checksum update), so "TCP assumes that C sent this
+    segment directly to S"."""
+    rewritten = incremental_rewrite(
+        datagram.payload, old_src=datagram.src, old_dst=datagram.dst, new_dst=local
+    )
+    return Ipv4Datagram(datagram.src, local, datagram.protocol, rewritten, datagram.ttl)
+
+
+def divert_out(
+    segment: TcpSegment, src_ip: Ipv4Address, dst_ip: Ipv4Address, via: Ipv4Address
+) -> TcpSegment:
+    """§3.1 send side: a peer-bound segment re-addressed to the upstream
+    bridge ``via``, the original destination carried in ORIG_DST."""
+    return incremental_rewrite(
+        segment, old_src=src_ip, old_dst=dst_ip, new_dst=via, orig_dst=dst_ip
+    )
+
+
 class BridgeBase:
     """Shared plumbing for the primary and secondary bridges."""
+
+    #: name -> :class:`EventSpec`; each bridge class declares its own.
+    EVENTS: Dict[str, EventSpec] = {}
 
     def __init__(
         self,
@@ -43,6 +93,33 @@ class BridgeBase:
         self.metrics = getattr(host, "metrics", None) or NULL_METRICS
         self.spans = getattr(host, "spans", None) or NULL_SPANS
         self.bridge_cost = bridge_cost
+        # The table bound to this host: metric names become labelled
+        # instruments (free when the registry is disabled), and an event
+        # that only traces — most per-segment ones — carries nothing else.
+        label = host.name
+        self._events = {}
+        for name, event in self.EVENTS.items():
+            if event.stat:
+                setattr(self, event.stat, 0)
+            rest = None
+            if event._replace(trace=()) != EventSpec():
+                rest = (
+                    event.stat,
+                    tuple(
+                        (self.metrics.counter(metric, host=label), amount)
+                        for metric, amount in event.counters
+                    ),
+                    tuple(
+                        (self.metrics.histogram(metric, host=label, **labels), seen)
+                        for metric, seen, labels in event.histograms
+                    ),
+                    event.span,
+                    event.hook,
+                )
+            self._events[name] = (event.trace, rest)
+
+    def install(self) -> None:
+        self.host.install_bridge(self)
 
     # -- hooks to override ---------------------------------------------------
 
@@ -88,5 +165,42 @@ class BridgeBase:
             Ipv4Datagram(src=src_ip, dst=dst_ip, protocol=IPPROTO_TCP, payload=segment)
         )
 
-    def _trace(self, category: str, **detail: Any) -> None:
-        self.tracer.emit(self.sim.now, category, self.host.name, **detail)
+    def _event(
+        self, name: str, bc: Optional["BridgeConnection"] = None, **fields: object
+    ) -> None:
+        """The layer's one emission point: ``name`` happened (on ``bc``, if
+        it concerns a connection).  A callable field is a deferred
+        renderer: the tracer calls it only if the record is observed, the
+        span tracer only if spans are on."""
+        trace, rest = self._events[name]
+        if trace:
+            # Sites pass the trace's fields first and in the table's order
+            # (held by tests/failover/test_events.py), so without extras
+            # the keyword dict already is the record's detail.
+            detail = fields
+            if len(fields) != len(trace) - 1:
+                detail = {key: fields[key] for key in trace[1:]}
+            self.tracer.emit(self.sim.now, trace[0], self.host.name, **detail)
+        if rest is None:
+            return
+        stat, counters, histograms, span, hook = rest
+        if stat:
+            setattr(self, stat, getattr(self, stat) + 1)
+        for counter, amount in counters:
+            counter.inc(fields[amount] if amount else 1)
+        for histogram, seen in histograms:
+            histogram.observe(fields[seen])
+        if span and self.spans.enabled:
+            attrs = {}
+            for key in span[1:]:
+                value = fields[key]
+                attrs[key] = value() if callable(value) else value
+            self.spans.flow_event(
+                # The peer-facing flow this connection's spans attach to.
+                flow_key(bc.peer_ip, bc.peer_port, bc.local_ip, bc.local_port),
+                span[0], self.sim.now, self.host.name, **attrs,
+            )
+        if hook:
+            callback = getattr(self, hook)
+            if callback is not None:
+                callback(bc.key)

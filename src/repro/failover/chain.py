@@ -35,10 +35,11 @@ Failures:
 
 from __future__ import annotations
 
+import dataclasses
+from functools import partial
 from typing import Callable, Dict, Generator, Iterable, List, Optional
 
-import dataclasses
-
+from repro.failover.bridge import divert_out, translate_in
 from repro.failover.delta import SeqOffset
 from repro.failover.detector import FaultDetector
 from repro.failover.options import FailoverConfig
@@ -49,7 +50,7 @@ from repro.net.addresses import Ipv4Address
 from repro.net.host import Host
 from repro.net.packet import IPPROTO_TCP, Ipv4Datagram
 from repro.sim.trace import Tracer
-from repro.tcp.segment import TcpSegment, incremental_rewrite
+from repro.tcp.segment import TcpSegment
 
 
 class ChainBridge(PrimaryBridge):
@@ -91,8 +92,6 @@ class ChainBridge(PrimaryBridge):
             # A tail has no merge partner: behave as §6 direct mode from
             # the start, i.e. pure divert like the paper's secondary.
             self.secondary_down = True
-        self.segments_translated_in = 0
-        self.segments_diverted_up = 0
 
     def install(self) -> None:
         super().install()
@@ -112,28 +111,15 @@ class ChainBridge(PrimaryBridge):
             # Diverted segments from our downstream: merge them.
             return super().datagram_from_ip(datagram)
         if datagram.dst == self.service_ip:
-            # Snooped client traffic: translate a_p -> a_self (the §3.1
-            # translation), but first run the head-style bookkeeping
-            # (ACK rewrite into our own numbering, FIN tracking).
-            flag = False
-            if not self._covers(segment.dst_port, flag):
+            # Snooped client traffic: the head-style bookkeeping first (ACK
+            # rewritten into our own numbering, FIN tracking), then the
+            # §3.1 translation a_p -> a_self.
+            if not self._covers(segment.dst_port, False):
                 return None
-            local = self.host.ip.primary_address()
-            rewritten_dgram = super()._from_peer_datagram(datagram, segment)
-            if rewritten_dgram is None:
+            rewritten = self._from_peer_datagram(datagram, segment)
+            if rewritten is None:
                 return None
-            inner = rewritten_dgram.payload
-            translated = incremental_rewrite(
-                inner,
-                old_src=rewritten_dgram.src,
-                old_dst=rewritten_dgram.dst,
-                new_dst=local,
-            )
-            self.segments_translated_in += 1
-            return Ipv4Datagram(
-                rewritten_dgram.src, local, rewritten_dgram.protocol,
-                translated, rewritten_dgram.ttl,
-            )
+            return translate_in(rewritten, self.host.ip.primary_address())
         if self.host.ip.owns(datagram.dst):
             return datagram
         return None  # snooped traffic that is not for the service
@@ -143,24 +129,18 @@ class ChainBridge(PrimaryBridge):
     def _send_datagram(
         self, segment: TcpSegment, src_ip: Ipv4Address, dst_ip: Ipv4Address
     ) -> None:
-        if self.is_head:
-            super()._send_datagram(segment, src_ip, dst_ip)
-            return
-        if dst_ip == self.secondary_ip or self.host.ip.owns(dst_ip):
-            # §8 synthesised ACKs toward the downstream: deliver directly.
-            super()._send_datagram(segment, src_ip, dst_ip)
-            return
-        # Merged client-bound segment: divert it upstream with ORIG_DST,
+        # The head emits like the paper's primary, and §8 synthesised ACKs
+        # toward the downstream are delivered directly.  Anything else is
+        # a merged client-bound segment: divert it upstream with ORIG_DST,
         # exactly as the paper's secondary diverts its TCP output.
-        diverted = incremental_rewrite(
-            segment,
-            old_src=src_ip,
-            old_dst=dst_ip,
-            new_dst=self.upstream_ip,
-            orig_dst=dst_ip,
-        )
-        self.segments_diverted_up += 1
-        super()._send_datagram(diverted, src_ip, self.upstream_ip)
+        if not (
+            self.is_head
+            or dst_ip == self.secondary_ip
+            or self.host.ip.owns(dst_ip)
+        ):
+            segment = divert_out(segment, src_ip, dst_ip, self.upstream_ip)
+            dst_ip = self.upstream_ip
+        super()._send_datagram(segment, src_ip, dst_ip)
 
     # -- role changes -----------------------------------------------------------
 
@@ -223,29 +203,18 @@ class ReplicatedChain:
         for index, host in enumerate(self.hosts):
             upstream = self.hosts[index - 1] if index > 0 else None
             downstream = self.hosts[index + 1] if index < len(self.hosts) - 1 else None
-            if index == 0:
-                bridge = ChainBridge(
-                    host,
-                    self.config.copy(),
-                    downstream_ip=downstream.ip.primary_address(),
-                    upstream_ip=self.service_ip,
-                    service_ip=self.service_ip,
-                    bridge_cost=bridge_cost,
-                    emit_cost=emit_cost,
-                )
-                bridge.is_head = True
-            else:
-                bridge = ChainBridge(
-                    host,
-                    self.config.copy(),
-                    downstream_ip=(
-                        downstream.ip.primary_address() if downstream else None
-                    ),
-                    upstream_ip=upstream.ip.primary_address(),
-                    service_ip=self.service_ip,
-                    bridge_cost=bridge_cost,
-                    emit_cost=emit_cost,
-                )
+            # The head's "upstream" is the client itself: it emits directly.
+            up_ip = upstream.ip.primary_address() if upstream else self.service_ip
+            bridge = ChainBridge(
+                host,
+                self.config.copy(),
+                downstream_ip=downstream.ip.primary_address() if downstream else None,
+                upstream_ip=up_ip,
+                service_ip=self.service_ip,
+                bridge_cost=bridge_cost,
+                emit_cost=emit_cost,
+            )
+            bridge.is_head = upstream is None
             bridge.install()
             self.bridges[host.name] = bridge
 
@@ -253,16 +222,17 @@ class ReplicatedChain:
         # member watches every other and reacts only to its own neighbours.
         for host in self.hosts:
             for peer in self.hosts:
-                if peer is host:
-                    continue
-                detector = FaultDetector(
-                    host,
-                    peer.ip.primary_address(),
-                    on_failure=self._make_failure_handler(host, peer),
-                    interval=detector_interval,
-                    timeout=detector_timeout,
-                )
-                self.detectors.append(detector)
+                if peer is not host:
+                    self.detectors.append(self._watch(host, peer))
+
+    def _watch(self, observer: Host, peer: Host) -> FaultDetector:
+        return FaultDetector(
+            observer,
+            peer.ip.primary_address(),
+            on_failure=partial(self._on_failure, observer, peer),
+            interval=self.detector_interval,
+            timeout=self.detector_timeout,
+        )
 
     # ------------------------------------------------------------------
 
@@ -283,20 +253,10 @@ class ReplicatedChain:
     # failure handling: each survivor splices its own links
     # ------------------------------------------------------------------
 
-    def _make_failure_handler(
-        self, observer: Host, failed: Host
-    ) -> Callable[[], None]:
-        def handler() -> None:
-            self._on_failure(observer, failed)
-
-        return handler
-
     def _living_chain(self) -> List[Host]:
         return [h for h in self.hosts if self.alive.get(h.name, False)]
 
     def _on_failure(self, observer: Host, failed: Host) -> None:
-        if not self.alive.get(failed.name, False):
-            pass  # another detector on this host already reacted
         self.alive[failed.name] = False
         if not observer.alive:
             return
@@ -422,22 +382,8 @@ class ReplicatedChain:
             # Extend the full detector mesh to cover the joiner.
             fresh: List[FaultDetector] = []
             for peer in self._living_chain():
-                if peer is host:
-                    continue
-                fresh.append(FaultDetector(
-                    host,
-                    peer.ip.primary_address(),
-                    on_failure=self._make_failure_handler(host, peer),
-                    interval=self.detector_interval,
-                    timeout=self.detector_timeout,
-                ))
-                fresh.append(FaultDetector(
-                    peer,
-                    new_ip,
-                    on_failure=self._make_failure_handler(peer, host),
-                    interval=self.detector_interval,
-                    timeout=self.detector_timeout,
-                ))
+                if peer is not host:
+                    fresh += [self._watch(host, peer), self._watch(peer, host)]
             self.detectors.extend(fresh)
             if self._detectors_started:
                 for detector in fresh:

@@ -39,7 +39,6 @@ class AckWindowMerge:
         self.win_p: int = 0
         self.win_s: int = 0
         self.last_sent_ack: Optional[int] = None
-        self.empty_acks_sent = 0
 
     def update_from_primary(self, ack: Optional[int], window: int) -> None:
         if ack is not None:
@@ -81,11 +80,6 @@ class AckWindowMerge:
         """Record the ACK value of a segment actually sent to the client."""
         if ack is not None:
             self.last_sent_ack = ack
-
-    def note_empty_ack(self) -> None:
-        """Record that the bridge synthesised an empty segment for this
-        connection (the §3.4 deadlock-prevention path)."""
-        self.empty_acks_sent += 1
 
     def __repr__(self) -> str:
         return (

@@ -22,7 +22,7 @@ from typing import TYPE_CHECKING, List, Optional, Tuple
 
 from repro.net.addresses import Ipv4Address
 from repro.net.packet import IPPROTO_TCP, Ipv4Datagram
-from repro.failover.bridge import BridgeBase
+from repro.failover.bridge import BridgeBase, EventSpec, divert_out, translate_in
 from repro.tcp.segment import TcpSegment, incremental_rewrite
 
 if TYPE_CHECKING:
@@ -33,6 +33,26 @@ if TYPE_CHECKING:
 
 class SecondaryBridge(BridgeBase):
     """Address-translating bridge on the secondary server."""
+
+    EVENTS = {
+        "snooped": EventSpec(
+            stat="segments_snooped", counters=(("bridge.segments_snooped", None),)
+        ),
+        "translate_in": EventSpec(
+            stat="segments_translated_in",
+            counters=(("bridge.segments_translated_in", None),),
+            trace=("bridge.s.translate_in", "src", "port", "seq"),
+        ),
+        "divert_out": EventSpec(
+            stat="segments_diverted_out",
+            counters=(("bridge.segments_diverted_out", None),),
+            trace=("bridge.s.divert_out", "orig_dst", "seq", "len", "flags"),
+        ),
+        "prepare_failover": EventSpec(trace=("bridge.s.prepare_failover",)),
+        "complete_failover": EventSpec(
+            trace=("bridge.s.complete_failover", "released")
+        ),
+    }
 
     def __init__(
         self,
@@ -47,21 +67,10 @@ class SecondaryBridge(BridgeBase):
         self.active = True
         self.holding = False
         self._held: List[Tuple[TcpSegment, Ipv4Address, Ipv4Address]] = []
-        self.segments_snooped = 0
-        self.segments_translated_in = 0
-        self.segments_diverted_out = 0
-        host_label = host.name
-        self._m_snooped = self.metrics.counter("bridge.segments_snooped", host=host_label)
-        self._m_translated = self.metrics.counter(
-            "bridge.segments_translated_in", host=host_label
-        )
-        self._m_diverted = self.metrics.counter(
-            "bridge.segments_diverted_out", host=host_label
-        )
 
     def install(self) -> None:
         """Attach to the host and enable promiscuous snooping."""
-        self.host.install_bridge(self)
+        super().install()
         self.host.nic.set_promiscuous(True)
 
     # ------------------------------------------------------------------
@@ -73,34 +82,21 @@ class SecondaryBridge(BridgeBase):
             return datagram
         if self.host.ip.owns(datagram.dst):
             return datagram  # genuinely ours (ordinary traffic, heartbeats)
-        self.segments_snooped += 1
-        self._m_snooped.inc()
+        self._event("snooped")
         if datagram.protocol != IPPROTO_TCP or datagram.dst != self.primary_ip:
             return None  # snooped, not for the replicated service
         segment = datagram.payload
+        local = self.local_ip()
         flag = self._connection_flag(
-            self.local_ip(), segment.dst_port, datagram.src, segment.src_port
+            local, segment.dst_port, datagram.src, segment.src_port
         )
         if not self._covers(segment.dst_port, flag):
             return None  # primary's ordinary (non-failover) traffic
-        local = self.local_ip()
-        rewritten = incremental_rewrite(
-            segment,
-            old_src=datagram.src,
-            old_dst=self.primary_ip,
-            new_dst=local,
+        self._event(
+            "translate_in",
+            src=datagram.src.__str__, port=segment.dst_port, seq=segment.seq,
         )
-        self.segments_translated_in += 1
-        self._m_translated.inc()
-        self._trace(
-            "bridge.s.translate_in",
-            src=datagram.src.__str__,
-            port=segment.dst_port,
-            seq=segment.seq,
-        )
-        return Ipv4Datagram(
-            datagram.src, local, datagram.protocol, rewritten, datagram.ttl
-        )
+        return translate_in(datagram, local)
 
     # ------------------------------------------------------------------
     # send side: divert client-bound segments to the primary  (§3.1)
@@ -119,20 +115,10 @@ class SecondaryBridge(BridgeBase):
             # §5 step 1: "stop sending TCP segments ... addressed to the client".
             self._held.append((segment, src_ip, dst_ip))
             return True
-        diverted = incremental_rewrite(
-            segment,
-            old_src=src_ip,
-            old_dst=dst_ip,
-            new_dst=self.primary_ip,
-            orig_dst=dst_ip,
-        )
-        self.segments_diverted_out += 1
-        self._m_diverted.inc()
-        self._trace(
-            "bridge.s.divert_out",
-            orig_dst=dst_ip.__str__,
-            seq=segment.seq,
-            len=len(segment.payload),
+        diverted = divert_out(segment, src_ip, dst_ip, self.primary_ip)
+        self._event(
+            "divert_out",
+            orig_dst=dst_ip.__str__, seq=segment.seq, len=len(segment.payload),
             flags=segment.flag_names,
         )
         # The rewrite costs CPU; the FIFO CPU keeps segments ordered.
@@ -149,7 +135,7 @@ class SecondaryBridge(BridgeBase):
         """§5 steps 1–4: hold output, stop snooping, stop translating."""
         self.holding = True
         self.host.nic.set_promiscuous(False)
-        self._trace("bridge.s.prepare_failover")
+        self._event("prepare_failover")
 
     def complete_failover(self, new_local_ip: Ipv4Address) -> None:
         """§5 epilogue: release held segments and go inert.
@@ -167,7 +153,7 @@ class SecondaryBridge(BridgeBase):
                 segment, old_src=src_ip, old_dst=dst_ip, new_src=new_local_ip
             )
             self._send_datagram(resent, new_local_ip, dst_ip)
-        self._trace("bridge.s.complete_failover", released=len(held))
+        self._event("complete_failover", released=len(held))
 
     def local_ip(self) -> Ipv4Address:
         return self.host.ip.primary_address()

@@ -18,7 +18,12 @@ def reset_sent(self, src_ip, segment):
 
 
 def bridge_note(self, bc):
-    self._trace("bridge.p.conn_deleted", peer="{}:{}".format(bc.peer_ip, bc.peer_port))
+    self._event("conn_deleted", bc, peer="{}:{}".format(bc.peer_ip, bc.peer_port))
+
+
+def core_note(self, bc, exc):
+    # The core reports through its sink; the fields still reach Tracer.emit.
+    self.sink._event("mismatch", bc, error=str(exc), peer=f"{bc.peer_ip}")
 
 
 def nested(self, shard_ids):

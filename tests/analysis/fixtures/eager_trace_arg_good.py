@@ -18,8 +18,12 @@ def reset_sent(self, src_ip, segment):
 
 def bridge_note(self, bc, segment):
     # Plain values cost nothing to pass: ints, existing strings, objects.
-    self._trace("bridge.p.emit_data", seq=segment.seq, len=len(segment.payload),
+    self._event("emit_data", bc, seq=segment.seq, len=len(segment.payload),
                 flags=segment.flag_names, role=bc.role)
+
+
+def core_note(self, bc, exc):
+    self.sink._event("mismatch", bc, error=exc.__str__, peer=bc.peer)
 
 
 def frame_seen(self, frame):
