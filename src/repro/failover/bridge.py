@@ -52,6 +52,13 @@ class EventSpec(NamedTuple):
     #: attribute holding an optional ``callable(key)`` the event notifies
     hook: Optional[str] = None
 
+    def fields(self) -> Tuple[str, ...]:
+        """Every field the row reads, once each: the trace's, then the rest."""
+        reads = self.trace[1:] + self.span[1:]
+        reads += tuple(amount for _, amount in self.counters if amount)
+        reads += tuple(seen for _, seen, _ in self.histograms)
+        return tuple(dict.fromkeys(reads))
+
 
 def translate_in(datagram: Ipv4Datagram, local: Ipv4Address) -> Ipv4Datagram:
     """§3.1 receive side: a snooped datagram re-addressed to ``local``
@@ -116,7 +123,13 @@ class BridgeBase:
                     event.span,
                     event.hook,
                 )
-            self._events[name] = (event.trace, rest)
+            # A site passes exactly the fields its row reads, the trace's
+            # first and in the table's order (tests/failover/test_events.py
+            # holds every site to it): where no other consumer reads more,
+            # the keyword dict already is the record's detail.
+            detail = event.trace[1:] if event.fields() != event.trace[1:] else None
+            category = event.trace[0] if event.trace else None
+            self._events[name] = (category, detail, rest)
 
     def install(self) -> None:
         self.host.install_bridge(self)
@@ -172,20 +185,15 @@ class BridgeBase:
         it concerns a connection).  A callable field is a deferred
         renderer: the tracer calls it only if the record is observed, the
         span tracer only if spans are on."""
-        trace, rest = self._events[name]
-        if trace:
-            # Sites pass the trace's fields first and in the table's order
-            # (held by tests/failover/test_events.py), so without extras
-            # the keyword dict already is the record's detail.
-            detail = fields
-            if len(fields) != len(trace) - 1:
-                detail = {key: fields[key] for key in trace[1:]}
-            self.tracer.emit(self.sim.now, trace[0], self.host.name, **detail)
+        category, detail, rest = self._events[name]
+        if category:
+            traced = fields if detail is None else {key: fields[key] for key in detail}
+            self.tracer.emit(self.sim.now, category, self.host.name, **traced)
         if rest is None:
             return
         stat, counters, histograms, span, hook = rest
         if stat:
-            setattr(self, stat, getattr(self, stat) + 1)
+            self.__dict__[stat] += 1  # per segment: no getattr/setattr pair
         for counter, amount in counters:
             counter.inc(fields[amount] if amount else 1)
         for histogram, seen in histograms:

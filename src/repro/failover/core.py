@@ -468,9 +468,9 @@ class BridgeCore:
             seq, data = match
             for chunk_seq, chunk in _chunks(seq, data, bc.mss):
                 self._emit_data(bc, chunk_seq, chunk)
-            self._event(
+            self._event(  # the depths are read only if a span records them
                 "matched", bc, seq=seq, size=len(data),
-                depth_p=len(bc.p_queue), depth_s=len(bc.s_queue),
+                depth_p=bc.p_queue.__len__, depth_s=bc.s_queue.__len__,
             )
             emitted = True
 

@@ -79,13 +79,10 @@ def test_every_emit_site_names_a_row_and_passes_the_fields_it_reads():
             continue
         spec = table[name.value]
         used.add((id(table), name.value))
-        reads = set(spec.trace[1:]) | set(spec.span[1:])
-        reads |= {amount for _, amount in spec.counters if amount}
-        reads |= {observed for _, observed, _ in spec.histograms}
-        passed = [keyword.arg for keyword in call.keywords]
-        assert reads <= set(passed), (module, name.value, reads - set(passed))
-        # _event relies on it: the trace's fields first, in the table's order.
-        assert tuple(passed[: len(spec.trace[1:])]) == spec.trace[1:], name.value
+        # _event relies on it: exactly the fields the row reads, the
+        # trace's first and in the table's order.
+        passed = tuple(keyword.arg for keyword in call.keywords)
+        assert passed == spec.fields(), (module, name.value)
         if spec.span or spec.hook:
             assert len(call.args) > 1, f"{name.value} needs its connection"
     used |= {(id(PrimaryBridge.EVENTS), name)
