@@ -101,13 +101,24 @@ class BridgeBase:
         self.spans = getattr(host, "spans", None) or NULL_SPANS
         self.bridge_cost = bridge_cost
         # The table bound to this host: metric names become labelled
-        # instruments (free when the registry is disabled), and an event
-        # that only traces — most per-segment ones — carries nothing else.
+        # instruments — none at all under the inert registry, so a
+        # per-segment event makes no calls that do nothing (``Cpu.run``
+        # does the same) — and an event that only traces, as most
+        # per-segment ones do, carries nothing else.
         label = host.name
+        metered = self.metrics is not NULL_METRICS
         self._events = {}
         for name, event in self.EVENTS.items():
             if event.stat:
                 setattr(self, event.stat, 0)
+            # A site passes exactly the fields its row reads, the trace's
+            # first and in the table's order (tests/failover/test_events.py
+            # holds every site to it): where no other consumer reads more,
+            # the keyword dict already is the record's detail.
+            detail = event.trace[1:] if event.fields() != event.trace[1:] else None
+            category = event.trace[0] if event.trace else None
+            if not metered:
+                event = event._replace(counters=(), histograms=())
             rest = None
             if event._replace(trace=()) != EventSpec():
                 rest = (
@@ -123,12 +134,6 @@ class BridgeBase:
                     event.span,
                     event.hook,
                 )
-            # A site passes exactly the fields its row reads, the trace's
-            # first and in the table's order (tests/failover/test_events.py
-            # holds every site to it): where no other consumer reads more,
-            # the keyword dict already is the record's detail.
-            detail = event.trace[1:] if event.fields() != event.trace[1:] else None
-            category = event.trace[0] if event.trace else None
             self._events[name] = (category, detail, rest)
 
     def install(self) -> None:
