@@ -2,9 +2,10 @@
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import Dict, Iterable, List, Sequence
+
+from repro.obs.metrics import percentile, stddev
 
 
 @dataclass(frozen=True)
@@ -46,42 +47,20 @@ class Stats:
         }
 
 
-def _percentile(ordered: Sequence[float], fraction: float) -> float:
-    if not ordered:
-        raise ValueError("empty sample")
-    if len(ordered) == 1:
-        return ordered[0]
-    position = fraction * (len(ordered) - 1)
-    low = math.floor(position)
-    high = math.ceil(position)
-    if low == high:
-        return ordered[low]
-    weight = position - low
-    return ordered[low] * (1 - weight) + ordered[high] * weight
-
-
-def _stddev(ordered: Sequence[float], mean: float) -> float:
-    """Population standard deviation (0.0 for a single sample)."""
-    if len(ordered) < 2:
-        return 0.0
-    return math.sqrt(sum((s - mean) ** 2 for s in ordered) / len(ordered))
-
-
 def summarize(samples: Iterable[float]) -> Stats:
     """Median/mean/min/max/p90/p99/stddev of a sample."""
     ordered: List[float] = sorted(samples)
     if not ordered:
         raise ValueError("empty sample")
-    mean = sum(ordered) / len(ordered)
     return Stats(
         count=len(ordered),
-        median=_percentile(ordered, 0.5),
-        mean=mean,
+        median=percentile(ordered, 0.5),
+        mean=sum(ordered) / len(ordered),
         minimum=ordered[0],
         maximum=ordered[-1],
-        p90=_percentile(ordered, 0.9),
-        p99=_percentile(ordered, 0.99),
-        stddev=_stddev(ordered, mean),
+        p90=percentile(ordered, 0.9),
+        p99=percentile(ordered, 0.99),
+        stddev=stddev(ordered),
     )
 
 
