@@ -20,6 +20,10 @@ The third set pins the *bridge* before its algorithm moved out of
 middle, its tail and its head around a splice-in, a §7.2 connect-out, and
 one run hashed through all three telemetry consumers (trace, metrics,
 spans).
+
+The fourth set pins *TCP's slow paths* before the RFC 793/5961 machine
+moved out of ``TcpConnection``: persist, RTO give-up, fast retransmit,
+CLOSING, FIN retransmission, challenge ACKs, PMTUD and snapshot install.
 """
 
 import hashlib
@@ -430,3 +434,366 @@ BRIDGE_SCENARIOS = {
 @pytest.mark.parametrize("name", sorted(BRIDGE_SCENARIOS))
 def test_bridge_paths_match_parent_golden(name):
     assert BRIDGE_SCENARIOS[name]() == GOLDEN_BRIDGE_SHA256[name]
+
+
+# ----------------------------------------------------------------------
+# TCP goldens: scenarios built to reach the stack's slow paths (persist,
+# RTO give-up, fast retransmit, CLOSING, FIN retransmission, RFC 5961
+# challenges, PMTUD, snapshot install), hashed through the trace, the
+# ``tcp.*`` metrics and the event count (which pins timer scheduling) —
+# pinned at the parent of the commit that moved the machine out of
+# ``TcpConnection``
+# ----------------------------------------------------------------------
+
+GOLDEN_TCP_SHA256 = {
+    "zero_window_persist": "de3122701b62bada31ad4fafe3050f6fd0bf1e3bfd65300818a2af4058be14a0",
+    "syn_give_up": "83250a5b1ec1c2dafe7f85439d4f1b8a25b9652d424f896733447fad72323201",
+    "data_give_up": "365c9ad353847fafc79fca86607079d79b73801a7db19b0eee6054919596dad2",
+    "fast_retransmit": "8226f46fae9253e1579109e058b921812e17719641451b99b048960cd3b3e3ad",
+    "simultaneous_close": "fc725a93bb62d5f6d447158c77a45a92e69df285d6e7b3ddb9263ca119962f91",
+    "fin_retransmitted": "796ae72237d3d0bd67b9c03afde3702cfc66d4fe75c6f416ff3344b0b17fa61b",
+    "time_wait_reack": "0e10c3cb6931d980f6183f192455a61e9f713cb8233cc3ab4cdde258513f2a79",
+    "rfc5961_challenges": "9b7cfad6196c6c48e0c18e20b0a47bbbd786832805744cc1954ef69135f2b60d",
+    "pmtud_clamp": "85cb06698d7316fc6b409af3711047185dd3a3d258825bca6ceb491d03e0c866",
+    "install_then_rto": "1b16b3c6feaf159e8532abeaae434d0547cbe2e8b134a1f1f73b021ce0371e6f",
+}
+
+
+def _tcp_lan(seed):
+    from repro.obs.metrics import MetricsRegistry
+
+    return TwoHostLan(seed=seed, metrics=MetricsRegistry())
+
+
+def _tcp_digest(lan, *scalars):
+    families = {
+        name: value for name, value in lan.metrics.snapshot().items()
+        if name.startswith("tcp.")
+    }
+    return _digest(
+        lan.tracer, lan.sim.events_processed,
+        json.dumps(families, sort_keys=True), *scalars,
+    )
+
+
+def _segment_dropper(host, wanted, count=1):
+    """Drop the first ``count`` TCP segments arriving at ``host`` for which
+    ``wanted(segment)`` holds; returns the list of dropped segments."""
+    from repro.net.packet import Ipv4Datagram
+
+    dropped = []
+
+    def hook(frame):
+        segment = getattr(frame.payload, "payload", None)
+        if (isinstance(frame.payload, Ipv4Datagram) and hasattr(segment, "seq")
+                and len(dropped) < count and wanted(segment)):
+            dropped.append(segment)
+            return True
+        return False
+
+    host.nic.rx_drop_hook = hook
+    return dropped
+
+
+def _sink(lan, results, linger=0.0, **conn_options):
+    listening = ListeningSocket.listen(lan.server, PORT)
+    sock = yield from listening.accept()
+    for name, value in conn_options.items():
+        setattr(sock.conn, name, value)
+    if linger:
+        yield linger
+    results["server"] = yield from sock.recv_until_eof()
+    yield from sock.close_and_wait()
+    results["server_conn"] = sock.conn
+
+
+def _pusher(lan, blob, results, **options):
+    sock = SimSocket.connect(lan.client, lan.server.ip.primary_address(), PORT, **options)
+    yield from sock.wait_connected()
+    yield from sock.send_all(blob)
+    yield from sock.close_and_wait()
+    results["client_conn"] = sock.conn
+
+
+def _zero_window_persist():
+    """A 2 KB receive window closes for 8 s: persist probes back off to
+    the cap, the window reopens, the stream completes."""
+    lan = _tcp_lan(21)
+    lan.server.tcp.conn_defaults["recv_buffer_size"] = 2048
+    blob, results = bulk.pattern_bytes(12_000, 2), {}
+    run_all(lan.sim, [_sink(lan, results, linger=8.0), _pusher(lan, blob, results)],
+            until=120.0)
+    assert results["server"] == blob
+    assert lan.tracer.count("tcp.zwp") >= 5
+    return _tcp_digest(lan)
+
+
+def _syn_give_up():
+    """SYNs into a dead host: RTO back-off to SYN_MAX_RETRANSMITS."""
+    lan = _tcp_lan(22)
+    lan.server.crash()
+    conn = lan.client.tcp.connect(lan.server.ip.primary_address(), PORT, initial_rto=0.1)
+    lan.run(until=60.0)
+    assert conn.state is TcpState.CLOSED and not conn.established_event.ok
+    assert lan.tracer.count("tcp.rtx") == conn.SYN_MAX_RETRANSMITS
+    assert lan.tracer.count("tcp.give_up") == 1
+    return _tcp_digest(lan, conn.retransmissions)
+
+
+def _data_give_up():
+    """The peer dies under an established sender: data RTO back-off to
+    MAX_RETRANSMITS, then the writer sees the error."""
+    lan = _tcp_lan(23)
+    lan.server.tcp.listen(PORT)
+    conn = lan.client.tcp.connect(lan.server.ip.primary_address(), PORT, min_rto=0.05)
+    lan.run(until=1.0)
+    lan.server.crash()
+    assert conn.write(bulk.pattern_bytes(5_000, 3)) == 5_000
+    lan.run(until=600.0)
+    assert conn.state is TcpState.CLOSED and conn.reset_received
+    assert lan.tracer.count("tcp.rtx") == conn.MAX_RETRANSMITS
+    assert lan.tracer.count("tcp.give_up") == 1
+    return _tcp_digest(lan, conn.retransmissions, conn.rto.backoff)
+
+
+def _fast_retransmit():
+    """One mid-stream data segment lost under a 1 s RTO floor: three
+    duplicate ACKs recover it."""
+    lan = _tcp_lan(24)
+    blob, results = bulk.pattern_bytes(120_000, 4), {}
+    seen = []
+    _segment_dropper(
+        lan.server, lambda s: bool(s.payload) and (seen.append(s) or len(seen) == 31))
+    run_all(lan.sim, [_sink(lan, results), _pusher(lan, blob, results, min_rto=1.0)],
+            until=120.0)
+    assert results["server"] == blob
+    assert lan.tracer.count("tcp.fast_rtx") >= 1
+    return _tcp_digest(lan, results["client_conn"].cc.fast_retransmits)
+
+
+def _simultaneous_close():
+    """Both ends close at the same instant: FIN_WAIT_1 → CLOSING →
+    TIME_WAIT on each side."""
+    from repro.sim.process import spawn
+
+    lan = _tcp_lan(25)
+    for host in (lan.client, lan.server):
+        host.tcp.conn_defaults["msl"] = 0.2
+    conns = {}
+
+    def server():
+        listening = ListeningSocket.listen(lan.server, PORT)
+        sock = conns["server"] = yield from listening.accept()
+        yield 1.0 - lan.sim.now
+        yield from sock.close_and_wait()
+
+    def client():
+        sock = conns["client"] = SimSocket.connect(
+            lan.client, lan.server.ip.primary_address(), PORT)
+        yield from sock.wait_connected()
+        yield 1.0 - lan.sim.now
+        yield from sock.close_and_wait()
+
+    done = [spawn(lan.sim, app(), app.__name__).done_event for app in (server, client)]
+    assert lan.sim.run_until(
+        lambda: len(conns) == 2
+        and all(sock.conn.state is TcpState.CLOSING for sock in conns.values()),
+        timeout=5.0,
+    )
+    assert lan.sim.run_until(lambda: all(e.triggered for e in done), timeout=5.0)
+    lan.run(until=lan.sim.now + 2.0)
+    assert lan.client.tcp.connections == {} and lan.server.tcp.connections == {}
+    assert all(sock.conn.state is TcpState.CLOSED for sock in conns.values())
+    return _tcp_digest(lan)
+
+
+def _fin_retransmitted():
+    """A FIN sent on its own is lost, and so are the first two segments
+    that acknowledge its retransmission: the FIN goes out three times
+    after RTOs, always in its original slot, and a peer that already
+    consumed it re-ACKs the duplicate."""
+    lan = _tcp_lan(26)
+    blob, results = bulk.pattern_bytes(3_000, 5), {}
+    fins = _segment_dropper(lan.server, lambda s: s.fin)
+    acks = _segment_dropper(
+        lan.client,
+        lambda s: bool(fins) and s.has_ack and s.ack == fins[0].seq_end,
+        count=2,
+    )
+
+    def client():
+        sock = SimSocket.connect(
+            lan.client, lan.server.ip.primary_address(), PORT, min_rto=0.05)
+        yield from sock.wait_connected()
+        yield from sock.send_all(blob)
+        yield 0.3  # past the delayed ACK: all acknowledged, the FIN travels alone
+        yield from sock.close_and_wait()
+        return sock.conn
+
+    _, conn = run_all(lan.sim, [_sink(lan, results), client()], until=60.0)
+    assert results["server"] == blob and len(fins) == 1 and len(acks) == 2
+    sent = [record.detail["seg"]
+            for record in lan.tracer.select(category="tcp.tx", node="client")]
+    fin_slots = [int(seg.split("seq=")[1].split()[0]) for seg in sent if "FIN" in seg]
+    assert len(fin_slots) == 3 and len(set(fin_slots)) == 1, fin_slots
+    return _tcp_digest(lan, conn.retransmissions)
+
+
+def _time_wait_reack():
+    """The active closer's last ACK is lost: the passive closer's FIN
+    comes back after an RTO and is re-ACKed out of TIME_WAIT."""
+    lan = _tcp_lan(27)
+    lan.client.tcp.conn_defaults["msl"] = 1.0
+    blob, results = b"x", {}
+
+    def last_ack(segment):
+        conns = list(lan.server.tcp.connections.values())
+        return (not segment.payload and not segment.fin and not segment.syn
+                and bool(conns) and conns[0].state is TcpState.LAST_ACK)
+
+    lost = _segment_dropper(lan.server, last_ack)
+    run_all(lan.sim, [_sink(lan, results, min_rto=0.05), _pusher(lan, blob, results)],
+            until=30.0)
+    lan.run(until=lan.sim.now + 5.0)
+    assert len(lost) == 1 and results["server_conn"].state is TcpState.CLOSED
+    assert lan.client.tcp.linger_acks_sent >= 1
+    return _tcp_digest(lan)
+
+
+def _rfc5961_challenges():
+    """Forged in-window RSTs and SYNs against an established TCB: challenge
+    ACKs up to CHALLENGE_LIMIT, silence past it, a fresh budget one window
+    later, and the exact-match RST that still resets."""
+    from repro.tcp.segment import FLAG_RST, FLAG_SYN, TcpSegment
+    from repro.tcp.seqnum import seq_add
+    from tests.util import CLIENT_IP, SERVER_IP
+
+    lan = _tcp_lan(28)
+    lan.server.tcp.listen(PORT)
+    client_conn = lan.client.tcp.connect(SERVER_IP, PORT)
+    lan.run(until=1.0)
+    (server_conn,) = lan.server.tcp.connections.values()
+
+    def forge(offset, flags):
+        segment = TcpSegment(
+            src_port=client_conn.local_port, dst_port=PORT,
+            seq=seq_add(server_conn.rcv_nxt, offset), ack=0, flags=flags,
+            window=0xFFFF if flags & FLAG_SYN else 0,
+        )
+        lan.server.tcp.receive_segment(
+            segment.sealed(CLIENT_IP, SERVER_IP), CLIENT_IP, SERVER_IP)
+
+    for offset in (1, 1000, 30_000, 31_000, 70_000):  # the last is out of window
+        forge(offset, FLAG_RST)
+    forge(64, FLAG_SYN)
+    limit = server_conn.CHALLENGE_LIMIT
+    assert (server_conn.challenge_acks_sent, server_conn.challenge_acks_suppressed) == (limit, 2)
+    lan.run(until=lan.sim.now + server_conn.CHALLENGE_WINDOW + 0.1)
+    forge(64, FLAG_SYN)
+    forge(5, FLAG_RST)
+    assert server_conn.challenge_acks_sent == limit + 2
+    assert server_conn.state is TcpState.ESTABLISHED and not server_conn.reset_received
+    lan.run(until=lan.sim.now + 0.1)
+    forge(0, FLAG_RST)
+    assert server_conn.state is TcpState.CLOSED and server_conn.reset_received
+    lan.run(until=lan.sim.now + 1.0)
+    return _tcp_digest(lan, client_conn.state.value)
+
+
+def _pmtud_clamp():
+    """Mid-upload ICMP frag-needed quotes: one outside the outstanding
+    range and one below the IPv4 minimum are rejected, a valid one clamps
+    the MSS and the rest of the stream goes out in smaller segments."""
+    from repro.sim.process import spawn
+    from repro.tcp.seqnum import seq_add
+    from tests.util import CLIENT_IP, SERVER_IP
+
+    lan = _tcp_lan(29)
+    blob, results, state = bulk.pattern_bytes(200_000, 6), {}, {}
+
+    def client():
+        sock = state["sock"] = SimSocket.connect(lan.client, SERVER_IP, PORT)
+        yield from sock.wait_connected()
+        yield from sock.send_all(blob)
+        yield from sock.close_and_wait()
+
+    spawn(lan.sim, _sink(lan, results), "sink")
+    spawn(lan.sim, client(), "pusher")
+    assert lan.sim.run_until(
+        lambda: "sock" in state and state["sock"].conn.send_buffer.in_flight > 20_000,
+        timeout=5.0,
+    )
+    conn = state["sock"].conn
+
+    def hint(quoted_seq, mtu):
+        return lan.client.tcp.icmp_frag_needed(
+            CLIENT_IP, conn.local_port, SERVER_IP, PORT, quoted_seq, mtu)
+
+    assert not hint(seq_add(conn.snd_max, 10), 576)
+    assert not hint(conn.snd_una, 68)
+    assert hint(conn.snd_una, 1000) and conn.mss == 960
+    assert not hint(conn.snd_una, 1200)  # never upward
+    assert lan.sim.run_until(lambda: "server_conn" in results, timeout=60.0)
+    lan.run(until=lan.sim.now + 0.25)
+    assert results["server"] == blob
+    assert (lan.client.tcp.pmtud_accepted, lan.client.tcp.pmtud_rejected) == (1, 3)
+    clamped = [record for record in lan.tracer.select(category="tcp.tx", node="client")
+               if "len=960)" in record.detail["seg"]]
+    assert conn.mss == 960 and len(clamped) > 100
+    return _tcp_digest(lan, conn.mss)
+
+
+def _install_then_rto():
+    """A TCB exported with bytes in flight and bytes unread, installed on
+    the restarted host: the in-flight bytes go out again on the installed
+    TCB's first RTO, the unread ones are still there to read."""
+    from tests.util import SERVER_IP
+
+    lan = _tcp_lan(30)
+    lan.server.tcp.listen(PORT)
+    client_conn = lan.client.tcp.connect(SERVER_IP, PORT)
+    lan.run(until=1.0)
+    (server_conn,) = lan.server.tcp.connections.values()
+    unread, payload = b"not read yet", bulk.pattern_bytes(3_000, 7)
+    client_conn.write(unread)
+    lan.run(until=lan.sim.now + 0.5)
+    lost = _segment_dropper(lan.client, lambda s: bool(s.payload), count=2)
+    server_conn.write(payload)
+    lan.run(until=lan.sim.now + 0.01)
+    lan.server.crash()
+    snapshot = server_conn.export_state()
+    assert len(lost) == 2 and snapshot.send_next_offset == 2920  # 80 bytes never sent
+    assert snapshot.recv_pending == unread
+    lan.server.restart()
+    installed = lan.server.tcp.install_connection(snapshot)
+
+    def drain():
+        sock, data = SimSocket(client_conn), bytearray()
+        while len(data) < len(payload):
+            data.extend((yield from sock.recv(65536)))
+        return bytes(data)
+
+    (data,) = run_all(lan.sim, [drain()], until=30.0)
+    assert data == payload and installed.read(100) == unread
+    assert lan.tracer.count("tcp.installed") == 1
+    assert lan.tracer.select(category="tcp.rtx", node="server")
+    return _tcp_digest(lan, installed.retransmissions)
+
+
+TCP_SCENARIOS = {
+    "zero_window_persist": _zero_window_persist,
+    "syn_give_up": _syn_give_up,
+    "data_give_up": _data_give_up,
+    "fast_retransmit": _fast_retransmit,
+    "simultaneous_close": _simultaneous_close,
+    "fin_retransmitted": _fin_retransmitted,
+    "time_wait_reack": _time_wait_reack,
+    "rfc5961_challenges": _rfc5961_challenges,
+    "pmtud_clamp": _pmtud_clamp,
+    "install_then_rto": _install_then_rto,
+}
+
+
+@pytest.mark.parametrize("name", sorted(TCP_SCENARIOS))
+def test_tcp_slow_paths_match_parent_golden(name):
+    assert TCP_SCENARIOS[name]() == GOLDEN_TCP_SHA256[name]
