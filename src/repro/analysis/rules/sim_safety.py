@@ -34,13 +34,16 @@ _FORBIDDEN_IMPORTS = frozenset({
 })
 
 #: Pure modules: file -> package prefixes it may not import.  The bridge
-#: core is the paper's algorithm and nothing else — no simulator, host,
-#: IP layer or observer — so it can be driven without any of them.
+#: core is the paper's algorithm and the TCP core the RFCs' and nothing
+#: else — no simulator, host, IP layer or observer — so each can be driven
+#: without any of them.
+_IMPURE = (
+    "repro.sim", "repro.net.host", "repro.net.ip", "repro.net.nic",
+    "repro.net.ethernet", "repro.obs", "repro.harness",
+)
 _PURE_MODULES = {
-    "src/repro/failover/core.py": (
-        "repro.sim", "repro.net.host", "repro.net.ip", "repro.net.nic",
-        "repro.net.ethernet", "repro.obs", "repro.harness",
-    ),
+    "src/repro/failover/core.py": _IMPURE,
+    "src/repro/tcp/core.py": _IMPURE,
 }
 
 #: ``replace(...)`` keywords that rewrite addressed TCP header fields.

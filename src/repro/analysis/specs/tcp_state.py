@@ -1,4 +1,4 @@
-"""Spec for the ``TcpState`` machine in :mod:`repro.tcp.connection`.
+"""Spec for the ``TcpState`` machine in :mod:`repro.tcp.core`.
 
 The RFC 793 connection-lifecycle subset the simulator implements, plus
 the two failover-specific entries:
@@ -34,8 +34,8 @@ _STATES = frozenset({
 
 _TRANSITIONS = frozenset({
     # opening
-    ("CLOSED", "SYN_SENT"),  # open_active
-    ("CLOSED", "SYN_RCVD"),  # open_passive
+    ("CLOSED", "SYN_SENT"),  # active_open
+    ("CLOSED", "SYN_RCVD"),  # passive_open
     ("SYN_SENT", "ESTABLISHED"),  # SYN-ACK arrived
     ("SYN_RCVD", "ESTABLISHED"),  # handshake ACK arrived
     # snapshot install on the secondary (dynamic, see below)
@@ -55,10 +55,10 @@ _TRANSITIONS = frozenset({
 
 SPEC = ProtocolSpec(
     name="tcp-state",
-    path="src/repro/tcp/connection.py",
+    path="src/repro/tcp/core.py",
     enum="TcpState",
     attribute="state",
-    owner="TcpConnection",
+    owner="TcpCore",
     states=_STATES,
     initial=frozenset({"CLOSED"}),
     terminal=frozenset({"CLOSED"}),
@@ -67,6 +67,6 @@ SPEC = ProtocolSpec(
     dynamic={
         # install_state assigns a computed state, runtime-guarded to
         # TRANSFERABLE_STATES — keep this set equal to that tuple.
-        "TcpConnection.install_state": frozenset({"ESTABLISHED", "CLOSE_WAIT"}),
+        "TcpCore.install_state": frozenset({"ESTABLISHED", "CLOSE_WAIT"}),
     },
 )

@@ -6,6 +6,10 @@ bridge state (§7.1).  Ephemeral ports are allocated from a deterministic
 counter: actively-replicated applications on the primary and secondary
 therefore allocate *identical* port numbers, which §7.2 (server-initiated
 establishment) silently requires.
+
+The layer is also where TCP reports: every ``tcp.*`` trace category, metric
+and span is a row of :attr:`TcpLayer.EVENTS`, bound once per host, and the
+connections' own events (:mod:`repro.tcp.core`) come through it too.
 """
 
 from __future__ import annotations
@@ -14,8 +18,9 @@ import random
 from typing import Any, Callable, Dict, List, Optional, Tuple
 
 from repro.net.addresses import Ipv4Address
+from repro.obs.events import EventSource, EventSpec
 from repro.obs.metrics import MetricsRegistry, NULL_METRICS
-from repro.obs.spans import NULL_SPANS, SpanTracer, flow_key
+from repro.obs.spans import NULL_SPANS, FlowKey, SpanTracer, flow_key
 from repro.sim.engine import Simulator
 from repro.sim.process import Queue
 from repro.sim.rng import seeded_rng
@@ -31,6 +36,21 @@ EPHEMERAL_PORT_END = 61000
 #: Receive window a lingering (TIME_WAIT) key advertises in its ACKs and
 #: uses to classify stray RSTs as in-window (RFC 5961 §3.2).
 LINGER_WINDOW = 0xFFFF
+
+
+def _answer(
+    segment: TcpSegment, seq: int, ack: int, flags: int, window: int = LINGER_WINDOW
+) -> TcpSegment:
+    """What the layer itself says back to ``segment`` when no TCB can: a
+    reset (RFC 793) or a lingering 4-tuple's ACK (TIME_WAIT)."""
+    return TcpSegment(
+        src_port=segment.dst_port,
+        dst_port=segment.src_port,
+        seq=seq,
+        ack=ack,
+        flags=flags,
+        window=window,
+    )
 
 
 class Listener:
@@ -50,8 +70,52 @@ class Listener:
         self.layer.close_listener(self.port)
 
 
-class TcpLayer:
+class TcpLayer(EventSource):
     """All TCP endpoints of one host."""
+
+    EVENTS = {
+        # -- per segment ------------------------------------------------
+        "tx": EventSpec(
+            counters=(("tcp.segments_sent", None), ("tcp.bytes_sent", "size")),
+            trace=("tcp.tx", "seg", "dst"), span=("tcp.tx", "seq", "size"),
+        ),
+        "rx": EventSpec(span=("tcp.rx", "seq", "size")),
+        "bad_checksum": EventSpec(trace=("tcp.bad_checksum", "conn", "seg")),
+        # -- loss recovery (RTO, fast retransmit, persist) ----------------
+        "rtx": EventSpec(
+            counters=(("tcp.retransmits", None),),
+            trace=("tcp.rtx", "conn", "state", "count"),
+        ),
+        "fast_rtx": EventSpec(
+            counters=(("tcp.fast_retransmits", None),), trace=("tcp.fast_rtx", "conn")
+        ),
+        "zwp": EventSpec(trace=("tcp.zwp", "conn")),
+        "give_up": EventSpec(trace=("tcp.give_up", "conn")),
+        # -- resets and RFC 5961 ------------------------------------------
+        "rst_sent": EventSpec(
+            stat="rsts_sent", counters=(("tcp.rsts_sent", None),),
+            trace=("tcp.rst_sent", "to"),
+        ),
+        "rst_received": EventSpec(trace=("tcp.rst_received", "conn", "seq")),
+        "challenge_ack": EventSpec(
+            counters=(("tcp.challenge_acks", None),),
+            trace=("tcp.challenge_ack", "conn", "reason"),
+        ),
+        # -- TIME_WAIT (the linger table) ---------------------------------
+        "linger_ack": EventSpec(stat="linger_acks_sent", trace=("tcp.linger_ack", "to")),
+        "linger_reset": EventSpec(trace=("tcp.linger_reset", "key")),
+        # -- path MTU discovery -------------------------------------------
+        "pmtud_clamp": EventSpec(trace=("tcp.pmtud_clamp", "conn", "mss")),
+        "pmtud_accepted": EventSpec(
+            stat="pmtud_accepted", counters=(("tcp.pmtud_accepted", None),)
+        ),
+        "pmtud_rejected": EventSpec(
+            stat="pmtud_rejected", counters=(("tcp.pmtud_rejected", None),),
+            trace=("tcp.pmtud_rejected", "to", "mtu"),
+        ),
+        # -- reintegration --------------------------------------------------
+        "installed": EventSpec(trace=("tcp.installed", "conn", "state")),
+    }
 
     def __init__(
         self,
@@ -74,17 +138,7 @@ class TcpLayer:
         self.rng = rng or seeded_rng(0)
         self.conn_defaults = conn_defaults or {}
         self.metrics = metrics or NULL_METRICS
-        # Pre-bound instruments: per-segment paths stay one branch when
-        # the registry is disabled.  Connections update the rtx counters
-        # through these references.
-        self._m_tx = self.metrics.counter("tcp.segments_sent", host=node_name)
-        self._m_tx_bytes = self.metrics.counter("tcp.bytes_sent", host=node_name)
-        self._m_rtx = self.metrics.counter("tcp.retransmits", host=node_name)
-        self._m_fast_rtx = self.metrics.counter("tcp.fast_retransmits", host=node_name)
-        self._m_rsts = self.metrics.counter("tcp.rsts_sent", host=node_name)
-        self._m_challenge = self.metrics.counter("tcp.challenge_acks", host=node_name)
-        self._m_pmtud_ok = self.metrics.counter("tcp.pmtud_accepted", host=node_name)
-        self._m_pmtud_rej = self.metrics.counter("tcp.pmtud_rejected", host=node_name)
+        self._bind_events(self.metrics, node_name)
         self.connections: ConnectionTable = ConnectionTable()
         self.listeners: Dict[int, Listener] = {}
         # Instance attributes so tests can shrink the range and exercise
@@ -92,9 +146,6 @@ class TcpLayer:
         self.ephemeral_port_start = EPHEMERAL_PORT_START
         self.ephemeral_port_end = EPHEMERAL_PORT_END
         self._next_ephemeral = self.ephemeral_port_start
-        self.rsts_sent = 0
-        self.pmtud_accepted = 0
-        self.pmtud_rejected = 0
         # Recently-closed 4-tuples: key -> (expiry, snd_nxt, rcv_nxt).
         # A retransmitted FIN/data segment that arrives after a clean
         # close is answered with a pure ACK instead of a RST, the
@@ -103,7 +154,6 @@ class TcpLayer:
         # still quiesces.
         self.linger_duration = 2.0
         self._lingering: LingerTable = LingerTable()
-        self.linger_acks_sent = 0
         # RFC 5961 §10 throttle state for lingering (TIME_WAIT) keys:
         # key -> (window_start, challenges_sent_in_window).  A TIME_WAIT
         # endpoint keeps answering in-window RST probes with challenge
@@ -141,9 +191,9 @@ class TcpLayer:
             self._next_ephemeral += 1
             if self._next_ephemeral >= self.ephemeral_port_end:
                 self._next_ephemeral = self.ephemeral_port_start
-            if self._port_in_use(port):
+            if port in self.listeners or self.connections.port_in_use(port):
                 continue
-            if self._port_lingering(port, remote_ip, remote_port):
+            if self._lingering.port_blocked(port, self.sim.now, remote_ip, remote_port):
                 continue
             return port
         active = self.connections.count_ports_in_range(
@@ -169,17 +219,6 @@ class TcpLayer:
                 if key in self._lingering
             }
 
-    def _port_in_use(self, port: int) -> bool:
-        return port in self.listeners or self.connections.port_in_use(port)
-
-    def _port_lingering(
-        self,
-        port: int,
-        remote_ip: Optional[Ipv4Address],
-        remote_port: Optional[int],
-    ) -> bool:
-        return self._lingering.port_blocked(port, self.sim.now, remote_ip, remote_port)
-
     # ------------------------------------------------------------------
     # opening endpoints
     # ------------------------------------------------------------------
@@ -204,25 +243,36 @@ class TcpLayer:
         **options: Any,
     ) -> TcpConnection:
         """Open an active connection (SYN is sent immediately)."""
+        if local_port is None:
+            local_port = self.allocate_ephemeral_port(remote_ip, remote_port)
+        conn = self._new_tcb(local_ip, local_port, remote_ip, remote_port, failover, options)
+        self.connections[conn.key] = conn
+        conn.active_open(self.sim.now, self.choose_iss())
+        return conn
+
+    def _new_tcb(
+        self,
+        local_ip: Optional[Ipv4Address],
+        local_port: int,
+        remote_ip: Ipv4Address,
+        remote_port: int,
+        failover: bool,
+        options: Dict[str, Any],
+    ) -> TcpConnection:
+        """A fresh, untabled TCB for a free 4-tuple, with the host's
+        connection defaults under ``options``; no ``local_ip`` means the
+        host's first address."""
         if local_ip is None:
             ips = self.local_ips()
             if not ips:
                 raise OSError(f"{self.node_name}: no local IP")
             local_ip = ips[0]
-        if local_port is None:
-            local_port = self.allocate_ephemeral_port(remote_ip, remote_port)
         key = (local_ip, local_port, remote_ip, remote_port)
         if key in self.connections:
             raise OSError(f"{self.node_name}: connection {key} already exists")
-        kwargs = dict(self.conn_defaults)
-        kwargs.update(options)
-        conn = TcpConnection(
-            self, local_ip, local_port, remote_ip, remote_port,
-            failover=failover, **kwargs,
+        return TcpConnection(
+            self, *key, failover=failover, **{**self.conn_defaults, **options}
         )
-        self.connections[key] = conn
-        conn.open_active()
-        return conn
 
     def install_connection(
         self,
@@ -238,36 +288,18 @@ class TcpLayer:
         the peer never sees the difference).  Returns the live connection,
         already ESTABLISHED (or CLOSE_WAIT) with buffers reloaded.
         """
-        if local_ip is None:
-            ips = self.local_ips()
-            if not ips:
-                raise OSError(f"{self.node_name}: no local IP")
-            local_ip = ips[0]
-        key = (local_ip, snapshot.local_port, snapshot.remote_ip, snapshot.remote_port)
-        if key in self.connections:
-            raise OSError(f"{self.node_name}: connection {key} already exists")
-        kwargs = dict(self.conn_defaults)
-        kwargs.update(options)
-        kwargs.setdefault("mss", snapshot.mss)
-        kwargs.setdefault("send_buffer_size", snapshot.send_capacity)
-        kwargs.setdefault("recv_buffer_size", snapshot.recv_capacity)
-        kwargs.setdefault("min_rto", snapshot.min_rto)
-        conn = TcpConnection(
-            self,
-            local_ip,
-            snapshot.local_port,
-            snapshot.remote_ip,
-            snapshot.remote_port,
-            failover=snapshot.failover,
-            **kwargs,
+        sizing = dict(  # the exporter's, unless this host or the caller says otherwise
+            mss=snapshot.mss, send_buffer_size=snapshot.send_capacity,
+            recv_buffer_size=snapshot.recv_capacity, min_rto=snapshot.min_rto,
+        )
+        conn = self._new_tcb(
+            local_ip, snapshot.local_port, snapshot.remote_ip, snapshot.remote_port,
+            snapshot.failover, {**sizing, **self.conn_defaults, **options},
         )
         conn.install_state(snapshot)
-        self.connections[key] = conn
-        self._lingering.pop(key, None)
-        self.tracer.emit(
-            self.sim.now, "tcp.installed", self.node_name,
-            conn=conn.__repr__, state=snapshot.state,
-        )
+        self.connections[conn.key] = conn
+        self._lingering.pop(conn.key, None)
+        self._event("installed", conn=conn.__repr__, state=snapshot.state)
         return conn
 
     # ------------------------------------------------------------------
@@ -278,12 +310,8 @@ class TcpLayer:
         self, segment: TcpSegment, src_ip: Ipv4Address, dst_ip: Ipv4Address
     ) -> None:
         key = (dst_ip, segment.dst_port, src_ip, segment.src_port)
-        if self.spans.enabled:
-            self.spans.flow_event(
-                flow_key(src_ip, segment.src_port, dst_ip, segment.dst_port),
-                "tcp.rx", self.sim.now, self.node_name,
-                seq=segment.seq, size=len(segment.payload),
-            )
+        if self.spans.enabled:  # the row is span-only: skip the call, not just the span
+            self._event("rx", key, seq=segment.seq, size=len(segment.payload))
         conn = self.connections.get(key)
         if conn is not None:
             conn.segment_arrived(segment, src_ip)
@@ -323,15 +351,11 @@ class TcpLayer:
         key = (quoted_src, quoted_src_port, quoted_dst, quoted_dst_port)
         conn = self.connections.get(key)
         if conn is None or not conn.apply_mtu_hint(mtu, quoted_seq):
-            self.pmtud_rejected += 1
-            self._m_pmtud_rej.inc()
-            self.tracer.emit(
-                self.sim.now, "tcp.pmtud_rejected", self.node_name,
-                to=lambda: f"{quoted_dst}:{quoted_dst_port}", mtu=mtu,
+            self._event(
+                "pmtud_rejected", to=lambda: f"{quoted_dst}:{quoted_dst_port}", mtu=mtu
             )
             return False
-        self.pmtud_accepted += 1
-        self._m_pmtud_ok.inc()
+        self._event("pmtud_accepted")
         return True
 
     def _accept_syn(
@@ -342,28 +366,19 @@ class TcpLayer:
         dst_ip: Ipv4Address,
     ) -> None:
         if not segment.checksum_ok(src_ip, dst_ip):
-            self.tracer.emit(
-                self.sim.now, "tcp.bad_checksum", self.node_name, seg=segment.__repr__
-            )
+            self._event("bad_checksum", seg=segment.__repr__)  # no TCB yet: no conn
             return
-        kwargs = dict(self.conn_defaults)
-        conn = TcpConnection(
-            self,
-            dst_ip,
-            segment.dst_port,
-            src_ip,
-            segment.src_port,
-            failover=listener.failover,
-            **kwargs,
+        conn = self._new_tcb(
+            dst_ip, segment.dst_port, src_ip, segment.src_port, listener.failover, {}
         )
         conn._listener = listener
         listener.pending += 1
         self.connections[conn.key] = conn
-        conn.open_passive(segment)
+        conn.passive_open(self.sim.now, self.choose_iss(), segment)
 
     def connection_established(self, conn: TcpConnection) -> None:
         """Callback from a SYN_RCVD connection completing the handshake."""
-        listener = getattr(conn, "_listener", None)
+        listener = conn._listener
         if listener is not None:
             listener.pending = max(0, listener.pending - 1)
             if not listener.closed:
@@ -373,30 +388,11 @@ class TcpLayer:
         self, segment: TcpSegment, src_ip: Ipv4Address, dst_ip: Ipv4Address
     ) -> None:
         """RFC 793 reset generation for segments with no matching endpoint."""
-        self.rsts_sent += 1
-        self._m_rsts.inc()
         if segment.has_ack:
-            rst = TcpSegment(
-                src_port=segment.dst_port,
-                dst_port=segment.src_port,
-                seq=segment.ack,
-                ack=0,
-                flags=FLAG_RST,
-                window=0,
-            )
+            rst = _answer(segment, segment.ack, 0, FLAG_RST, window=0)
         else:
-            rst = TcpSegment(
-                src_port=segment.dst_port,
-                dst_port=segment.src_port,
-                seq=0,
-                ack=segment.seq_end,
-                flags=FLAG_RST | FLAG_ACK,
-                window=0,
-            )
-        self.tracer.emit(
-            self.sim.now, "tcp.rst_sent", self.node_name,
-            to=lambda: f"{src_ip}:{segment.src_port}",
-        )
+            rst = _answer(segment, 0, segment.seq_end, FLAG_RST | FLAG_ACK, window=0)
+        self._event("rst_sent", to=lambda: f"{src_ip}:{segment.src_port}")
         self.send_segment(rst, dst_ip, src_ip)
 
     # ------------------------------------------------------------------
@@ -408,32 +404,25 @@ class TcpLayer:
     ) -> None:
         """Seal (checksum) and hand the segment to the host datapath."""
         sealed = segment.sealed(src_ip, dst_ip)
-        self._m_tx.inc()
-        self._m_tx_bytes.inc(len(sealed.payload))
-        self.tracer.emit(
-            self.sim.now, "tcp.tx", self.node_name,
+        self._event(
+            "tx", (src_ip, sealed.src_port, dst_ip, sealed.dst_port),
             seg=sealed.__repr__, dst=dst_ip.__str__,
+            seq=sealed.seq, size=len(sealed.payload),
         )
-        if self.spans.enabled:
-            self.spans.flow_event(
-                flow_key(src_ip, sealed.src_port, dst_ip, sealed.dst_port),
-                "tcp.tx", self.sim.now, self.node_name,
-                seq=sealed.seq, size=len(sealed.payload),
-            )
         self._transmit(sealed, src_ip, dst_ip)
+
+    def _flow(self, key: ConnKey) -> FlowKey:
+        return flow_key(*key)
 
     def _linger_ack(
         self, key: ConnKey, segment: TcpSegment,
         src_ip: Ipv4Address, dst_ip: Ipv4Address,
     ) -> bool:
         """Answer a straggler for a recently-closed connection."""
-        entry = self._lingering.get(key)
+        entry = self._live_linger(key)
         if entry is None:
             return False
-        expiry, snd_nxt, rcv_nxt, failover = entry
-        if self.sim.now >= expiry:
-            del self._lingering[key]
-            return False
+        _expiry, snd_nxt, rcv_nxt, failover = entry
         if not segment.fin and not segment.payload:
             return True  # a stray pure ACK needs no answer, only no RST
         if segment.fin:
@@ -442,21 +431,19 @@ class TcpLayer:
             self._lingering[key] = (
                 self.sim.now + self.linger_duration, snd_nxt, rcv_nxt, failover,
             )
-        ack = TcpSegment(
-            src_port=segment.dst_port,
-            dst_port=segment.src_port,
-            seq=snd_nxt,
-            ack=rcv_nxt,
-            flags=FLAG_ACK,
-            window=0xFFFF,
-        )
-        self.linger_acks_sent += 1
-        self.tracer.emit(
-            self.sim.now, "tcp.linger_ack", self.node_name,
-            to=lambda: f"{src_ip}:{segment.src_port}",
-        )
-        self.send_segment(ack, dst_ip, src_ip)
+        self._event("linger_ack", to=lambda: f"{src_ip}:{segment.src_port}")
+        self.send_segment(_answer(segment, snd_nxt, rcv_nxt, FLAG_ACK), dst_ip, src_ip)
         return True
+
+    def _live_linger(self, key: ConnKey) -> Optional[Tuple[float, int, int, bool]]:
+        """The key's linger record; one whose window has run out is dropped
+        here, with its challenge budget."""
+        entry = self._lingering.get(key)
+        if entry is not None and self.sim.now >= entry[0]:
+            del self._lingering[key]
+            self._linger_challenges.pop(key, None)
+            return None
+        return entry
 
     def _linger_rst(
         self, key: ConnKey, segment: TcpSegment,
@@ -475,21 +462,14 @@ class TcpLayer:
         the counter is the CVE-2016-5696 probe oracle, and TIME_WAIT
         endpoints were part of that attack surface too.  Out-of-window
         RSTs — and RSTs for unknown keys — stay silently dropped."""
-        entry = self._lingering.get(key)
+        entry = self._live_linger(key)
         if entry is None:
             return
-        expiry, snd_nxt, rcv_nxt, _failover = entry
-        if self.sim.now >= expiry:
-            del self._lingering[key]
-            self._linger_challenges.pop(key, None)
-            return
+        _expiry, snd_nxt, rcv_nxt, _failover = entry
         if segment.seq == rcv_nxt:
             del self._lingering[key]
             self._linger_challenges.pop(key, None)
-            self.tracer.emit(
-                self.sim.now, "tcp.linger_reset", self.node_name,
-                key=lambda: f"{key[2]}:{key[3]}",
-            )
+            self._event("linger_reset", key=lambda: f"{key[2]}:{key[3]}")
             return
         if not seq_in_window(rcv_nxt, segment.seq, LINGER_WINDOW):
             return
@@ -500,21 +480,12 @@ class TcpLayer:
             self._linger_challenges[key] = (window_start, sent)
             return
         self._linger_challenges[key] = (window_start, sent + 1)
-        self._m_challenge.inc()
-        self.tracer.emit(
-            self.sim.now, "tcp.challenge_ack", self.node_name,
+        self._event(
+            "challenge_ack",
             conn=lambda: f"timewait {key[0]}:{key[1]}<->{key[2]}:{key[3]}",
             reason="in-window-rst-timewait",
         )
-        ack = TcpSegment(
-            src_port=segment.dst_port,
-            dst_port=segment.src_port,
-            seq=snd_nxt,
-            ack=rcv_nxt,
-            flags=FLAG_ACK,
-            window=LINGER_WINDOW,
-        )
-        self.send_segment(ack, dst_ip, src_ip)
+        self.send_segment(_answer(segment, snd_nxt, rcv_nxt, FLAG_ACK), dst_ip, src_ip)
 
     def retire_to_linger(self, conn: TcpConnection) -> None:
         """Move a TIME_WAIT TCB out of the connection table immediately.
@@ -529,28 +500,19 @@ class TcpLayer:
         merely cooling down.  Retiring at TIME_WAIT entry leaves one
         consistent window (``linger_duration``) and one honest
         diagnostic ("lingering after close")."""
-        existing = self.connections.get(conn.key)
-        if existing is not conn:
-            return
-        del self.connections[conn.key]
-        self._lingering[conn.key] = (
-            self.sim.now + self.linger_duration,
-            conn.snd_max,
-            conn.rcv_nxt,
-            conn.failover,
-        )
+        self._untable(conn, linger=True)
 
     def deregister(self, conn: TcpConnection) -> None:
-        existing = self.connections.get(conn.key)
-        if existing is conn:
+        # Clean close: keep answering stragglers for a while.
+        self._untable(conn, linger=not conn.reset_received)
+
+    def _untable(self, conn: TcpConnection, linger: bool) -> None:
+        if self.connections.get(conn.key) is conn:
             del self.connections[conn.key]
-            if not conn.reset_received:
-                # Clean close: keep answering stragglers for a while.
+            if linger:
                 self._lingering[conn.key] = (
                     self.sim.now + self.linger_duration,
-                    conn.snd_max,
-                    conn.rcv_nxt,
-                    conn.failover,
+                    conn.snd_max, conn.rcv_nxt, conn.failover,
                 )
 
     def rebind_lingering(
@@ -584,8 +546,7 @@ class TcpLayer:
             self.connections[conn.key] = conn
         # Stragglers for connections that closed before the takeover now
         # arrive addressed to the taken-over IP; re-home their records too.
-        for key in [k for k in self._lingering if k[0] == old_ip]:
-            self._lingering[(new_ip, key[1], key[2], key[3])] = self._lingering.pop(key)
+        self.rebind_lingering(old_ip, new_ip, lambda port, failover: True)
 
     def established_count(self) -> int:
         return sum(

@@ -106,6 +106,16 @@ def test_sim_import_holds_the_bridge_core_pure():
     assert _lint_fixture("sim_import_core_bad", "src/repro/failover/primary.py") == []
 
 
+def test_sim_import_holds_the_tcp_core_pure():
+    core = "src/repro/tcp/core.py"
+    bad = _lint_fixture("sim_import_tcp_core_bad", core)
+    assert {v.rule for v in bad} == {"sim-import"}
+    assert len(bad) == 5, [str(v) for v in bad]  # one per import line
+    assert _lint_fixture("sim_import_tcp_core_good", core) == []
+    # The shell beside it is where the simulator is met.
+    assert _lint_fixture("sim_import_tcp_core_bad", "src/repro/tcp/connection.py") == []
+
+
 def test_seq_arith_exempts_seqnum_module():
     source = "def seq_add(a, b):\n    return (a + b) % 2 ** 32\n"
     assert lint_source(source, "src/repro/tcp/seqnum.py") == []

@@ -2,7 +2,6 @@
 emit site are held to them, so neither can drift."""
 
 import ast
-import re
 from pathlib import Path
 
 import pytest
@@ -10,29 +9,8 @@ import pytest
 from repro.failover import core, primary, secondary
 from repro.failover.primary import PrimaryBridge
 from repro.failover.secondary import SecondaryBridge
-
-ROOT = Path(__file__).resolve().parents[2]
+from tests.util import ROOT, documented
 LAYERS = {"failover.primary": PrimaryBridge, "failover.secondary": SecondaryBridge}
-
-
-def documented(section, end):
-    """``{layer: {bridge.* names}}`` from one Appendix A table; a bare name
-    after a slash shares the dotted prefix of the name before it."""
-    text = (ROOT / "DESIGN.md").read_text().split(section)[1].split(end)[0]
-    found = {}
-    for row in text.splitlines():
-        cells = [cell.strip() for cell in row.replace("\\|", "/").split("|")]
-        if len(cells) < 4 or "`bridge." not in cells[1]:
-            continue
-        prefix = ""
-        for name in re.findall(r"`([\w.]+)`", cells[1]):
-            if "." in name:
-                prefix = name.rsplit(".", 1)[0] + "."
-            elif "=" not in name:
-                name = prefix + name
-            if name.startswith("bridge."):
-                found.setdefault(cells[2].strip("`"), set()).add(name)
-    return found
 
 
 def test_appendix_a1_lists_exactly_the_trace_categories_in_the_tables():
@@ -40,7 +18,7 @@ def test_appendix_a1_lists_exactly_the_trace_categories_in_the_tables():
         layer: {spec.trace[0] for spec in bridge.EVENTS.values() if spec.trace}
         for layer, bridge in LAYERS.items()
     }
-    assert documented("### A.1 Trace categories", "### A.2") == expected
+    assert documented("### A.1 Trace categories", "### A.2", "bridge.") == expected
 
 
 def test_appendix_a2_lists_exactly_the_metrics_in_the_tables():
@@ -49,7 +27,7 @@ def test_appendix_a2_lists_exactly_the_metrics_in_the_tables():
                 for metric in spec.counters + spec.histograms}
         for layer, bridge in LAYERS.items()
     }
-    assert documented("### A.2 Metric names", "### A.3") == expected
+    assert documented("### A.2 Metric names", "### A.3", "bridge.") == expected
     histograms = {metric[0] for spec in PrimaryBridge.EVENTS.values()
                   for metric in spec.histograms}
     table = (ROOT / "DESIGN.md").read_text().split("### A.2 Metric names")[1]

@@ -6,7 +6,9 @@ names the test files use are re-exported here.
 
 from __future__ import annotations
 
-from typing import Generator, List
+import re
+from pathlib import Path
+from typing import Dict, Generator, List, Set
 
 from repro.adversary.matrix import AttackLan
 from repro.harness.topology import (
@@ -25,8 +27,10 @@ from repro.sim.process import spawn
 __all__ = [
     "CLIENT_IP", "SERVER_IP", "PRIMARY_IP", "SECONDARY_IP", "mac",
     "TwoHostLan", "ReplicatedLan", "ChaosLan", "AttackLan",
-    "run_process", "run_all",
+    "run_process", "run_all", "ROOT", "documented",
 ]
+
+ROOT = Path(__file__).resolve().parents[1]
 
 SERVER_IP = PRIMARY_IP  # TwoHostLan's single server sits at the primary's address
 
@@ -68,3 +72,24 @@ def run_all(
             raise AssertionError(f"{process.name} did not finish")
     sim.run(until=sim.now + settle)
     return [process.result for process in processes]
+
+
+def documented(section: str, end: str, prefix: str) -> Dict[str, Set[str]]:
+    """``{layer: {names under prefix}}`` from one DESIGN.md Appendix A
+    table (the text between two headings); a bare name after a slash shares
+    the dotted prefix of the name before it."""
+    text = (ROOT / "DESIGN.md").read_text().split(section)[1].split(end)[0]
+    found: Dict[str, Set[str]] = {}
+    for row in text.splitlines():
+        cells = [cell.strip() for cell in row.replace("\\|", "/").split("|")]
+        if len(cells) < 4 or f"`{prefix}" not in cells[1]:
+            continue
+        stem = ""
+        for name in re.findall(r"`([\w.]+)`", cells[1]):
+            if "." in name:
+                stem = name.rsplit(".", 1)[0] + "."
+            elif "=" not in name:
+                name = stem + name
+            if name.startswith(prefix):
+                found.setdefault(cells[2].strip("`"), set()).add(name)
+    return found
