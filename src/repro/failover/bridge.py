@@ -124,6 +124,8 @@ class BridgeBase(EventSource):
             Ipv4Datagram(src=src_ip, dst=dst_ip, protocol=IPPROTO_TCP, payload=segment)
         )
 
-    def _flow(self, bc: "BridgeConnection") -> FlowKey:
+    def _flow(self, subject: "BridgeConnection") -> FlowKey:
         """The peer-facing flow this connection's spans attach to."""
-        return flow_key(bc.peer_ip, bc.peer_port, bc.local_ip, bc.local_port)
+        return flow_key(
+            subject.peer_ip, subject.peer_port, subject.local_ip, subject.local_port
+        )

@@ -22,7 +22,7 @@ layer does the same when it opens a connection, along with the ISS).
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Any, Dict, List, Optional, Union
+from typing import TYPE_CHECKING, Any, Callable, Dict, List, Optional, Union
 
 from repro.net.addresses import Ipv4Address
 from repro.sim.engine import Timer
@@ -159,7 +159,7 @@ class TcpConnection(TcpCore):
         self.layer.deregister(self)
 
 
-_LIFECYCLE = {
+_LIFECYCLE: Dict[str, Callable[..., None]] = {
     "established": TcpConnection._established,
     "time_wait": TcpConnection._time_wait,
     "closed": TcpConnection._closed,

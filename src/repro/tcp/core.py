@@ -528,9 +528,9 @@ class TcpCore:
             self._deadline(kind, delay)
 
     def _disarm(self, kind: str) -> None:
-        if kind in self._armed:
-            self._armed.discard(kind)
-            self._deadline(kind, None)
+        """Stop the ``kind`` timer, which is running."""
+        self._armed.remove(kind)
+        self._deadline(kind, None)
 
     def _cancel_all_timers(self) -> None:
         for kind in TIMERS:
@@ -551,7 +551,7 @@ class TcpCore:
         if self._needs_rtx_timer():
             self._armed.add("rtx")
             self._deadline("rtx", self.rto.rto)
-        else:
+        elif "rtx" in self._armed:
             self._disarm("rtx")
 
     def _needs_rtx_timer(self) -> bool:

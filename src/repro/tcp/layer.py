@@ -411,8 +411,8 @@ class TcpLayer(EventSource):
         )
         self._transmit(sealed, src_ip, dst_ip)
 
-    def _flow(self, key: ConnKey) -> FlowKey:
-        return flow_key(*key)
+    def _flow(self, subject: ConnKey) -> FlowKey:
+        return flow_key(*subject)
 
     def _linger_ack(
         self, key: ConnKey, segment: TcpSegment,

@@ -495,11 +495,9 @@ def _segment_dropper(host, wanted, count=1):
     return dropped
 
 
-def _sink(lan, results, linger=0.0, **conn_options):
+def _sink(lan, results, linger=0.0):
     listening = ListeningSocket.listen(lan.server, PORT)
     sock = yield from listening.accept()
-    for name, value in conn_options.items():
-        setattr(sock.conn, name, value)
     if linger:
         yield linger
     results["server"] = yield from sock.recv_until_eof()
@@ -652,8 +650,7 @@ def _time_wait_reack():
                 and bool(conns) and conns[0].state is TcpState.LAST_ACK)
 
     lost = _segment_dropper(lan.server, last_ack)
-    run_all(lan.sim, [_sink(lan, results, min_rto=0.05), _pusher(lan, blob, results)],
-            until=30.0)
+    run_all(lan.sim, [_sink(lan, results), _pusher(lan, blob, results)], until=30.0)
     lan.run(until=lan.sim.now + 5.0)
     assert len(lost) == 1 and results["server_conn"].state is TcpState.CLOSED
     assert lan.client.tcp.linger_acks_sent >= 1
