@@ -928,7 +928,7 @@ class TcpCore:
 
         The paper's kernel achieves the same effect with bridge address
         translation; re-keying the TCB is the equivalent observable
-        behaviour for a simulated stack (documented in DESIGN.md).
+        behaviour for a userspace stack (documented in DESIGN.md).
         """
         self.local_ip = new_ip
 
