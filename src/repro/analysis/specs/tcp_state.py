@@ -7,9 +7,10 @@ the two failover-specific entries:
   (``ESTABLISHED``/``CLOSE_WAIT``) when a snapshot is installed on the
   secondary — declared as a ``dynamic`` assignment bounded by
   ``TRANSFERABLE_STATES``;
-* ``_destroy`` (reset, fence, TIME_WAIT expiry, half-open drop at
-  reintegration) returns to ``CLOSED`` from anywhere — declared via
-  ``from_any`` rather than ten individual edges.
+* ``_destroy`` (reset, fence, give-up, LAST_ACK acknowledged, TIME_WAIT
+  entered — the linger table keeps TIME_WAIT, not the block — half-open
+  drop at reintegration) returns to ``CLOSED`` from anywhere — declared
+  via ``from_any`` rather than ten individual edges.
 
 No LISTEN state: the simulator models listening at the TCP layer
 (``TcpLayer.listeners``), a TCB exists only once a SYN arrives.

@@ -58,7 +58,8 @@ class TcpConnection(TcpCore):
         self._timers: Dict[str, Timer] = {}  # at most one armed per kind
         self.established_event = Event(self.sim, name="tcp.established")
         # terminated: the four-way handshake finished (TIME_WAIT counts);
-        # closed: the TCB is destroyed (after 2*MSL for the active closer).
+        # closed: the TCB is destroyed (at TIME_WAIT entry for the active
+        # closer: the layer's linger record is TIME_WAIT from then on).
         self.terminated_event = Event(self.sim, name="tcp.terminated")
         self.closed_event = Event(self.sim, name="tcp.closed")
         # Events handed out by wait_readable / wait_writable, not yet fired.
@@ -141,11 +142,8 @@ class TcpConnection(TcpCore):
     def _time_wait(self) -> None:
         if not self.terminated_event.triggered:
             self.terminated_event.succeed()
-        # Hand the 4-tuple to the layer's linger table right away: it
-        # answers stragglers and guards same-remote reuse, so the TCB
-        # itself no longer needs to occupy the connection table (which
-        # would hold the ephemeral port hostage for the full 2·MSL on
-        # top of the linger window — see TcpLayer.retire_to_linger).
+        # Hand the 4-tuple to the layer's linger table: it answers
+        # stragglers and guards same-remote reuse; the block ends next.
         self.layer.retire_to_linger(self)
 
     def _closed(self, error: Optional[BaseException]) -> None:

@@ -488,18 +488,14 @@ class TcpLayer(EventSource):
         self.send_segment(_answer(segment, snd_nxt, rcv_nxt, FLAG_ACK), dst_ip, src_ip)
 
     def retire_to_linger(self, conn: TcpConnection) -> None:
-        """Move a TIME_WAIT TCB out of the connection table immediately.
+        """Turn a TCB entering TIME_WAIT into a linger record.
 
-        The :class:`LingerTable` *is* this stack's TIME_WAIT store: it
-        answers retransmitted FINs/data with a pure ACK and blocks
-        same-remote port reuse until its window expires.  Keeping the
-        full TCB in the connection table for 2·MSL on top of that would
-        double-count the quiet period — under pool reconnect churn the
-        ephemeral range fills with dead-but-tabled connections and the
-        exhaustion error blames "live connections" for ports that are
-        merely cooling down.  Retiring at TIME_WAIT entry leaves one
-        consistent window (``linger_duration``) and one honest
-        diagnostic ("lingering after close")."""
+        The :class:`LingerTable` *is* this stack's TIME_WAIT: it answers
+        retransmitted FINs/data with a pure ACK and blocks same-remote
+        port reuse until its window expires, and the block itself ends
+        right after.  One quiet period (``linger_duration``), a few bytes
+        per closed 4-tuple instead of a TCB, and an exhaustion error that
+        blames "lingering after close", not "live connections"."""
         self._untable(conn, linger=True)
 
     def deregister(self, conn: TcpConnection) -> None:

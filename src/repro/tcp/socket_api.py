@@ -146,7 +146,7 @@ class SimSocket:
         """Half-close our side and wait for the termination handshake.
 
         Returns when both FINs are exchanged and acknowledged (TIME_WAIT
-        counts as terminated); it does not wait out the 2·MSL timer.
+        counts as terminated: the layer's linger record keeps it).
         """
         self.conn.close()
         yield self.conn.terminated_event

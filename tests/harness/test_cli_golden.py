@@ -108,7 +108,7 @@ GOLDEN = {
         },
     ),
     "obs report": (
-        "83942d3a60be40dee8be76644936adf505e8eb22b027c19eb6181e1c71a45eb6",
+        "5748e41abef6a23258767427d7ca07a005f1a3d9c34bc09018c38f541053397d",
         {},
     ),
     "obs pcap": (

@@ -115,9 +115,7 @@ def test_half_close_server_keeps_sending():
 
 
 def test_termination_reaches_time_wait_and_closed():
-    lan = TwoHostLan(conn_defaults := {})
-    lan.client.tcp.conn_defaults["msl"] = 0.1
-    lan.server.tcp.conn_defaults["msl"] = 0.1
+    lan = TwoHostLan()
 
     def server():
         listening = ListeningSocket.listen(lan.server, 80)
@@ -130,9 +128,10 @@ def test_termination_reaches_time_wait_and_closed():
         yield from sock.wait_connected()
         yield from sock.send_all(b"x")
         yield from sock.close_and_wait()
+        return sock.conn
 
-    run_all(lan.sim, [server(), client()])
-    lan.run(until=10.0)  # let 2*MSL expire
+    _, conn = run_all(lan.sim, [server(), client()])
+    assert conn.terminated_event.triggered and conn.closed_event.triggered
     assert lan.client.tcp.connections == {}
     assert lan.server.tcp.connections == {}
 

@@ -9,14 +9,8 @@ from tests.util import CLIENT_IP, SERVER_IP, TwoHostLan
 
 
 def _close_server_side(lan):
-    """Finish the termination handshake: close every accepted server TCB.
-
-    The server is the active closer, so it owns the TIME_WAIT; shrink its
-    MSL so the 2*MSL hold does not dwarf the client linger window under
-    test (a SYN arriving inside TIME_WAIT is ignored by design).
-    """
+    """Finish the termination handshake: close every accepted server TCB."""
     for conn in list(lan.server.tcp.connections.values()):
-        conn.msl = 0.05
         conn.close()
 
 

@@ -8,7 +8,7 @@ connection's segments (the address-sharing isolation break).
 
 from repro.apps.bulk import pattern_bytes
 from repro.sim.process import spawn
-from repro.tcp.connection import TcpConnection
+from repro.tcp.connection import TcpConnection, TcpState
 from repro.tcp.seqnum import seq_add
 from repro.tcp.socket_api import ListeningSocket, SimSocket
 from tests.util import CLIENT_IP, SERVER_IP, TwoHostLan
@@ -17,7 +17,8 @@ PORT = 80
 
 
 def _mid_transfer():
-    """A client mid-upload, with bytes genuinely outstanding."""
+    """A client mid-upload, with payload bytes genuinely outstanding (a
+    SYN in flight would be outstanding too, but it is no upload)."""
     lan = TwoHostLan()
     state = {}
 
@@ -37,7 +38,8 @@ def _mid_transfer():
     spawn(lan.sim, client(), "pmtud-client")
     assert lan.sim.run_until(
         lambda: "sock" in state
-        and state["sock"].conn.snd_una != state["sock"].conn.snd_max,
+        and state["sock"].conn.state is TcpState.ESTABLISHED
+        and state["sock"].conn.send_buffer.in_flight > 0,
         timeout=5.0,
     )
     return lan, state["sock"].conn
