@@ -31,7 +31,7 @@ that runs it on a host; a list-appending one drives it in the model test.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from typing import Callable, Dict, Iterator, Optional, Protocol, Set, Tuple
 
 from repro.failover.delta import SeqOffset
@@ -93,43 +93,62 @@ def synthesise(
     )
 
 
-@dataclass
 class BridgeConnection:
     """Per-connection bridge state on the primary (one per 4-tuple)."""
 
-    peer_ip: Ipv4Address
-    peer_port: int
-    local_ip: Ipv4Address
-    local_port: int
-    role: str  # 'server' (client-initiated) or 'client' (server-initiated)
-    syn_p: Optional[TcpSegment] = None
-    syn_s: Optional[TcpSegment] = None
-    syn_emitted: bool = False
-    delta: Optional[SeqOffset] = None
-    mss: int = 1460
-    p_queue: Optional[OutputQueue] = None
-    s_queue: Optional[OutputQueue] = None
-    merge: AckWindowMerge = field(default_factory=AckWindowMerge)
-    sent_hwm: Optional[int] = None  # S-space seq never yet sent to the peer
-    fin_p: Optional[int] = None  # S-space seq of each replica's FIN
-    fin_s: Optional[int] = None
-    fin_sent: bool = False
-    peer_fin_end: Optional[int] = None  # peer-space seq_end of the peer's FIN
-    our_fin_acked: bool = False
-    direct: bool = False  # §6 mode after secondary failure
-    broken: bool = False  # replica divergence detected
-    # Duplicate-ACK forwarding: pure ACKs repeating each replica's level
-    # since the last peer-facing emission.  A TCP only repeats a pure ACK
-    # when provoked by a segment arrival, so min(dup_p, dup_s) > 0 means
-    # the peer is retransmitting (it missed our ACK) or probing — the
-    # merged dup-ACK must go out even though the merged ACK did not move.
-    dup_p: int = 0
-    dup_s: int = 0
-    # Resume-merge watch: which replicas' output has reached the bridge
-    # since resume() re-seeded this connection.  The merge counts as
-    # restored once both flow again — matched payload is not required
-    # (a pure-upload server emits nothing but ACKs).
-    resume_seen: Set[str] = field(default_factory=set)
+    __slots__ = (
+        "peer_ip", "peer_port", "local_ip", "local_port", "role",
+        "syn_p", "syn_s", "syn_emitted", "delta", "mss", "p_queue", "s_queue",
+        "merge", "sent_hwm", "fin_p", "fin_s", "fin_sent", "peer_fin_end",
+        "our_fin_acked", "direct", "broken", "dup_p", "dup_s", "resume_seen",
+    )
+
+    def __init__(
+        self,
+        peer_ip: Ipv4Address,
+        peer_port: int,
+        local_ip: Ipv4Address,
+        local_port: int,
+        role: str,
+        merge: AckWindowMerge,
+        delta: Optional[SeqOffset] = None,
+        mss: int = 1460,
+        peer_fin_end: Optional[int] = None,
+        direct: bool = False,
+    ) -> None:
+        self.peer_ip = peer_ip
+        self.peer_port = peer_port
+        self.local_ip = local_ip
+        self.local_port = local_port
+        self.role = role  # 'server' (client-initiated) or 'client' (server-initiated)
+        self.syn_p: Optional[TcpSegment] = None
+        self.syn_s: Optional[TcpSegment] = None
+        self.syn_emitted = False
+        self.delta = delta
+        self.mss = mss
+        self.p_queue: Optional[OutputQueue] = None
+        self.s_queue: Optional[OutputQueue] = None
+        self.merge = merge
+        self.sent_hwm: Optional[int] = None  # S-space seq never yet sent to the peer
+        self.fin_p: Optional[int] = None  # S-space seq of each replica's FIN
+        self.fin_s: Optional[int] = None
+        self.fin_sent = False
+        self.peer_fin_end = peer_fin_end  # peer-space seq_end of the peer's FIN
+        self.our_fin_acked = False
+        self.direct = direct  # §6 mode after secondary failure
+        self.broken = False  # replica divergence detected
+        # Duplicate-ACK forwarding: pure ACKs repeating each replica's level
+        # since the last peer-facing emission.  A TCP only repeats a pure ACK
+        # when provoked by a segment arrival, so min(dup_p, dup_s) > 0 means
+        # the peer is retransmitting (it missed our ACK) or probing — the
+        # merged dup-ACK must go out even though the merged ACK did not move.
+        self.dup_p = 0
+        self.dup_s = 0
+        # Resume-merge watch: which replicas' output has reached the bridge
+        # since resume() re-seeded this connection.  The merge counts as
+        # restored once both flow again — matched payload is not required
+        # (a pure-upload server emits nothing but ACKs).
+        self.resume_seen: Tuple[str, ...] = ()
 
     @property
     def key(self) -> BridgeKey:
@@ -245,7 +264,8 @@ class BridgeCore:
             direct=direct,
         )
         if into is not None:
-            vars(into).update(vars(bc))
+            for name in BridgeConnection.__slots__:
+                setattr(into, name, getattr(bc, name))
             bc = into
         self.connections[key] = bc
         return bc
@@ -449,7 +469,8 @@ class BridgeCore:
             self._maybe_empty_ack(bc)
         self._event("queue_depth", bc, depth_p=len(bc.p_queue), depth_s=len(bc.s_queue))
         if self.resume_watch and bc.key in self.resume_watch:
-            bc.resume_seen.add(source)
+            if source not in bc.resume_seen:
+                bc.resume_seen += (source,)
             if len(bc.resume_seen) == 2:
                 self._note_resume_merged(bc)
         if bc.ready_to_delete():

@@ -31,6 +31,11 @@ class AckWindowMerge:
     demonstrates exactly that.
     """
 
+    __slots__ = (
+        "use_min_ack", "use_min_window", "ack_p", "ack_s", "win_p", "win_s",
+        "last_sent_ack",
+    )
+
     def __init__(self, use_min_ack: bool = True, use_min_window: bool = True) -> None:
         self.use_min_ack = use_min_ack
         self.use_min_window = use_min_window

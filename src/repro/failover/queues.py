@@ -60,6 +60,11 @@ class OutputQueue:
     # is moved O(1) times amortised.
     COMPACT_MIN_CONSUMED = 4096
 
+    __slots__ = (
+        "name", "_m_enqueued", "_m_dups", "_m_gaps", "base_seq", "_data", "_consumed",
+        "_pending", "bytes_enqueued", "duplicates_discarded", "gaps_buffered",
+    )
+
     def __init__(
         self,
         initial_seq: int,
@@ -78,8 +83,8 @@ class OutputQueue:
         # Above-frontier chunks: a diverted segment can be lost between
         # the replicas (§4 case 4) while later segments still arrive, so
         # the queue must reassemble around the hole until the
-        # retransmission fills it.
-        self._pending: Dict[int, bytes] = {}
+        # retransmission fills it (built at the first hole).
+        self._pending: Optional[Dict[int, bytes]] = None
         self.bytes_enqueued = 0
         self.duplicates_discarded = 0
         self.gaps_buffered = 0
@@ -114,6 +119,8 @@ class OutputQueue:
         if seq_lt(frontier, seq):
             # A hole: an earlier segment was lost on the replica-to-replica
             # path.  Buffer and wait for the retransmission.
+            if self._pending is None:
+                self._pending = {}
             if len(self._pending) < self.MAX_PENDING_CHUNKS and seq not in self._pending:
                 self._pending[seq] = payload
                 self.gaps_buffered += 1

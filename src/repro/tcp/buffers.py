@@ -26,6 +26,8 @@ class SendBuffer:
         [next_offset .. end) accepted, not yet sent
     """
 
+    __slots__ = ("capacity", "_data", "next_offset")
+
     def __init__(self, capacity: int = 65536):
         if capacity <= 0:
             raise ValueError("send buffer capacity must be positive")
@@ -99,11 +101,16 @@ class SendBuffer:
 class ReceiveBuffer:
     """Reassembly queue plus the in-order bytes awaiting the application."""
 
+    __slots__ = (
+        "capacity", "rcv_nxt", "_readable", "_out_of_order", "max_ooo_segments",
+        "duplicate_segments", "total_received", "bytes_trimmed",
+    )
+
     def __init__(self, rcv_nxt: int, capacity: int = 65536, max_ooo_segments: int = 64):
         self.capacity = capacity
         self.rcv_nxt = rcv_nxt
         self._readable = bytearray()
-        self._out_of_order: Dict[int, bytes] = {}
+        self._out_of_order: Optional[Dict[int, bytes]] = None  # built at the first gap
         self.max_ooo_segments = max_ooo_segments
         self.duplicate_segments = 0
         self.total_received = 0
@@ -151,6 +158,8 @@ class ReceiveBuffer:
         if offset == 0:
             return self._append_in_order(data)
         # Out of order: store (first writer wins; dupes are common on loss).
+        if self._out_of_order is None:
+            self._out_of_order = {}
         if len(self._out_of_order) < self.max_ooo_segments and seq not in self._out_of_order:
             self._out_of_order[seq] = data
         return 0
@@ -165,6 +174,8 @@ class ReceiveBuffer:
 
     def _drain_out_of_order(self) -> int:
         advanced = 0
+        if not self._out_of_order:
+            return advanced
         while True:
             match: Optional[int] = None
             for seq in self._out_of_order:

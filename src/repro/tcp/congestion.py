@@ -13,6 +13,8 @@ from __future__ import annotations
 class CongestionControl:
     """Per-connection congestion state."""
 
+    __slots__ = ("mss", "cwnd", "ssthresh", "dup_acks", "fast_retransmits", "timeouts")
+
     DUP_ACK_THRESHOLD = 3
 
     def __init__(self, mss: int, initial_window_segments: int = 2):

@@ -28,6 +28,7 @@ from repro.net.addresses import Ipv4Address
 from repro.sim.engine import Timer
 from repro.sim.process import Event
 from repro.tcp.core import (
+    TIMER_FIELD,
     TRANSFERABLE_STATES,
     ConnectionReset,
     TcpCore,
@@ -48,22 +49,70 @@ class TcpConnection(TcpCore):
     """One TCP endpoint of a host (``layer``, then the TCB's own options:
     see :class:`~repro.tcp.core.TcpCore`)."""
 
-    #: the listener whose SYN created this connection (set by the layer)
-    _listener: Optional["Listener"] = None
+    __slots__ = (
+        "layer", "sim",
+        "_listener",  # the listener whose SYN created this connection (set by the layer)
+        # The lifecycle events, each built when first asked for: until then
+        # None (not yet), True (passed) or the error it failed with.
+        "_established_ev", "_terminated_ev", "_closed_ev",
+        # Events handed out by wait_readable / wait_writable, not yet fired
+        # (None until the first wait).
+        "_readable_waiters", "_writable_waiters",
+    )
 
     def __init__(self, layer: "TcpLayer", *endpoints: Any, **options: Any) -> None:
         super().__init__(*endpoints, **options)
         self.layer = layer
         self.sim = layer.sim
-        self._timers: Dict[str, Timer] = {}  # at most one armed per kind
-        self.established_event = Event(self.sim, name="tcp.established")
-        # terminated: the four-way handshake finished (TIME_WAIT counts);
-        # closed: the TCB is destroyed (at TIME_WAIT entry for the active
-        # closer: the layer's linger record is TIME_WAIT from then on).
-        self.terminated_event = Event(self.sim, name="tcp.terminated")
-        self.closed_event = Event(self.sim, name="tcp.closed")
-        # Events handed out by wait_readable / wait_writable, not yet fired.
-        self._waiters: Dict[str, List[Event]] = {"readable": [], "writable": []}
+        self._listener: Optional["Listener"] = None
+        self._established_ev: Any = None
+        self._terminated_ev: Any = None
+        self._closed_ev: Any = None
+        self._readable_waiters: Optional[List[Event]] = None
+        self._writable_waiters: Optional[List[Event]] = None
+
+    @property
+    def established_event(self) -> Event:
+        """Succeeds with this connection once ESTABLISHED; fails if it dies
+        before."""
+        return self._lifecycle_event("_established_ev", "tcp.established", self)
+
+    @property
+    def terminated_event(self) -> Event:
+        """The four-way handshake finished (TIME_WAIT counts)."""
+        return self._lifecycle_event("_terminated_ev", "tcp.terminated")
+
+    @property
+    def closed_event(self) -> Event:
+        """The TCB is destroyed (at TIME_WAIT entry for the active closer:
+        the layer's linger record is TIME_WAIT from then on)."""
+        return self._lifecycle_event("_closed_ev", "tcp.closed")
+
+    def _lifecycle_event(self, field: str, name: str, value: Any = None) -> Event:
+        """The event in ``field``, built on first ask with the edge it
+        already passed (if any)."""
+        outcome = getattr(self, field)
+        if type(outcome) is Event:
+            return outcome
+        event = Event(self.sim, name=name)
+        if outcome is True:
+            event.succeed(value)
+        elif outcome is not None:
+            event.fail(outcome)
+        setattr(self, field, event)
+        return event
+
+    def _pass(self, field: str, value: Any = None, error: Optional[BaseException] = None) -> None:
+        """A lifecycle edge, unless it already passed: to the event if one
+        was asked for, else kept in ``field`` for whoever asks later."""
+        event = getattr(self, field)
+        if event is None:
+            setattr(self, field, True if error is None else error)
+        elif type(event) is Event and not event.triggered:
+            if error is None:
+                event.succeed(value)
+            else:
+                event.fail(error)
 
     # ------------------------------------------------------------------
     # entry points: the core's, on this host's clock
@@ -89,8 +138,10 @@ class TcpConnection(TcpCore):
         event = Event(self.sim, name="tcp.readable")
         if self._readable_now():
             event.succeed()
+        elif self._readable_waiters is None:
+            self._readable_waiters = [event]
         else:
-            self._waiters["readable"].append(event)
+            self._readable_waiters.append(event)
         return event
 
     def wait_writable(self) -> Event:
@@ -98,8 +149,10 @@ class TcpConnection(TcpCore):
         event = Event(self.sim, name="tcp.writable")
         if self.send_buffer.free_space > 0 or self.reset_received:
             event.succeed()
+        elif self._writable_waiters is None:
+            self._writable_waiters = [event]
         else:
-            self._waiters["writable"].append(event)
+            self._writable_waiters.append(event)
         return event
 
     # ------------------------------------------------------------------
@@ -109,51 +162,52 @@ class TcpConnection(TcpCore):
     def _emit(self, segment: TcpSegment) -> None:
         self.layer.send_segment(segment, self.local_ip, self.remote_ip)
 
-    def _deadline(self, kind: str, delay: Optional[float]) -> None:
-        timer = self._timers.pop(kind, None)
+    def _deadline(self, kind: str, delay: Optional[float]) -> Optional[Timer]:
+        timer = getattr(self, TIMER_FIELD[kind])
         if timer is not None:
             timer.cancel()
-        if delay is not None:
-            self._timers[kind] = self.sim.schedule(delay, self._timer_fired, kind)
+        if delay is None:
+            return None
+        return self.sim.schedule(delay, self._timer_fired, kind)
 
     def _timer_fired(self, kind: str) -> None:
-        del self._timers[kind]
         self.expire(self.sim.now, kind)
 
     def _event(self, name: str, **fields: Any) -> None:
-        waiters = self._waiters.get(name)
-        if waiters is not None:  # "readable" / "writable": the per-segment edges
+        if name == "readable":  # "readable" / "writable": the per-segment edges
+            waiters, self._readable_waiters = self._readable_waiters, None
+        elif name == "writable":
+            waiters, self._writable_waiters = self._writable_waiters, None
+        elif name in _LIFECYCLE:
+            _LIFECYCLE[name](self, **fields)
+            return
+        else:
+            self.layer._event(name, **fields)
+            return
+        if waiters is not None:
             for event in waiters:
                 if not event.triggered:
                     event.succeed()
-            waiters.clear()
-        elif name in _LIFECYCLE:
-            _LIFECYCLE[name](self, **fields)
-        else:
-            self.layer._event(name, **fields)
 
     # -- lifecycle edges ---------------------------------------------------
 
     def _established(self) -> None:
-        if not self.established_event.triggered:
-            self.established_event.succeed(self)
+        self._pass("_established_ev", self)
         self.layer.connection_established(self)
 
     def _time_wait(self) -> None:
-        if not self.terminated_event.triggered:
-            self.terminated_event.succeed()
+        self._pass("_terminated_ev")
         # Hand the 4-tuple to the layer's linger table: it answers
         # stragglers and guards same-remote reuse; the block ends next.
         self.layer.retire_to_linger(self)
 
     def _closed(self, error: Optional[BaseException]) -> None:
-        if error is not None and not self.established_event.triggered:
-            self.established_event.fail(error)
+        if error is not None:
+            self._pass("_established_ev", error=error)
         self._event("readable")
         self._event("writable")
-        if not self.terminated_event.triggered:
-            self.terminated_event.succeed()
-        self.closed_event.succeed()
+        self._pass("_terminated_ev")
+        self._pass("_closed_ev")
         self.layer.deregister(self)
 
 

@@ -16,8 +16,10 @@ calls only, which whoever runs it provides:
 
 * ``_emit(segment)`` — put a segment on the path to the peer;
 * ``_deadline(kind, delay)`` — (re)start the one timer of that kind to run
-  out ``delay`` seconds from now, or stop it (``None``); when it runs out
-  the owner calls :meth:`~TcpCore.expire`;
+  out ``delay`` seconds from now and return its handle, or stop it
+  (``None``) and return None; the block keeps the handle in that kind's
+  field (``_rtx_timer``, ...) and when it runs out the owner calls
+  :meth:`~TcpCore.expire`;
 * ``_event(name, **fields)`` — something happened: a lifecycle edge the
   owner must act on (``established``, ``readable``, ``writable``,
   ``time_wait``, ``closed``) or a fact worth reporting (``rtx``, ``zwp``,
@@ -36,7 +38,7 @@ from __future__ import annotations
 
 import dataclasses
 import enum
-from typing import Callable, Dict, Optional, Set, Tuple, Union
+from typing import Callable, Dict, Optional, Tuple, Union
 
 from repro.net.addresses import Ipv4Address
 from repro.tcp.buffers import ReceiveBuffer, SendBuffer
@@ -150,9 +152,27 @@ class TcpSnapshot:
 #: an installed block's unsent bytes.
 TIMERS = ("rtx", "delack", "persist", "output")
 
+#: The field that holds each kind's running timer (None while stopped).
+TIMER_FIELD = {kind: f"_{kind}_timer" for kind in TIMERS}
+
 
 class TcpCore:
     """One TCP endpoint: a TCB plus its engines, on nobody's clock."""
+
+    __slots__ = (
+        "local_ip", "local_port", "remote_ip", "remote_port", "failover", "state",
+        "mss_config", "mss", "delayed_ack_time",
+        "iss", "irs", "snd_una", "snd_max", "snd_wnd",
+        "send_buffer", "recv_buffer", "recv_buffer_size", "rto", "cc",
+        "_fin_pending", "_fin_seq", "_fin_in_flight", "_fin_acked", "fin_received",
+        *TIMER_FIELD.values(),
+        "_persist_backoff", "_rtx_count", "_rtt_probe", "_total_written",
+        "_segs_since_ack", "_destroyed", "reset_received",
+        "challenge_acks_sent", "challenge_acks_suppressed",
+        "_challenge_window_start", "_challenge_in_window",
+        "bytes_received", "retransmissions",
+        "__weakref__",
+    )
 
     MAX_RETRANSMITS = 12
     SYN_MAX_RETRANSMITS = 6
@@ -214,7 +234,11 @@ class TcpCore:
         # FIN bookkeeping (their side).
         self.fin_received = False
 
-        self._armed: Set[str] = set()  # the TIMERS now running
+        # The TIMERS now running: each field holds its ``_deadline`` handle.
+        self._rtx_timer: object = None
+        self._delack_timer: object = None
+        self._persist_timer: object = None
+        self._output_timer: object = None
         self._persist_backoff = 1
         self._rtx_count = 0
         self._rtt_probe: Optional[Tuple[int, float]] = None
@@ -241,9 +265,9 @@ class TcpCore:
         """Put ``segment`` on the path to the peer."""
         raise NotImplementedError
 
-    def _deadline(self, kind: str, delay: Optional[float]) -> None:
-        """(Re)start the ``kind`` timer to run out in ``delay`` seconds,
-        or stop it (``None``)."""
+    def _deadline(self, kind: str, delay: Optional[float]) -> object:
+        """(Re)start the ``kind`` timer to run out in ``delay`` seconds and
+        return its handle, or stop it (``None``) and return None."""
         raise NotImplementedError
 
     def _event(self, name: str, **fields: object) -> None:
@@ -510,8 +534,8 @@ class TcpCore:
 
     def _ack_was_piggybacked(self) -> None:
         self._segs_since_ack = 0
-        if "delack" in self._armed:
-            self._disarm("delack")
+        if self._delack_timer is not None:
+            self._delack_timer = self._deadline("delack", None)
 
     def _schedule_ack(self) -> None:
         """Delayed-ACK policy: every second segment, else after a timer."""
@@ -519,44 +543,33 @@ class TcpCore:
         if self._segs_since_ack >= 2:
             self._send_ack_now()
             return
-        self._arm("delack", self.delayed_ack_time)
+        if self._delack_timer is None:
+            self._delack_timer = self._deadline("delack", self.delayed_ack_time)
 
     # ------------------------------------------------------------------
-    # timers
+    # timers: one field per kind, None while stopped
     # ------------------------------------------------------------------
-
-    def _arm(self, kind: str, delay: float) -> None:
-        """Start the ``kind`` timer unless it is already running."""
-        if kind not in self._armed:
-            self._armed.add(kind)
-            self._deadline(kind, delay)
-
-    def _disarm(self, kind: str) -> None:
-        """Stop the ``kind`` timer, which is running."""
-        self._armed.remove(kind)
-        self._deadline(kind, None)
 
     def _cancel_all_timers(self) -> None:
         for kind in TIMERS:
-            if kind in self._armed:
-                self._disarm(kind)
+            field = TIMER_FIELD[kind]
+            if getattr(self, field) is not None:
+                setattr(self, field, self._deadline(kind, None))
 
     def expire(self, now: float, kind: str) -> None:
         """The ``kind`` timer ran out."""
-        self._armed.discard(kind)
+        setattr(self, TIMER_FIELD[kind], None)
         self._EXPIRED[kind](self, now)
 
     def _arm_rtx(self) -> None:
-        if "rtx" not in self._armed:  # RFC 6298 (5.1): start it if not running
-            self._armed.add("rtx")
-            self._deadline("rtx", self.rto.rto)
+        if self._rtx_timer is None:  # RFC 6298 (5.1): start it if not running
+            self._rtx_timer = self._deadline("rtx", self.rto.rto)
 
     def _restart_rtx_timer(self) -> None:
         if self._needs_rtx_timer():
-            self._armed.add("rtx")
-            self._deadline("rtx", self.rto.rto)
-        elif "rtx" in self._armed:
-            self._disarm("rtx")
+            self._rtx_timer = self._deadline("rtx", self.rto.rto)
+        elif self._rtx_timer is not None:
+            self._rtx_timer = self._deadline("rtx", None)
 
     def _needs_rtx_timer(self) -> bool:
         if self.state in (TcpState.SYN_SENT, TcpState.SYN_RCVD):
@@ -601,7 +614,10 @@ class TcpCore:
             self._send_ack_now()
 
     def _arm_persist(self) -> None:
-        self._arm("persist", min(60.0, self.rto.rto * self._persist_backoff))
+        if self._persist_timer is None:
+            self._persist_timer = self._deadline(
+                "persist", min(60.0, self.rto.rto * self._persist_backoff)
+            )
 
     def _persist_expired(self, now: float) -> None:
         if self.state not in SEND_STATES or self.snd_wnd > 0:
@@ -1016,7 +1032,7 @@ class TcpCore:
         if self.send_buffer.unsent_bytes or (
             self._fin_pending and not self._fin_in_flight
         ):
-            self._arm("output", 0.0)
+            self._output_timer = self._deadline("output", 0.0)
 
     #: what :meth:`expire` runs for each of the :data:`TIMERS`
     _EXPIRED: Dict[str, Callable[["TcpCore", float], None]] = {

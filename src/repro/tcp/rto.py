@@ -14,6 +14,11 @@ from typing import Optional
 class RtoEstimator:
     """Smoothed RTT estimator with exponential backoff."""
 
+    __slots__ = (
+        "initial_rto", "min_rto", "max_rto", "alpha", "beta", "k",
+        "srtt", "rttvar", "_backoff", "samples_taken",
+    )
+
     def __init__(
         self,
         initial_rto: float = 1.0,

@@ -147,7 +147,6 @@ def test_late_fin_from_secondary_gets_synthesized_ack():
             listening = ListeningSocket.listen(host, PORT)
             sock = yield from listening.accept()
             yield from sock.recv_until_eof()
-            sock.conn.min_rto = 0.05
             yield from sock.close_and_wait()
         return app()
 

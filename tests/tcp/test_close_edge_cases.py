@@ -120,7 +120,6 @@ def test_time_wait_reacks_retransmitted_fin():
     def server():
         listening = ListeningSocket.listen(lan.server, 80)
         sock = yield from listening.accept()
-        sock.conn.min_rto = 0.05
         sock.conn.rto.min_rto = 0.05
         yield from sock.recv_until_eof()
         yield from sock.close_and_wait()

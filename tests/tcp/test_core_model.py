@@ -94,8 +94,9 @@ class End(TcpCore):
     def _deadline(self, kind, delay):
         if delay is None:
             del self.deadlines[kind]
-        else:
-            self.deadlines[kind] = self.pipe.now + delay
+            return None
+        self.deadlines[kind] = self.pipe.now + delay
+        return self.deadlines[kind]  # the handle: its absolute time
 
     def _event(self, name, **fields):
         self.events.append(name)
