@@ -159,13 +159,14 @@ class BridgeConnection:
         return f"{self.peer_ip}:{self.peer_port}"
 
     def ready_to_delete(self) -> bool:
-        """§8: both directions closed and both FINs acknowledged."""
+        """§8: both directions closed and both FINs acknowledged — in
+        direct mode by P alone, since the dead secondary's ACK never moves."""
         if not (self.fin_sent and self.our_fin_acked):
             return False
         if self.peer_fin_end is None:
             return False
-        merged = self.merge.merged_ack()
-        return merged is not None and seq_gt(merged, seq_sub(self.peer_fin_end, 1))
+        ack = self.merge.ack_p if self.direct else self.merge.merged_ack()
+        return ack is not None and seq_gt(ack, seq_sub(self.peer_fin_end, 1))
 
 
 @dataclass
@@ -658,3 +659,5 @@ class BridgeCore:
         if segment.fin and bc.fin_p is None:
             bc.fin_p = seq_add(s_seq, len(segment.payload))
             bc.fin_sent = True
+        if bc.ready_to_delete():  # P's ACK of the peer's FIN ends it here
+            self.delete(bc, reason="closed")

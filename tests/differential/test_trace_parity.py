@@ -28,7 +28,10 @@ CLOSING, FIN retransmission, challenge ACKs, PMTUD and snapshot install.
 Eleven digests across the four sets were re-recorded once, when a closed
 block stopped outliving its close: the runs lost RTOs that sent nothing
 (``tcp.rtx`` in TIME_WAIT or FIN_WAIT_2) and the timer events behind them,
-and gained no record (EXPERIMENTS.md lists each, old → new).
+and gained no record (EXPERIMENTS.md lists each, old → new).  Four bridge
+digests were re-recorded when a §6 connection's FIN exchange began to
+delete its bridge state: each run gained one ``bridge.p.conn_deleted
+reason=closed`` record, and nothing else moved.
 """
 
 import hashlib
@@ -285,10 +288,10 @@ def test_unobserved_emit_never_calls_the_renderer():
 # ----------------------------------------------------------------------
 
 GOLDEN_BRIDGE_SHA256 = {
-    "chaos_crash_secondary": "335363882999903d9f369b2edc5a4a22a4acf87ea91f021e1eee61d613a2e924",
-    "chaos_crash_secondary_pull": "cf568317c9455e9bc0d8e919e9d273eacc127e2c17e3b7a7657613cc93494ff7",
-    "chain_splice": "d8dba907378baf3908e39e6113180a9a0a298a29e79a066619fd8995ea4275fd",
-    "connect_out_crash_secondary": "eb2aaca5388bd9199f839e569f0b89f76f93232a4401f04c51df131fdd03c3e6",
+    "chaos_crash_secondary": "d0818850e5a4e3f4e3849e285bc17d4a3e78f738b20314a3fd79a36d90c03c74",
+    "chaos_crash_secondary_pull": "63b04be7198cd49a5fd6243ea854e8873ca37a94460921b29dd10fac04079151",
+    "chain_splice": "055bd9f3616176d01ddfcd8371fdfe34399d2628645c51561eacc7f986b3240c",
+    "connect_out_crash_secondary": "839895e961bd21fd2a31921e58b3672dc38157bfee1e7f56a5dafdb250c2be41",
     "telemetry_remerge": "950a34858113e1feaa96fe83ea15ea9e4fc44989d0fd168dcc270399da78b866",
 }
 

@@ -4,9 +4,11 @@ Covers both termination directions, half-close, bridge state deletion,
 and the late-FIN rules (synthesised ACKs after state deletion).
 """
 
+import pytest
+
 from repro.net.packet import Ipv4Datagram
 from repro.tcp.socket_api import ListeningSocket, SimSocket
-from tests.util import ReplicatedLan, run_all
+from tests.util import CLIENT_IP, ReplicatedLan, run_all
 
 PORT = 80
 
@@ -60,6 +62,56 @@ def test_server_initiated_close():
     assert data == b"push-then-close"
     lan.run(until=30.0)
     assert lan.pair.primary_bridge.connections == {}
+
+
+def _close(sock, first):
+    """Close ``sock``: at once if its side goes ``first``, else after the
+    other side's FIN."""
+    if not first:
+        yield from sock.recv_until_eof()
+    yield from sock.close_and_wait()
+
+
+@pytest.mark.parametrize("pair_first", [False, True], ids=["peer-first", "pair-first"])
+@pytest.mark.parametrize("outbound", [False, True], ids=["client-initiated", "connect-out"])
+def test_close_in_direct_mode_deletes_bridge_state(outbound, pair_first):
+    """§6 then §8: once the secondary is gone P's own ACK is the merged
+    one, so the FIN exchange still deletes the bridge state — in both
+    connection directions, whichever side closes first (when the pair
+    does, the last step is P's ACK of the peer's FIN, passed through)."""
+    lan = ReplicatedLan(failover_ports=(2000,) if outbound else (PORT,))
+
+    def replica_app(host):
+        def app():
+            if outbound:  # §7.2: the pair connects out to T on the client host
+                sock = SimSocket.connect(host, CLIENT_IP, 7000, local_port=2000)
+                yield from sock.wait_connected()
+            else:
+                sock = yield from ListeningSocket.listen(host, PORT).accept()
+            yield 1.0  # the secondary dies meanwhile
+            yield from _close(sock, pair_first)
+        return app()
+
+    def peer():
+        if outbound:
+            sock = yield from ListeningSocket.listen(lan.client, 7000).accept()
+        else:
+            sock = SimSocket.connect(lan.client, lan.server_ip, PORT)
+            yield from sock.wait_connected()
+        yield 1.0
+        yield from _close(sock, not pair_first)
+
+    def remove_secondary():
+        lan.pair.crash_secondary()
+        lan.pair.force_secondary_removal()
+
+    lan.pair.run_app(replica_app, "outbound" if outbound else "app")
+    lan.sim.schedule(0.5, remove_secondary)
+    run_all(lan.sim, [peer()], until=10.0)
+    lan.run(until=30.0)
+    assert lan.tracer.count("bridge.p.flushed") == 1  # it did run in direct mode
+    assert lan.pair.primary_bridge.connections == {}
+    assert lan.tracer.count("bridge.p.conn_deleted") == 1
 
 
 def test_half_close_client_keeps_receiving():
