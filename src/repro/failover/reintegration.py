@@ -140,7 +140,6 @@ class ReintegrationResult:
     snapshot_bytes: int = 0
     primary_bridge: Optional[PrimaryBridge] = None
     joiner_bridge: Optional[SecondaryBridge] = None
-    conns: List[TcpConnection] = field(default_factory=list)
     installed: bool = False
     merge_complete: bool = False
 
@@ -369,7 +368,6 @@ def perform_reintegration(
         # the crash would black-hole heartbeats to the reborn NIC).
         joiner.eth_interface.arp.announce(joiner_ip)
         result.joiner_bridge = joiner_bridge
-        result.conns = conns
         result.installed = True
         tracer.emit(
             sim.now, "reintegration.installed", joiner.name,

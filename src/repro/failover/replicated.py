@@ -122,7 +122,6 @@ class ReplicatedServerPair:
         self.secondary_removed = False
         # The in-flight (or completed) §5 takeover procedure, if any.
         self.takeover: Optional[TakeoverProcedure] = None
-        self._apps: List[object] = []
         self._detectors_started = False
         self._resume_app: Optional[ResumeApp] = None
         self._warm_sync: Optional[Callable[[Host, Host], None]] = None
@@ -158,8 +157,8 @@ class ReplicatedServerPair:
     ) -> None:
         """Run the same (deterministic) application on both replicas."""
         self._app_factory = factory
-        self._apps.append(self.primary.spawn(factory(self.primary), f"{name}@P"))
-        self._apps.append(self.secondary.spawn(factory(self.secondary), f"{name}@S"))
+        self.primary.spawn(factory(self.primary), f"{name}@P")
+        self.secondary.spawn(factory(self.secondary), f"{name}@S")
 
     def set_resume_app(self, factory: Optional[ResumeApp]) -> None:
         """Warm-sync factory used to restart the app on a rejoining replica.
@@ -394,8 +393,6 @@ class ReplicatedServerPair:
         # the replicated app so *new* connections replicate on both sides
         # again (resumed ones are handled by the per-connection resume app).
         if self._app_factory is not None:
-            self._apps.append(
-                joiner.spawn(self._app_factory(joiner), f"app@{joiner.name}")
-            )
+            joiner.spawn(self._app_factory(joiner), f"app@{joiner.name}")
         for callback in list(self.on_reintegrated):
             callback(self)

@@ -59,6 +59,55 @@ def test_a_clean_close_retransmits_nothing_and_frees_every_tcb(build):
     assert [ref() for ref in conns] == [None] * len(conns)
 
 
+def test_a_reintegrated_connection_frees_every_tcb_at_close():
+    """Crash → reintegrate → close: the secondary dies mid-connection,
+    restarts and is re-admitted with a TCB installed from the primary's
+    snapshot.  Once the connection closes, that block is freed with the
+    others — the pair's reintegration history keeps no TCB alive."""
+    lan = ReplicatedLan(failover_ports=(80,))
+    conns = []
+
+    def serve(sock):
+        conns.append(weakref.ref(sock.conn))
+        yield from sock.recv_until_eof()
+        yield from sock.close_and_wait()
+
+    def server(host):
+        def app():
+            sock = yield from ListeningSocket.listen(host, 80).accept()
+            yield from serve(sock)
+        return app()
+
+    def client():
+        sock = SimSocket.connect(lan.client, SERVER_IP, 80)
+        conns.append(weakref.ref(sock.conn))
+        yield from sock.wait_connected()
+        yield from sock.send_all(b"before")
+        yield 1.0  # the secondary crashes, restarts and rejoins meanwhile
+        yield from sock.send_all(b"after")
+        yield from sock.close_and_wait()
+
+    def remove_secondary():
+        lan.secondary.crash()
+        lan.pair.force_secondary_removal()
+
+    lan.pair.set_resume_app(lambda host, sock, resume: serve(sock))
+    lan.pair.run_app(server)
+    lan.sim.schedule(0.2, remove_secondary)
+    lan.sim.schedule(0.4, lan.secondary.restart)
+    lan.sim.schedule(0.6, lan.pair.reintegrate)
+    run_all(lan.sim, [client()], until=30.0)
+    lan.run(until=lan.sim.now + 1.0)
+    (result,) = lan.pair.reintegrations
+    assert result.installed and result.resumed == 1
+    for host in (lan.client, lan.primary, lan.secondary):
+        assert host.tcp.connections == {}, host.name
+    gc.collect()
+    # client, primary, the secondary's first block and its installed one
+    assert len(conns) == 4
+    assert [ref() for ref in conns] == [None] * len(conns)
+
+
 def test_simultaneous_close_both_sides():
     """Both endpoints close at the same instant → CLOSING → TIME_WAIT."""
     lan = TwoHostLan()
