@@ -17,9 +17,7 @@ STREAM = 1_500_000 if FULL else 800_000
 
 def run_sweep():
     return failover_report(
-        STREAM, DETECTOR_TIMEOUTS, ARP_DELAYS,
-        secondary={"detector_timeout": 0.020, "min_rto": 0.05},
-        crash_at=0.060, seed=9,
+        STREAM, DETECTOR_TIMEOUTS, ARP_DELAYS, crash_at=0.060, seed=9,
     )
 
 

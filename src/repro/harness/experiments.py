@@ -893,16 +893,13 @@ def failover_report(
     total_bytes: int = 800_000,
     detector_timeouts: Sequence[float] = (0.020, 0.100, 0.300),
     arp_delays: Sequence[float] = (),
-    secondary: Optional[Dict[str, float]] = None,
     **cell,
 ) -> Report:
     """E6: client-visible stall vs the detector timeout, then vs the
-    client's ARP-update latency (fastest detector), then for a secondary
-    crash.  ``cell`` (``crash_at``, ``seed``) goes to every run;
-    ``secondary`` holds the recovery knobs of the closing secondary-crash
-    run, which otherwise runs at ``measure_failover``'s defaults.
-    ``raw`` is ``[(knob, value, result), ...]`` in table order; the phase
-    breakdown comes from the first run.
+    client's ARP-update latency, then for a secondary crash — the last two
+    with the fastest (20 ms) detector.  ``cell`` (``crash_at``, ``seed``)
+    goes to every run.  ``raw`` is ``[(knob, value, result), ...]`` in
+    table order; the phase breakdown comes from the first run.
     """
     recovery = dict(cell, total_bytes=total_bytes, min_rto=0.05)
     raw, phases = [], None
@@ -917,9 +914,7 @@ def failover_report(
             detector_timeout=0.020, client_arp_delay=delay, **recovery
         )
         raw.append(("arp-window", delay, result))
-    result = measure_failover(
-        total_bytes=total_bytes, crash="secondary", **cell, **(secondary or {})
-    )
+    result = measure_failover(detector_timeout=0.020, crash="secondary", **recovery)
     raw.append(("secondary crash", None, result))
     labels = [
         knob if value is None else f"{knob}={value*1e3:g}ms"

@@ -59,10 +59,10 @@ GOLDEN = {
         },
     ),
     "failover --quick": (
-        "401a0d5fdba59ab87d315973555fbeb57cf57606b759bf8719e8349f144cffea",
+        "92eb6555ea683e2c5e2225c563fa207d571f901665ef5145535f98e74d772b02",
         {
             "BENCH_failover_stall.json":
-                "0c3c0e25a4e587d8165a42c40eea662617810985da628d1a83458e7eb4b3883d",
+                "4d1f31f77697468badc19c3a70113251002c8ac8b47829d102908bc3d2e0f38b",
         },
     ),
     "ablation": (
