@@ -55,6 +55,10 @@ class SimulationError(RuntimeError):
     """Raised for misuse of the simulation kernel."""
 
 
+def _dropped(*args: Any) -> None:
+    """What a cancelled timer holds in place of its callback."""
+
+
 class Timer:
     """Handle for a scheduled callback.
 
@@ -97,9 +101,14 @@ class Timer:
         return self._fired
 
     def cancel(self) -> None:
-        """Prevent the callback from running.  Idempotent."""
+        """Prevent the callback from running.  Idempotent.
+
+        The callback and its arguments are dropped at once: a dead entry
+        waits in the queue until its deadline or the next compaction, and
+        must not keep their owner (a TCB, a detector) alive meanwhile."""
         if not self._fired and not self._cancelled:
             self._cancelled = True
+            self._callback, self._args = _dropped, ()
             if self._sim is not None:
                 self._sim._on_cancel()
 

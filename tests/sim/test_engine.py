@@ -1,6 +1,7 @@
 """Unit tests for the discrete-event scheduler."""
 
 import random
+import weakref
 
 import pytest
 
@@ -66,6 +67,26 @@ def test_cancelled_timer_does_not_fire():
     sim.run()
     assert fired == []
     assert timer.cancelled and not timer.fired
+
+
+@pytest.mark.parametrize("scheduler", ["heap", "wheel"])
+def test_a_cancelled_timer_pins_neither_its_callback_nor_its_arguments(scheduler):
+    """The dead entry waits in the queue until its deadline; the owner of
+    the callback (a TCB, a detector) and the arguments must not."""
+
+    class Owner:
+        def fire(self, payload):
+            raise AssertionError("cancelled")
+
+    sim = Simulator(scheduler=scheduler)
+    owner, payload = Owner(), Owner()
+    refs = [weakref.ref(owner), weakref.ref(payload)]
+    timer = sim.schedule(1.0, owner.fire, payload)
+    del owner, payload
+    assert [ref() is None for ref in refs] == [False, False]
+    timer.cancel()
+    assert [ref() for ref in refs] == [None, None]
+    assert sim.pending_events == 1  # not run, not compacted: still queued
 
 
 def test_cancel_is_idempotent_and_late_cancel_is_noop():
