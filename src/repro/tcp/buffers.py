@@ -207,14 +207,16 @@ class ReceiveBuffer:
         """In-order bytes delivered but not yet consumed by the application."""
         return bytes(self._readable)
 
-    def restore_readable(self, data: bytes) -> None:
+    def restore_readable(self, data: bytes, consumed: int) -> None:
         """Reload the readable queue from a connection snapshot.
 
         The buffer must have been constructed with the snapshot's
         ``rcv_nxt`` — the restored bytes sit *behind* it, already counted
-        by the sequence space, so only the delivery bookkeeping moves.
+        by the sequence space, so only the delivery bookkeeping moves:
+        ``consumed`` bytes were read before them, on the exporter (and on
+        whatever block it was installed from).
         """
         if self._readable or self._out_of_order:
             raise ValueError("restore_readable requires a fresh buffer")
         self._readable.extend(data)
-        self.total_received += len(data)
+        self.total_received = consumed + len(data)

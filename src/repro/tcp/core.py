@@ -1019,7 +1019,7 @@ class TcpCore:
         self.recv_buffer = ReceiveBuffer(
             snapshot.rcv_nxt, capacity=self.recv_buffer_size
         )
-        self.recv_buffer.restore_readable(snapshot.recv_pending)
+        self.recv_buffer.restore_readable(snapshot.recv_pending, snapshot.stream_read)
         self._fin_pending = snapshot.fin_pending
         self._fin_seq = snapshot.fin_seq
         self._fin_in_flight = snapshot.fin_in_flight

@@ -95,6 +95,28 @@ def test_install_creates_live_connection():
     run_all(lan.sim, [client_side(), server_side()], until=10.0)
 
 
+def test_a_second_move_reports_every_byte_the_application_read():
+    """Both stream positions survive any number of moves: a block installed
+    from a snapshot exports what its predecessors' application wrote and
+    read, plus its own."""
+    lan = TwoHostLan()
+    client_conn, server_conn = _established_pair(lan)
+    client_conn.write(b"abcdefgh")
+    lan.run(until=1.5)
+    assert server_conn.read(3) == b"abc"
+    server_conn.write(b"12")
+    lan.run(until=2.0)
+    for move, (read, written) in enumerate([(3, 2), (5, 3)]):
+        snap = server_conn.export_state()
+        assert (snap.stream_read, snap.stream_written) == (read, written), move
+        lan.server.crash()
+        lan.server.restart()
+        server_conn = lan.server.tcp.install_connection(snap)
+        assert server_conn.read(2) == b"defgh"[2 * move : 2 * move + 2]
+        server_conn.write(b"3")
+        lan.run(until=lan.sim.now + 0.5)
+
+
 def test_install_restores_unacked_send_data():
     """Bytes sent but unacknowledged at snapshot time retransmit from the
     installed TCB and reach the peer exactly once."""
