@@ -24,15 +24,16 @@ allocate identical local ports (deterministic ephemeral allocation), so
 the key is stable across the three traffic sources.
 
 Nothing here knows a simulator, a host, an IP layer or an observer: the
-core is handed a :class:`Sink` and talks to the outside through its two
-calls only.  :class:`~repro.failover.primary.PrimaryBridge` is the sink
-that runs it on a host; a list-appending one drives it in the model test.
+core talks to the outside through two calls only, ``_emit`` and ``_event``,
+which whoever runs it provides by subclassing it, as a TCP shell does its
+core.  :class:`~repro.failover.primary.PrimaryBridge` is the subclass that
+runs it on a host; a list-appending one drives it in the model test.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from typing import Callable, Dict, Iterator, Optional, Protocol, Set, Tuple
+from typing import Callable, Dict, Iterator, Optional, Set, Tuple
 
 from repro.failover.delta import SeqOffset
 from repro.failover.merge import AckWindowMerge
@@ -199,38 +200,30 @@ class ConnectionResume:
         return (self.peer_ip, self.peer_port, self.local_port)
 
 
-class Sink(Protocol):
-    """What the core asks of whoever runs it: exactly these two calls."""
-
-    def _emit(self, bc: BridgeConnection, segment: TcpSegment) -> None:
-        """Send ``segment`` to ``bc``'s peer.  Looked up on the sink at every
-        emission and called while ``bc`` still is what the segment was
-        built from, so a checker that wraps it sees each one in context."""
-
-    def _event(
-        self, name: str, bc: Optional[BridgeConnection] = None, **fields: object
-    ) -> None:
-        """The named event happened; a callable field is a deferred renderer."""
-
-
 class BridgeCore:
     """Every transition on :class:`BridgeConnection`, and nothing else."""
 
     def __init__(
         self,
-        sink: Sink,
         new_queue: Callable[..., OutputQueue] = OutputQueue,
         ack_merging: bool = True,
         window_merging: bool = True,
     ):
-        self.sink = sink
-        self._event = sink._event  # _emit alone is looked up at each use
         self.new_queue = new_queue  # (frontier, name=) -> OutputQueue
         self.ack_merging = ack_merging
         self.window_merging = window_merging
         self.connections: Dict[BridgeKey, BridgeConnection] = {}
         # Keys whose first post-resume merged emission is still outstanding.
         self.resume_watch: Set[BridgeKey] = set()
+
+    def _emit(self, bc: BridgeConnection, segment: TcpSegment) -> None:
+        """Send ``segment`` to ``bc``'s peer: the one way out, called while
+        ``bc`` still is what the segment was built from."""
+        raise NotImplementedError
+
+    def _event(self, name: str, subject: object = None, **fields: object) -> None:
+        """``name`` happened; a callable field is a deferred renderer."""
+        raise NotImplementedError
 
     # ==================================================================
     # connection state: creation, resume re-seed, deletion
@@ -496,14 +489,6 @@ class BridgeCore:
             )
             emitted = True
 
-    def _emit(self, bc: BridgeConnection, segment: TcpSegment) -> None:
-        """Every peer-bound segment leaves through here, and only here."""
-        if segment.has_ack:
-            # Any ACK-bearing emission answers the replicas' outstanding
-            # duplicate ACKs; the next forwarded dup needs a fresh pair.
-            bc.dup_p = bc.dup_s = 0
-        self.sink._emit(bc, segment)
-
     def _emit_merged(
         self,
         bc: BridgeConnection,
@@ -518,6 +503,11 @@ class BridgeCore:
             bc.local_port, bc.peer_port, seq, ack, bc.merge.merged_window(),
             flags, payload, mss_option,
         )
+        if ack is not None:
+            # An ACK answers the replicas' outstanding duplicate ACKs; the
+            # next forwarded dup needs a fresh pair.  (Merge mode emits only
+            # here; direct mode never reads the counts, a resume zeroes them.)
+            bc.dup_p = bc.dup_s = 0
         self._emit(bc, segment)
         bc.merge.note_sent(ack)
         return segment

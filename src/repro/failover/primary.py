@@ -10,10 +10,11 @@ what puts it on one:
   failover configuration? which connection key? bypassed? from the peer or
   diverted by the secondary? a §8 late segment for deleted state?);
 * **charge** the host CPU and call the core's step for that source;
-* be the core's :class:`~repro.failover.core.Sink`: ``_emit`` seals a
-  segment and sends it after ``emit_cost``, ``_event`` (see
-  :mod:`repro.failover.bridge`) reports to counters, metrics, tracer and
-  spans from the one ``EVENTS`` table below.
+* provide the core's two calls — a :class:`PrimaryBridge` *is* a
+  :class:`~repro.failover.core.BridgeCore`, as a TCP connection is its
+  core: ``_emit`` seals a segment and sends it after ``emit_cost``,
+  ``_event`` (see :mod:`repro.failover.bridge`) reports to counters,
+  metrics, tracer and spans from the one ``EVENTS`` table below.
 """
 
 from __future__ import annotations
@@ -43,7 +44,7 @@ if TYPE_CHECKING:
 __all__ = ["BridgeConnection", "BridgeKey", "ConnectionResume", "PrimaryBridge"]
 
 
-class PrimaryBridge(BridgeBase):
+class PrimaryBridge(BridgeBase, BridgeCore):
     """Merging bridge on the primary server."""
 
     EVENTS = {
@@ -132,20 +133,17 @@ class PrimaryBridge(BridgeBase):
         ack_merging: bool = True,
         window_merging: bool = True,
     ):
-        super().__init__(host, config, tracer=tracer, bridge_cost=bridge_cost)
-        self.emit_cost = emit_cost
-        self.secondary_ip = secondary_ip
-        # Ablation knobs (benchmarks only); True reproduces the paper.
-        self.ack_merging = ack_merging
-        self.window_merging = window_merging
-        self.secondary_down = False
-        self.core = BridgeCore(
+        BridgeBase.__init__(self, host, config, tracer=tracer, bridge_cost=bridge_cost)
+        # The merge rules are ablation knobs (benchmarks only).
+        BridgeCore.__init__(
             self,
             partial(OutputQueue, metrics=self.metrics, host=host.name),
             ack_merging=ack_merging,
             window_merging=window_merging,
         )
-        self.connections = self.core.connections
+        self.emit_cost = emit_cost
+        self.secondary_ip = secondary_ip
+        self.secondary_down = False
         # Reintegration: connections that could not be resumed (already
         # closing when the replica rejoined) keep talking to the peer
         # without bridge interference; the coordinator is told through
@@ -179,13 +177,13 @@ class PrimaryBridge(BridgeBase):
             bc = self._create_connection(
                 key, src_ip, role="server" if segment.has_ack else "client"
             )
-        self.host.cpu.run(self.bridge_cost, self.core.from_primary, bc, segment)
+        self.host.cpu.run(self.bridge_cost, self.from_primary, bc, segment)
         return True
 
     def _create_connection(
         self, key: BridgeKey, local_ip: Ipv4Address, role: str
     ) -> BridgeConnection:
-        bc = self.core.create(key, local_ip, role, direct=self.secondary_down)
+        bc = self.create(key, local_ip, role, direct=self.secondary_down)
         # The secondary's diverted copies ride a rewritten 4-tuple
         # (a_s:local → a_p:peer); alias it so the divert leg's TCP and
         # Ethernet spans land in the same trace as the client leg.
@@ -241,7 +239,7 @@ class PrimaryBridge(BridgeBase):
             + self.host.rx_byte_cost * len(segment.payload)
             + self.bridge_cost
         )
-        self.host.cpu.run(cost, self.core.from_secondary, bc, segment)
+        self.host.cpu.run(cost, self.from_secondary, bc, segment)
         return None
 
     # ---- segments from the unreplicated peer (client or back-end T) ---
@@ -279,11 +277,11 @@ class PrimaryBridge(BridgeBase):
             # an exact-match, checksum-valid RST deletes bridge state; the
             # segment always goes up so the stack can challenge-ACK.
             if self._peer_rst_valid(datagram, segment):
-                self.core.delete(bc, reason="peer_rst")
+                self.delete(bc, reason="peer_rst")
             else:
                 self._event("rst_ignored", bc, peer=bc.peer, seq=segment.seq)
             return datagram
-        rewritten = self.core.from_peer(bc, segment, datagram.src, datagram.dst)
+        rewritten = self.from_peer(bc, segment, datagram.src, datagram.dst)
         if rewritten is None:
             return None
         if rewritten is segment:
@@ -319,7 +317,7 @@ class PrimaryBridge(BridgeBase):
         self._send_datagram(ack.sealed(src_ip, dst_ip), src_ip, dst_ip)
 
     # ==================================================================
-    # the core's sink: the one route from the algorithm to the wire
+    # the core's way out: the one route from the algorithm to the wire
     # ==================================================================
 
     def _emit(self, bc: BridgeConnection, segment: TcpSegment) -> None:
@@ -342,7 +340,7 @@ class PrimaryBridge(BridgeBase):
         self.secondary_down = True
         self._event("secondary_failed")
         for bc in list(self.connections.values()):
-            self.core.enter_direct(bc)
+            self.enter_direct(bc)
 
     def resume_merge(
         self,
@@ -369,5 +367,5 @@ class PrimaryBridge(BridgeBase):
             self.secondary_ip = secondary_ip
             self.secondary_down = False
         for resume in resumes:
-            self.core.resume(resume, direct)
+            self.resume(resume, direct)
             self.bypass_keys.discard(resume.key)

@@ -138,8 +138,6 @@ class ReintegrationResult:
     resumed_keys: List[BridgeKey] = field(default_factory=list)
     bypassed_keys: List[BridgeKey] = field(default_factory=list)
     snapshot_bytes: int = 0
-    primary_bridge: Optional[PrimaryBridge] = None
-    joiner_bridge: Optional[SecondaryBridge] = None
     installed: bool = False
     merge_complete: bool = False
 
@@ -229,7 +227,9 @@ def perform_reintegration(
     install_delay: float = 200e-6,
     resume_app: Optional[ResumeApp] = None,
     warm_sync: Optional[Callable[["Host", "Host"], None]] = None,
-    on_armed: Optional[Callable[[ReintegrationResult], None]] = None,
+    on_armed: Optional[
+        Callable[[ReintegrationResult, PrimaryBridge, SecondaryBridge], None]
+    ] = None,
     bridge_cost: float = 15e-6,
     emit_cost: float = 25e-6,
     ack_merging: bool = True,
@@ -242,8 +242,10 @@ def perform_reintegration(
     primary whose secondary died — its connections flip back from direct
     mode); leave it ``None`` for a promoted survivor (a fresh merging
     bridge is built, identity Δseq).  ``on_armed`` runs inside the
-    install event, after the joiner's bridge and connections are live —
-    detector re-arming and role bookkeeping belong there.
+    install event, after the joiner's bridge and connections are live, with
+    the result and the two bridges — detector re-arming and role
+    bookkeeping belong there.  The result keeps no bridge: a pair's
+    reintegration history must not pin the ones a later cycle replaces.
 
     ``warm_sync(survivor, joiner)`` runs once at install time, *before*
     the per-connection resume apps, and regardless of whether any
@@ -284,7 +286,6 @@ def perform_reintegration(
         )
     else:
         bridge = primary_bridge
-    result.primary_bridge = bridge
 
     snapshots, resumes, bypass = export_resumable_connections(survivor, config, bridge)
     bridge.bypass_keys.update(bypass)
@@ -367,7 +368,6 @@ def perform_reintegration(
         # Refresh the segment's idea of our MAC (stale caches from before
         # the crash would black-hole heartbeats to the reborn NIC).
         joiner.eth_interface.arp.announce(joiner_ip)
-        result.joiner_bridge = joiner_bridge
         result.installed = True
         tracer.emit(
             sim.now, "reintegration.installed", joiner.name,
@@ -391,7 +391,7 @@ def perform_reintegration(
                 )
         result.phase = ReintegrationPhase.REARM
         if on_armed is not None:
-            on_armed(result)
+            on_armed(result, bridge, joiner_bridge)
         tracer.emit(
             sim.now, "reintegration.armed", survivor.name, joiner=joiner.name
         )

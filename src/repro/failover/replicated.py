@@ -346,7 +346,7 @@ class ReplicatedServerPair:
             install_delay=install_delay,
             resume_app=self._resume_app,
             warm_sync=self._warm_sync,
-            on_armed=lambda res: self._rearm(res, survivor, joiner),
+            on_armed=lambda *armed: self._rearm(survivor, joiner, *armed),
             bridge_cost=self.bridge_cost,
             emit_cost=self.emit_cost,
             ack_merging=self.ack_merging,
@@ -355,7 +355,10 @@ class ReplicatedServerPair:
         self.reintegrations.append(result)
         return result
 
-    def _rearm(self, result: ReintegrationResult, survivor: Host, joiner: Host) -> None:
+    def _rearm(
+        self, survivor: Host, joiner: Host, result: ReintegrationResult,
+        primary_bridge: PrimaryBridge, secondary_bridge: SecondaryBridge,
+    ) -> None:
         """Runs inside the install event: swap roles, re-create detectors."""
         ctx = self._reintegrate_ctx
         if ctx is not None:
@@ -367,8 +370,8 @@ class ReplicatedServerPair:
         self.primary = survivor
         self.secondary = joiner
         self.secondary_ip = joiner.ip.primary_address()
-        self.primary_bridge = result.primary_bridge
-        self.secondary_bridge = result.joiner_bridge
+        self.primary_bridge = primary_bridge
+        self.secondary_bridge = secondary_bridge
         self.failed_over = False
         self.secondary_removed = False
         self.takeover = None

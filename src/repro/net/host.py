@@ -430,15 +430,15 @@ class Host:
         bridge, and only its originally configured address (a taken-over
         ``a_p`` does not survive the reboot), so a reborn replica stays
         silent unless something addresses it directly.  Applications are
-        not restarted; their processes already died with the crash or will
-        error on their vanished sockets.  Registered restart hooks run
-        last — reintegration planes use them to schedule re-admission.
+        not restarted.  What the dead incarnation owned is freed here, by
+        reference counting alone: every TCB with its timers and buffers,
+        the listeners, the bridge, and each process blocked on one of
+        those (in accept, recv, send or a close), which never resumes.  A
+        process asleep on a timer still wakes, to a socket whose block is
+        gone.  Registered restart hooks run last — reintegration planes use
+        them to schedule re-admission.
         """
-        for conn in list(self.tcp.connections.values()):
-            conn._cancel_all_timers()
-        self.tcp.connections.clear()
-        self.tcp.listeners.clear()
-        self.tcp._lingering.clear()
+        self.tcp.forget_all()
         self.remove_bridge()
         for nic in self.nics:
             nic.promiscuous = False

@@ -101,11 +101,9 @@ class Timer:
         return self._fired
 
     def cancel(self) -> None:
-        """Prevent the callback from running.  Idempotent.
-
-        The callback and its arguments are dropped at once: a dead entry
-        waits in the queue until its deadline or the next compaction, and
-        must not keep their owner (a TCB, a detector) alive meanwhile."""
+        """Prevent the callback from running.  Idempotent.  The callback and
+        its arguments go at once: the dead entry may stay queued for a
+        while, and must not keep their owner (a TCB, a detector) alive."""
         if not self._fired and not self._cancelled:
             self._cancelled = True
             self._callback, self._args = _dropped, ()

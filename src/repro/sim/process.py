@@ -249,6 +249,12 @@ class Queue:
             self._getters.append(event)
         return event
 
+    def clear(self) -> None:
+        """Drop every buffered item and every pending getter, firing
+        nothing: whoever waits on a getter never resumes."""
+        self._items.clear()
+        self._getters.clear()
+
     def peek_all(self) -> List[Any]:
         """Snapshot of buffered items (for tests and introspection)."""
         return list(self._items)

@@ -73,9 +73,8 @@ class TcpConnection(TcpCore):
 
     @property
     def established_event(self) -> Event:
-        """Succeeds with this connection once ESTABLISHED; fails if it dies
-        before."""
-        return self._lifecycle_event("_established_ev", "tcp.established", self)
+        """Succeeds once ESTABLISHED; fails if the connection dies before."""
+        return self._lifecycle_event("_established_ev", "tcp.established")
 
     @property
     def terminated_event(self) -> Event:
@@ -88,7 +87,7 @@ class TcpConnection(TcpCore):
         the layer's linger record is TIME_WAIT from then on)."""
         return self._lifecycle_event("_closed_ev", "tcp.closed")
 
-    def _lifecycle_event(self, field: str, name: str, value: Any = None) -> Event:
+    def _lifecycle_event(self, field: str, name: str) -> Event:
         """The event in ``field``, built on first ask with the edge it
         already passed (if any)."""
         outcome = getattr(self, field)
@@ -96,13 +95,13 @@ class TcpConnection(TcpCore):
             return outcome
         event = Event(self.sim, name=name)
         if outcome is True:
-            event.succeed(value)
+            event.succeed()
         elif outcome is not None:
             event.fail(outcome)
         setattr(self, field, event)
         return event
 
-    def _pass(self, field: str, value: Any = None, error: Optional[BaseException] = None) -> None:
+    def _pass(self, field: str, error: Optional[BaseException] = None) -> None:
         """A lifecycle edge, unless it already passed: to the event if one
         was asked for, else kept in ``field`` for whoever asks later."""
         event = getattr(self, field)
@@ -110,9 +109,20 @@ class TcpConnection(TcpCore):
             setattr(self, field, True if error is None else error)
         elif type(event) is Event and not event.triggered:
             if error is None:
-                event.succeed(value)
+                event.succeed()
             else:
                 event.fail(error)
+
+    def forget(self) -> None:
+        """The host rebooted: stop every timer and drop, unfired, every
+        event a process waits on, so nothing this block owns resumes or
+        keeps it alive."""
+        self._cancel_all_timers()
+        self._readable_waiters = self._writable_waiters = None
+        for field in ("_established_ev", "_terminated_ev", "_closed_ev"):
+            event = getattr(self, field)
+            if type(event) is Event and not event.triggered:
+                setattr(self, field, None)  # not yet passed, and now never
 
     # ------------------------------------------------------------------
     # entry points: the core's, on this host's clock
@@ -192,7 +202,7 @@ class TcpConnection(TcpCore):
     # -- lifecycle edges ---------------------------------------------------
 
     def _established(self) -> None:
-        self._pass("_established_ev", self)
+        self._pass("_established_ev")
         self.layer.connection_established(self)
 
     def _time_wait(self) -> None:

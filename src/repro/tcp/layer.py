@@ -233,6 +233,19 @@ class TcpLayer(EventSource):
     def close_listener(self, port: int) -> None:
         self.listeners.pop(port, None)
 
+    def forget_all(self) -> None:
+        """Lose every TCB, listener and linger record, as a reboot does.
+        Nothing fires: timers stop, and the events processes block on are
+        dropped, so those processes never resume and are freed here, with
+        their sockets and blocks, rather than by the cycle collector."""
+        for conn in self.connections.values():
+            conn.forget()
+        for listener in self.listeners.values():
+            listener.accept_queue.clear()
+        self.connections.clear()
+        self.listeners.clear()
+        self._lingering.clear()
+
     def connect(
         self,
         remote_ip: Ipv4Address,

@@ -1,9 +1,10 @@
 """A simulator-free model test of the bridge core (§3.2–§3.4, §4, §6, §7, §8).
 
 The core is driven directly — no event loop, no host, no IP layer — by a
-hypothesis state machine whose sink appends to two lists, against a naive
-reference: the application stream both replicas produce, which bytes of it
-each replica has handed the bridge, and a cursor of what reached the peer.
+hypothesis state machine, through a subclass whose two calls append to two
+lists, against a naive reference: the application stream both replicas
+produce, which bytes of it each replica has handed the bridge, and a cursor
+of what reached the peer.
 
 Interleaved: P and S segments with arbitrary segmentation, held back and
 delivered out of order, re-sent with a different segmentation (duplicates,
@@ -50,10 +51,12 @@ STREAM = b"".join(
 MAX_HELD = 6
 
 
-class ListSink:
-    """The second implementation of the core's sink: two lists."""
+class ListSink(BridgeCore):
+    """The second owner of the core (the bridge is the first): its two
+    calls append to two lists."""
 
     def __init__(self):
+        super().__init__()
         self.emitted = []
         self.events = []
 
@@ -124,8 +127,7 @@ class BridgeCoreMachine(RuleBasedStateMachine):
         self.delta = seq_sub(isn_p, isn_s)
         self.cursor = 0  # stream bytes that reached the peer, in order
         self.closed = False
-        self.sink = ListSink()
-        self.core = BridgeCore(self.sink)
+        self.core = ListSink()
         self.bc = self.core.create((PEER, PEER_PORT, PORT), SERVICE, "server", False)
         # The ACK and window the bridge last saw from each replica.
         self.seen = {"P": (expects, windows[0]), "S": (expects, windows[1])}
@@ -135,9 +137,9 @@ class BridgeCoreMachine(RuleBasedStateMachine):
         steps = [(self.core.from_primary, syn_p), (self.core.from_secondary, syn_s)]
         (first, syn), (second, other_syn) = reversed(steps) if s_first else steps
         first(self.bc, syn)
-        assert self.sink.emitted == []  # one SYN is not a connection yet
+        assert self.core.emitted == []  # one SYN is not a connection yet
         second(self.bc, other_syn)
-        (merged,) = self.sink.emitted
+        (merged,) = self.core.emitted
         assert merged == TcpSegment(
             PORT, PEER_PORT, isn_s, expects, FLAG_SYN | FLAG_ACK, min(windows),
             mss_option=min(mss),
@@ -164,7 +166,7 @@ class BridgeCoreMachine(RuleBasedStateMachine):
         replica.fin_seen |= segment.fin
         if source == "S" and self.bc.direct:
             self.core.from_secondary(self.bc, segment)
-            assert len(self.sink.emitted) == self.checked  # S is gone: ignored
+            assert len(self.core.emitted) == self.checked  # S is gone: ignored
             return
         self.seen[source] = (segment.ack, segment.window)
         if source == "P":
@@ -173,12 +175,12 @@ class BridgeCoreMachine(RuleBasedStateMachine):
             self.core.from_secondary(self.bc, segment)
         if segment.payload and offset < self.cursor and not self.bc.direct:
             # §4: what the peer already has is forwarded at once, as sent.
-            again = self.sink.emitted[self.checked]
+            again = self.core.emitted[self.checked]
             assert again.seq == seq_add(self.base, offset)
             assert again.payload == segment.payload[: self.cursor - offset]
         if self.bc.direct:
             # §6: only the Δseq subtraction remains, forever.
-            (passed,) = self.sink.emitted[self.checked :]
+            (passed,) = self.core.emitted[self.checked :]
             assert passed == replace(segment, seq=seq_sub(segment.seq, self.delta))
             self.checked += 1
             self.cursor = max(self.cursor, offset + len(segment.payload))
@@ -190,7 +192,7 @@ class BridgeCoreMachine(RuleBasedStateMachine):
         """Every new emission in merge mode, against the reference."""
         ack = seq_min(self.seen["P"][0], self.seen["S"][0])
         window = min(self.seen["P"][1], self.seen["S"][1])
-        for segment in self.sink.emitted[self.checked :]:
+        for segment in self.core.emitted[self.checked :]:
             assert segment.has_ack and segment.ack == ack, (segment, self.seen)
             assert segment.window == window, (segment, self.seen)
             offset = seq_sub(segment.seq, self.base)
@@ -203,7 +205,7 @@ class BridgeCoreMachine(RuleBasedStateMachine):
             if segment.fin:
                 assert self.p.fin_seen and self.s.fin_seen
                 assert offset == self.cursor == self.total
-        self.checked = len(self.sink.emitted)
+        self.checked = len(self.core.emitted)
         # Exactly the common prefix: nothing both replicas produced waits.
         assert self.cursor == min(self.p.front(), self.s.front())
         # ... and the merged ACK has been announced (§3.4 empty ACK).
@@ -276,11 +278,11 @@ class BridgeCoreMachine(RuleBasedStateMachine):
                     self.deliver(source, replica.segment(replica.sent, 0))
 
         both_acknowledge()  # whatever was new is announced ...
-        mark = len(self.sink.events)
+        mark = len(self.core.events)
         both_acknowledge()  # ... so these are repeats
         assert self.closed or any(
             name == "empty_ack" and fields["dup"]
-            for name, fields in self.sink.events[mark:]
+            for name, fields in self.core.events[mark:]
         )
 
     # ------------------------------------------------------------------
@@ -291,7 +293,7 @@ class BridgeCoreMachine(RuleBasedStateMachine):
     @rule(fin=st.booleans())
     def peer_acknowledges(self, fin):
         BridgeCoreMachine.steps += 1
-        fin_out = any(segment.fin for segment in self.sink.emitted)
+        fin_out = any(segment.fin for segment in self.core.emitted)
         ack = seq_add(self.base, self.cursor + fin_out)
         segment = TcpSegment(
             PEER_PORT, PORT, seq_add(self.isn_c, 1), ack,
@@ -311,7 +313,7 @@ class BridgeCoreMachine(RuleBasedStateMachine):
                     replica.ack, replica.window = segment.seq_end, 0
                     self.deliver(source, replica.segment(replica.sent, 0))
             assert self.closed
-            assert self.sink.events[-1] == (
+            assert self.core.events[-1] == (
                 "conn_deleted", {"peer": self.bc.peer, "reason": "closed"}
             )
 
@@ -326,7 +328,7 @@ class BridgeCoreMachine(RuleBasedStateMachine):
         front = self.p.front()
         ack, window = self.seen["P"]
         self.core.enter_direct(self.bc)
-        flushed = self.sink.emitted[self.checked :]
+        flushed = self.core.emitted[self.checked :]
         # Flush: everything P produced that S never matched, with P's own
         # ACK and window; then P's true ACK if the peer has not heard it.
         for segment in flushed:
@@ -339,7 +341,7 @@ class BridgeCoreMachine(RuleBasedStateMachine):
                 self.cursor += len(segment.payload)
         assert self.cursor == front
         assert self.bc.direct and not seq_lt(self.bc.merge.last_sent_ack, ack)
-        self.checked = len(self.sink.emitted)
+        self.checked = len(self.core.emitted)
         self.s.held.clear()
 
     @precondition(lambda self: not self.closed and self.bc.direct
@@ -355,7 +357,7 @@ class BridgeCoreMachine(RuleBasedStateMachine):
             frontier=seq_add(self.base, p.sent), ack=p.ack, window=p.window,
             mss=self.bc.mss,
         ), direct=False)
-        assert len(self.sink.emitted) == self.checked  # no spurious empty ACK
+        assert len(self.core.emitted) == self.checked  # no spurious empty ACK
         assert not self.bc.direct and self.bc.delta.delta == self.delta
         p.have[: p.sent] = b"\x01" * p.sent
         self.s = Replica(seq_sub(self.base, 1), p.ack, p.window, self.total)
@@ -375,7 +377,7 @@ class BridgeCoreMachine(RuleBasedStateMachine):
     @invariant()
     def no_divergence_was_invented(self):
         assert not self.bc.broken
-        assert all(name != "mismatch" for name, _ in self.sink.events)
+        assert all(name != "mismatch" for name, _ in self.core.events)
 
 
 BridgeCoreMachine.TestCase.settings = settings(
