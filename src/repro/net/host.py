@@ -432,11 +432,12 @@ class Host:
         silent unless something addresses it directly.  Applications are
         not restarted.  What the dead incarnation owned is freed here, by
         reference counting alone: every TCB with its timers and buffers,
-        the listeners, the bridge, and each process blocked on one of
-        those (in accept, recv, send or a close), which never resumes.  A
-        process asleep on a timer still wakes, to a socket whose block is
-        gone.  Registered restart hooks run last — reintegration planes use
-        them to schedule re-admission.
+        the listeners, and each process blocked on one of those (in
+        accept, recv, send or a close), which never resumes; the bridge
+        goes once its pair lets go of it.  A process asleep on a timer
+        still wakes, to a socket whose block is gone.  Registered restart
+        hooks run last — reintegration planes use them to schedule
+        re-admission.
         """
         self.tcp.forget_all()
         self.remove_bridge()
