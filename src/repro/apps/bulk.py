@@ -14,7 +14,7 @@ Timing definitions follow the paper:
 from __future__ import annotations
 
 from functools import lru_cache
-from typing import Generator
+from typing import Callable, Generator
 
 from repro.net.host import Host
 from repro.tcp.socket_api import ListeningSocket, SimSocket
@@ -52,6 +52,22 @@ def sink_server(host: Host, port: int, expected: int, results: dict) -> Generato
     listening.close()
 
 
+def drain_server(host: Host, port: int) -> Generator:
+    """Accept forever; read each connection to EOF, then close it."""
+    listening = ListeningSocket.listen(host, port)
+    while True:
+        sock = yield from listening.accept()
+        host.spawn(_drain(sock), "drain")
+
+
+def _drain(sock: SimSocket) -> Generator:
+    while True:
+        data = yield from sock.recv(65536)
+        if not data:
+            break
+    yield from sock.close_and_wait()
+
+
 def source_server(host: Host, port: int, size: int, salt: int = 0) -> Generator:
     """Accept one connection; on a 4-byte request, stream ``size`` bytes."""
     listening = ListeningSocket.listen(host, port)
@@ -61,6 +77,23 @@ def source_server(host: Host, port: int, size: int, salt: int = 0) -> Generator:
     yield from sock.send_all(pattern_bytes(size, salt))
     yield from sock.close_and_wait()
     listening.close()
+
+
+def resume_source(blob: bytes) -> Callable[..., Generator]:
+    """The resume app of a ``source_server`` streaming ``blob``.
+
+    A rejoining replica calls it as ``app(host, sock, resume)`` on each
+    adopted connection: it reads whatever of the 4-byte request the
+    survivor had not yet read, then sends ``blob`` from ``resume.written``.
+    """
+
+    def app(host: Host, sock: SimSocket, resume) -> Generator:
+        if resume.written == 0 and resume.read < 4:
+            yield from sock.recv_exactly(4 - resume.read)
+        yield from sock.send_all(blob[resume.written:])
+        yield from sock.close_and_wait()
+
+    return app
 
 
 def push_client(client: Host, server_ip, port: int, size: int, results: dict,

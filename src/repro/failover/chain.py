@@ -44,7 +44,11 @@ from repro.failover.delta import SeqOffset
 from repro.failover.detector import FaultDetector
 from repro.failover.options import FailoverConfig
 from repro.failover.primary import PrimaryBridge
-from repro.failover.reintegration import ResumeApp, export_resumable_connections
+from repro.failover.reintegration import (
+    ResumeApp,
+    export_resumable_connections,
+    spawn_resume_apps,
+)
 from repro.failover.takeover import rebind_failover_connections
 from repro.net.addresses import Ipv4Address
 from repro.net.host import Host
@@ -363,22 +367,7 @@ class ReplicatedChain:
             if warm_sync is not None:
                 warm_sync(old_tail, host)
             if resume_app is not None:
-                from repro.failover.reintegration import AppResume
-                from repro.tcp.socket_api import SimSocket
-
-                for conn, snap in zip(conns, snapshots):
-                    host.spawn(
-                        resume_app(
-                            host,
-                            SimSocket(conn),
-                            AppResume(
-                                written=snap.stream_written,
-                                read=snap.stream_read,
-                                snapshot=snap,
-                            ),
-                        ),
-                        f"resume@{host.name}:{conn.local_port}",
-                    )
+                spawn_resume_apps(host, conns, snapshots, resume_app)
             # Extend the full detector mesh to cover the joiner.
             fresh: List[FaultDetector] = []
             for peer in self._living_chain():

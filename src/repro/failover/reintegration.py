@@ -218,6 +218,29 @@ def export_resumable_connections(
     return snapshots, resumes, bypass
 
 
+def spawn_resume_apps(
+    host: "Host",
+    conns: List[TcpConnection],
+    snapshots: List[TcpSnapshot],
+    resume_app: ResumeApp,
+) -> None:
+    """Warm-start ``resume_app`` on each connection installed on ``host``
+    from the matching snapshot, at the stream positions it carries."""
+    for conn, snap in zip(conns, snapshots):
+        host.spawn(
+            resume_app(
+                host,
+                SimSocket(conn),
+                AppResume(
+                    written=snap.stream_written,
+                    read=snap.stream_read,
+                    snapshot=snap,
+                ),
+            ),
+            f"resume@{host.name}:{conn.local_port}",
+        )
+
+
 def perform_reintegration(
     survivor: "Host",
     joiner: "Host",
@@ -376,19 +399,7 @@ def perform_reintegration(
         if warm_sync is not None:
             warm_sync(survivor, joiner)
         if resume_app is not None:
-            for conn, snap in zip(conns, snapshots):
-                joiner.spawn(
-                    resume_app(
-                        joiner,
-                        SimSocket(conn),
-                        AppResume(
-                            written=snap.stream_written,
-                            read=snap.stream_read,
-                            snapshot=snap,
-                        ),
-                    ),
-                    f"resume@{joiner.name}:{conn.local_port}",
-                )
+            spawn_resume_apps(joiner, conns, snapshots, resume_app)
         result.phase = ReintegrationPhase.REARM
         if on_armed is not None:
             on_armed(result, bridge, joiner_bridge)

@@ -50,7 +50,6 @@ class ReplicatedServerPair:
         emit_cost: float = 25e-6,
         ack_merging: bool = True,
         window_merging: bool = True,
-        auto_recover: bool = True,
         auto_reintegrate: bool = False,
         reintegrate_delay: float = 0.020,
         reintegrate_install_delay: float = 200e-6,
@@ -63,7 +62,6 @@ class ReplicatedServerPair:
         self.primary_ip = primary.ip.primary_address()
         self.secondary_ip = secondary.ip.primary_address()
         self.takeover_resume_delay = takeover_resume_delay
-        self.auto_recover = auto_recover
         self.auto_reintegrate = auto_reintegrate
         self.reintegrate_delay = reintegrate_delay
         self.reintegrate_install_delay = reintegrate_install_delay
@@ -104,20 +102,7 @@ class ReplicatedServerPair:
             primary.eth_interface.arp.trusted_claimants.add(secondary.nic.mac)
             secondary.eth_interface.arp.trusted_claimants.add(primary.nic.mac)
 
-        self.primary_detector = FaultDetector(
-            primary,
-            self.secondary_ip,
-            on_failure=self._secondary_failed,
-            interval=detector_interval,
-            timeout=detector_timeout,
-        )
-        self.secondary_detector = FaultDetector(
-            secondary,
-            self.primary_ip,
-            on_failure=self._primary_failed,
-            interval=detector_interval,
-            timeout=detector_timeout,
-        )
+        self._arm_detectors()
         self.failed_over = False
         self.secondary_removed = False
         # The in-flight (or completed) §5 takeover procedure, if any.
@@ -146,6 +131,24 @@ class ReplicatedServerPair:
     def add_failover_port(self, port: int) -> None:
         self.primary_config.add_port(port)
         self.secondary_config.add_port(port)
+
+    def _arm_detectors(self) -> None:
+        """Each replica watches the other: the primary's detector runs §6,
+        the secondary's §5."""
+        self.primary_detector = FaultDetector(
+            self.primary,
+            self.secondary_ip,
+            on_failure=self._secondary_failed,
+            interval=self.detector_interval,
+            timeout=self.detector_timeout,
+        )
+        self.secondary_detector = FaultDetector(
+            self.secondary,
+            self.primary_ip,
+            on_failure=self._primary_failed,
+            interval=self.detector_interval,
+            timeout=self.detector_timeout,
+        )
 
     def start_detectors(self) -> None:
         self._detectors_started = True
@@ -186,13 +189,9 @@ class ReplicatedServerPair:
     def crash_primary(self) -> None:
         """Fail-stop the primary; recovery runs when the detector fires."""
         self.primary.crash()
-        if not self.auto_recover:
-            return
 
     def crash_secondary(self) -> None:
         self.secondary.crash()
-        if not self.auto_recover:
-            return
 
     def _primary_failed(self) -> None:
         """Detector on the secondary fired: run the §5 takeover."""
@@ -263,15 +262,13 @@ class ReplicatedServerPair:
         self.sim.schedule(self.reintegrate_delay, self._auto_rejoin, host)
 
     def _auto_rejoin(self, host: Host) -> None:
-        if not host.alive:
-            return
-        if self.failed_over and not self.secondary_removed and host is self.primary:
-            pass
-        elif self.secondary_removed and not self.failed_over and host is self.secondary:
-            pass
-        else:
-            return  # crashed again meanwhile, or no failover happened yet
-        self.reintegrate(joiner=host)
+        # Only the replica whose failure was handled rejoins, and only if it
+        # is still up and its peer still serves alone.
+        if host.alive and (
+            (host is self.primary and self.failed_over and not self.secondary_removed)
+            or (host is self.secondary and self.secondary_removed and not self.failed_over)
+        ):
+            self.reintegrate(joiner=host)
 
     def reintegrate(
         self,
@@ -375,20 +372,7 @@ class ReplicatedServerPair:
         self.failed_over = False
         self.secondary_removed = False
         self.takeover = None
-        self.primary_detector = FaultDetector(
-            self.primary,
-            self.secondary_ip,
-            on_failure=self._secondary_failed,
-            interval=self.detector_interval,
-            timeout=self.detector_timeout,
-        )
-        self.secondary_detector = FaultDetector(
-            self.secondary,
-            self.primary_ip,
-            on_failure=self._primary_failed,
-            interval=self.detector_interval,
-            timeout=self.detector_timeout,
-        )
+        self._arm_detectors()
         if self._detectors_started:
             self.primary_detector.start()
             self.secondary_detector.start()

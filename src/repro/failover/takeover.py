@@ -213,7 +213,3 @@ def rebind_failover_connections(
     # TIME_WAIT-retired failover TCBs live on only as linger records;
     # their stragglers follow the taken-over address too.
     host.tcp.rebind_lingering(old_ip, new_ip, config.covers)
-
-
-# Backwards-compatible alias for the pre-public name.
-_rebind_failover_connections = rebind_failover_connections

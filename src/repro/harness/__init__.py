@@ -24,8 +24,6 @@ from repro.harness.topology import (
     SERVER_PROFILE,
     LanTestbed,
     WanTestbed,
-    build_lan,
-    build_wan,
 )
 
 __all__ = [
@@ -39,8 +37,6 @@ __all__ = [
     "Stats",
     "Violation",
     "WanTestbed",
-    "build_lan",
-    "build_wan",
     "host_fault_matrix",
     "lifecycle_matrix",
     "rate_kb_s",

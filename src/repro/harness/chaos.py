@@ -26,6 +26,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Callable, Dict, List
 
+from repro.apps import bulk
 from repro.harness import cells
 from repro.harness.cells import (
     PORT,
@@ -393,12 +394,7 @@ def _install_warm_sync(cell: BridgeCell) -> None:
         cell.lan.pair.set_warm_sync(warm_sync)
 
     else:  # download
-
-        def resume_server(host, sock, resume):
-            if resume.written == 0 and resume.read < 4:
-                yield from sock.recv_exactly(4 - resume.read)
-            yield from sock.send_all(blob[resume.written:])
-            yield from sock.close_and_wait()
+        resume_server = bulk.resume_source(blob)
 
     cell.lan.pair.set_resume_app(resume_server)
 

@@ -17,15 +17,27 @@ in the paper — runners take ``total_bytes`` so CI can use a scaled stream
 
 from __future__ import annotations
 
-import struct
-from typing import Dict, Generator, List, Optional, Sequence
+from typing import Callable, Dict, Generator, List, Sequence
 
 from repro.apps import bulk, request_reply
 from repro.apps.ftp import FileStore, FtpClient, ftp_server
 from repro.apps.ftp.protocol import FTP_CONTROL_PORT, FTP_DATA_PORT
+from repro.failover.chain import ReplicatedChain
 from repro.harness.metrics import Stats, rate_kb_s, summarize
 from repro.harness.report import Report, Table
-from repro.harness.topology import LanTestbed, WanTestbed
+from repro.harness.topology import (
+    BRIDGE_COST,
+    CLIENT_IP,
+    CLIENT_PROFILE,
+    EMIT_COST,
+    SERVER_PROFILE,
+    Lan,
+    LanTestbed,
+    WanTestbed,
+)
+from repro.net.addresses import Ipv4Address
+from repro.net.packet import Ipv4Datagram
+from repro.obs.flight import FlightRecorder
 from repro.sim.process import spawn
 from repro.tcp.socket_api import ListeningSocket, SimSocket
 
@@ -37,6 +49,54 @@ FIG6_FILE_SIZES_KB = [0.2, 1.3, 18.2, 144.9, 1738.1]
 SERVICE_PORT = 5001
 
 
+def _drive(
+    bed: Lan, client: Generator, until: float, done: Callable[[], bool], what: str
+) -> None:
+    """Run the ``client`` process on ``bed`` to ``until``; it must be ``done``."""
+    spawn(bed.sim, client, what)
+    bed.run(until=until)
+    if not done():
+        raise RuntimeError(f"{what} did not complete")
+
+
+def _drain_each(host):
+    return bulk.drain_server(host, SERVICE_PORT)
+
+
+def _pull_through(bed: Lan, total_bytes: int, crash_at: float, what: str) -> Dict:
+    """Pull a ``source_server`` stream, timing every arrival at the client.
+
+    Returns whether it arrived intact, when it finished (``total_s``) and
+    the longest gap between arrivals that ends after ``crash_at``.
+    """
+    arrivals: List[float] = []
+    outcome: Dict = {}
+
+    def client() -> Generator:
+        sock = SimSocket.connect(bed.client, bed.server_ip, SERVICE_PORT)
+        yield from sock.wait_connected()
+        yield from sock.send_all(b"PULL")
+        received = bytearray()
+        while len(received) < total_bytes:
+            data = yield from sock.recv(65536)
+            if not data:
+                break
+            received.extend(data)
+            arrivals.append(bed.sim.now)
+        outcome["intact"] = bytes(received) == bulk.pattern_bytes(total_bytes)
+        outcome["total_s"] = bed.sim.now
+        yield from sock.close_and_wait()
+
+    _drive(bed, client(), total_bytes / 1e5 + 60.0,
+           lambda: "total_s" in outcome, what)
+    outcome["stall_s"] = max(
+        (after - before for before, after in zip(arrivals, arrivals[1:])
+         if after > crash_at),
+        default=0.0,
+    )
+    return outcome
+
+
 # ======================================================================
 # E1 — connection setup time (§9, text table)
 # ======================================================================
@@ -46,29 +106,10 @@ def measure_connection_setup(
 ) -> Stats:
     """Median/max client connect() time over ``trials`` connections."""
     bed = LanTestbed(seed=seed, replicated=replicated, failover_ports=[SERVICE_PORT])
+    bed.serve(_drain_each, "setup-server")
     samples: List[float] = []
 
-    def server_app(host):
-        def app() -> Generator:
-            listening = ListeningSocket.listen(host, SERVICE_PORT)
-            while True:
-                sock = yield from listening.accept()
-                host.spawn(_drain_and_close(sock), "setup-conn")
-        return app()
-
-    def _drain_and_close(sock: SimSocket) -> Generator:
-        while True:
-            data = yield from sock.recv(4096)
-            if not data:
-                break
-        yield from sock.close_and_wait()
-
-    if replicated:
-        bed.pair.run_app(server_app, "setup-server")
-    else:
-        bed.server.spawn(server_app(bed.server), "setup-server")
-
-    def client_proc() -> Generator:
+    def client() -> Generator:
         for _ in range(trials):
             start = bed.sim.now
             sock = SimSocket.connect(bed.client, bed.server_ip, SERVICE_PORT)
@@ -77,10 +118,8 @@ def measure_connection_setup(
             yield from sock.close_and_wait()
             yield 0.005  # settle between trials, as back-to-back runs would
 
-    spawn(bed.sim, client_proc(), "setup-client")
-    bed.run(until=trials * 0.1 + 5.0)
-    if len(samples) != trials:
-        raise RuntimeError(f"only {len(samples)}/{trials} connects completed")
+    _drive(bed, client(), trials * 0.1 + 5.0,
+           lambda: len(samples) == trials, f"{trials} connects")
     return summarize(samples)
 
 
@@ -93,44 +132,20 @@ def measure_send_time(
 ) -> Stats:
     """Median time for the client send() of a ``size``-byte message."""
     bed = LanTestbed(seed=seed, replicated=replicated, failover_ports=[SERVICE_PORT])
+    bed.serve(_drain_each, "fig3-server")
     samples: List[float] = []
 
-    def server_app(host):
-        def app() -> Generator:
-            listening = ListeningSocket.listen(host, SERVICE_PORT)
-            while True:
-                sock = yield from listening.accept()
-                host.spawn(_sink_one(sock), "fig3-conn")
-        return app()
-
-    def _sink_one(sock: SimSocket) -> Generator:
-        while True:
-            data = yield from sock.recv(65536)
-            if not data:
-                break
-        yield from sock.close_and_wait()
-
-    if replicated:
-        bed.pair.run_app(server_app, "fig3-server")
-    else:
-        bed.server.spawn(server_app(bed.server), "fig3-server")
-
-    payload = bulk.pattern_bytes(size)
-
-    def client_proc() -> Generator:
+    def client() -> Generator:
         for _ in range(trials):
-            sock = SimSocket.connect(bed.client, bed.server_ip, SERVICE_PORT)
-            yield from sock.wait_connected()
-            start = bed.sim.now
-            yield from sock.send_all(payload)
-            samples.append(bed.sim.now - start)
-            yield from sock.close_and_wait()
+            times: Dict = {}
+            yield from bulk.push_client(
+                bed.client, bed.server_ip, SERVICE_PORT, size, times
+            )
+            samples.append(times["t_send_done"] - times["t_connected"])
             yield 0.01
 
-    spawn(bed.sim, client_proc(), "fig3-client")
-    bed.run(until=trials * (size / 2e6 + 0.5) + 5.0)
-    if len(samples) != trials:
-        raise RuntimeError(f"only {len(samples)}/{trials} sends completed")
+    _drive(bed, client(), trials * (size / 2e6 + 0.5) + 5.0,
+           lambda: len(samples) == trials, f"{trials} sends")
     return summarize(samples)
 
 
@@ -143,17 +158,10 @@ def measure_request_reply(
 ) -> Stats:
     """Median time from 4-byte request to last reply byte (client clock)."""
     bed = LanTestbed(seed=seed, replicated=replicated, failover_ports=[SERVICE_PORT])
+    bed.serve(lambda host: request_reply.reply_server(host, SERVICE_PORT), "fig4-server")
     samples: List[float] = []
 
-    def server_app(host):
-        return request_reply.reply_server(host, SERVICE_PORT)
-
-    if replicated:
-        bed.pair.run_app(server_app, "fig4-server")
-    else:
-        bed.server.spawn(server_app(bed.server), "fig4-server")
-
-    def client_proc() -> Generator:
+    def client() -> Generator:
         for _ in range(trials):
             results: Dict = {}
             yield from request_reply.request_once(
@@ -164,10 +172,8 @@ def measure_request_reply(
             samples.append(results["t_reply_done"] - results["t_request"])
             yield 0.01
 
-    spawn(bed.sim, client_proc(), "fig4-client")
-    bed.run(until=trials * (size / 1e6 + 0.5) + 5.0)
-    if len(samples) != trials:
-        raise RuntimeError(f"only {len(samples)}/{trials} exchanges completed")
+    _drive(bed, client(), trials * (size / 1e6 + 0.5) + 5.0,
+           lambda: len(samples) == trials, f"{trials} exchanges")
     return summarize(samples)
 
 
@@ -179,68 +185,27 @@ def measure_stream_rates(
     total_bytes: int = 10_000_000, replicated: bool = True, seed: int = 0
 ) -> Dict[str, float]:
     """KB/s for a client→server stream (send) and server→client (receive)."""
-    # --- send direction -------------------------------------------------
+    until = total_bytes / 2e5 + 30.0
     bed = LanTestbed(seed=seed, replicated=replicated, failover_ports=[SERVICE_PORT])
-    send_results: Dict = {}
+    bed.serve(_drain_each, "fig5-sink")
+    sent: Dict = {}
+    _drive(bed, bulk.push_client(bed.client, bed.server_ip, SERVICE_PORT,
+                                 total_bytes, sent),
+           until, lambda: "t_closed" in sent, "send stream")
 
-    def sink_app(host):
-        def app() -> Generator:
-            listening = ListeningSocket.listen(host, SERVICE_PORT)
-            sock = yield from listening.accept()
-            received = 0
-            while True:
-                data = yield from sock.recv(65536)
-                if not data:
-                    break
-                received += len(data)
-            send_results.setdefault("received", received)
-            yield from sock.close_and_wait()
-        return app()
-
-    if replicated:
-        bed.pair.run_app(sink_app, "fig5-sink")
-    else:
-        bed.server.spawn(sink_app(bed.server), "fig5-sink")
-
-    spawn(
-        bed.sim,
-        bulk.push_client(bed.client, bed.server_ip, SERVICE_PORT, total_bytes, send_results),
-        "fig5-push",
-    )
-    bed.run(until=total_bytes / 2e5 + 30.0)
-    if "t_closed" not in send_results:
-        raise RuntimeError("send stream did not complete")
-    send_rate = rate_kb_s(
-        total_bytes, send_results["t_closed"] - send_results["t_connected"]
-    )
-
-    # --- receive direction ------------------------------------------------
     bed = LanTestbed(seed=seed + 1, replicated=replicated, failover_ports=[SERVICE_PORT])
-    recv_results: Dict = {}
-
-    def source_app(host):
-        return bulk.source_server(host, SERVICE_PORT, total_bytes)
-
-    if replicated:
-        bed.pair.run_app(source_app, "fig5-source")
-    else:
-        bed.server.spawn(source_app(bed.server), "fig5-source")
-
-    spawn(
-        bed.sim,
-        bulk.pull_client(
-            bed.client, bed.server_ip, SERVICE_PORT, total_bytes, recv_results,
-            verify=False,
+    bed.serve(lambda host: bulk.source_server(host, SERVICE_PORT, total_bytes),
+              "fig5-source")
+    pulled: Dict = {}
+    _drive(bed, bulk.pull_client(bed.client, bed.server_ip, SERVICE_PORT,
+                                 total_bytes, pulled, verify=False),
+           until, lambda: "t_last_byte" in pulled, "receive stream")
+    return {
+        "send_rate_kb_s": rate_kb_s(total_bytes, sent["t_closed"] - sent["t_connected"]),
+        "recv_rate_kb_s": rate_kb_s(
+            total_bytes, pulled["t_last_byte"] - pulled["t_request_sent"]
         ),
-        "fig5-pull",
-    )
-    bed.run(until=total_bytes / 2e5 + 30.0)
-    if "t_last_byte" not in recv_results:
-        raise RuntimeError("receive stream did not complete")
-    recv_rate = rate_kb_s(
-        total_bytes, recv_results["t_last_byte"] - recv_results["t_request_sent"]
-    )
-    return {"send_rate_kb_s": send_rate, "recv_rate_kb_s": recv_rate}
+    }
 
 
 # ======================================================================
@@ -265,18 +230,9 @@ def measure_ftp_rates(
             replicated=replicated,
             failover_ports=[FTP_CONTROL_PORT, FTP_DATA_PORT],
         )
-        done: Dict = {}
+        bed.serve(lambda host: ftp_server(host, FileStore({"paper.bin": content})), "ftp")
 
-        def server_app(host):
-            store = FileStore({"paper.bin": content})
-            return ftp_server(host, store)
-
-        if replicated:
-            bed.pair.run_app(server_app, "ftp")
-        else:
-            bed.server.spawn(server_app(bed.server), "ftp")
-
-        def client_proc() -> Generator:
+        def client() -> Generator:
             ftp = FtpClient(bed.client, bed.server_ip)
             yield from ftp.connect_and_login()
             data, get_elapsed = yield from ftp.get("paper.bin")
@@ -284,15 +240,11 @@ def measure_ftp_rates(
                 raise RuntimeError("FTP get corrupted the file")
             put_elapsed = yield from ftp.put("upload.bin", content)
             yield from ftp.quit()
-            done["get"] = rate_kb_s(size, get_elapsed)
-            done["put"] = rate_kb_s(size, put_elapsed)
+            get_rates.append(rate_kb_s(size, get_elapsed))
+            put_rates.append(rate_kb_s(size, put_elapsed))
 
-        spawn(bed.sim, client_proc(), "ftp-client")
-        bed.run(until=size / 1e4 + 120.0)
-        if "get" not in done:
-            raise RuntimeError(f"FTP trial {trial} did not complete")
-        get_rates.append(done["get"])
-        put_rates.append(done["put"])
+        _drive(bed, client(), size / 1e4 + 120.0,
+               lambda: len(get_rates) == trial + 1, f"FTP trial {trial}")
 
     return {
         "get_kb_s": summarize(get_rates).median,
@@ -339,52 +291,20 @@ def measure_failover(
         metrics=metrics,
     )
     bed.start_detectors()
-
-    def source_app(host):
-        return bulk.source_server(host, SERVICE_PORT, total_bytes)
-
-    bed.pair.run_app(source_app, "failover-source")
-
-    arrivals: List[float] = []
-    outcome: Dict = {}
-
-    def client_proc() -> Generator:
-        sock = SimSocket.connect(bed.client, bed.server_ip, SERVICE_PORT)
-        yield from sock.wait_connected()
-        yield from sock.send_all(b"PULL")
-        received = bytearray()
-        while len(received) < total_bytes:
-            data = yield from sock.recv(65536)
-            if not data:
-                break
-            received.extend(data)
-            arrivals.append(bed.sim.now)
-        outcome["intact"] = bytes(received) == bulk.pattern_bytes(total_bytes)
-        outcome["t_done"] = bed.sim.now
-        yield from sock.close_and_wait()
-
-    spawn(bed.sim, client_proc(), "failover-client")
+    bed.serve(lambda host: bulk.source_server(host, SERVICE_PORT, total_bytes),
+              "failover-source")
     if crash == "primary":
         bed.sim.schedule(crash_at, bed.pair.crash_primary)
     elif crash == "secondary":
         bed.sim.schedule(crash_at, bed.pair.crash_secondary)
-    bed.run(until=total_bytes / 1e5 + 60.0)
-    if "t_done" not in outcome:
-        raise RuntimeError("stream did not complete after failover")
-
-    stall = 0.0
-    for before, after in zip(arrivals, arrivals[1:]):
-        if after > crash_at and after - before > stall:
-            stall = after - before
+    pulled = _pull_through(bed, total_bytes, crash_at, "stream after failover")
     result = {
-        "intact": outcome["intact"],
-        "stall_s": stall,
-        "total_s": outcome["t_done"],
+        "intact": pulled["intact"],
+        "stall_s": pulled["stall_s"],
+        "total_s": pulled["total_s"],
         "detector_timeout": detector_timeout,
     }
     if record_traces:
-        from repro.obs.flight import FlightRecorder
-
         recorder = FlightRecorder(bed.tracer)
         breakdown = recorder.phase_breakdown()
         result["tracer"] = bed.tracer
@@ -428,24 +348,22 @@ def measure_minack_ablation(
 
     received: Dict[str, bytes] = {}
 
-    def sink_app(host):
-        def app() -> Generator:
-            listening = ListeningSocket.listen(host, SERVICE_PORT)
-            sock = yield from listening.accept()
-            data = bytearray()
-            while True:
-                try:
-                    chunk = yield from sock.recv(65536)
-                except ConnectionError:
-                    break
-                if not chunk:
-                    break
-                data.extend(chunk)
-            received[host.name] = bytes(data)
-            yield from sock.close_and_wait()
-        return app()
+    def sink_app(host) -> Generator:
+        listening = ListeningSocket.listen(host, SERVICE_PORT)
+        sock = yield from listening.accept()
+        data = bytearray()
+        while True:
+            try:
+                chunk = yield from sock.recv(65536)
+            except ConnectionError:
+                break
+            if not chunk:
+                break
+            data.extend(chunk)
+        received[host.name] = bytes(data)
+        yield from sock.close_and_wait()
 
-    bed.pair.run_app(sink_app, "ablation-sink")
+    bed.serve(sink_app, "ablation-sink")
 
     # Drop exactly one snooped client data frame at the secondary: the
     # first frame whose TCP payload covers ``drop_at_byte`` bytes into the
@@ -453,7 +371,6 @@ def measure_minack_ablation(
     state = {"seen": 0, "dropped": False}
 
     def drop_hook(frame) -> bool:
-        from repro.net.packet import Ipv4Datagram
         payload = frame.payload
         if not isinstance(payload, Ipv4Datagram):
             return False
@@ -469,20 +386,10 @@ def measure_minack_ablation(
 
     bed.secondary.nic.rx_drop_hook = drop_hook
 
-    stream = bulk.pattern_bytes(total_bytes)
-    outcome: Dict = {}
-
-    def client_proc() -> Generator:
-        sock = SimSocket.connect(bed.client, bed.server_ip, SERVICE_PORT)
-        yield from sock.wait_connected()
-        try:
-            yield from sock.send_all(stream)
-            yield from sock.close_and_wait()
-            outcome["client_ok"] = True
-        except ConnectionError:
-            outcome["client_ok"] = False
-
-    spawn(bed.sim, client_proc(), "ablation-client")
+    # A reset aborts the push before it records ``t_closed``.
+    pushed: Dict = {}
+    spawn(bed.sim, bulk.push_client(bed.client, bed.server_ip, SERVICE_PORT,
+                                    total_bytes, pushed), "ablation-client")
     bed.sim.schedule(crash_at, bed.pair.crash_primary)
     bed.run(until=30.0)
 
@@ -491,8 +398,8 @@ def measure_minack_ablation(
         "ack_merging": ack_merging,
         "frame_dropped": state["dropped"],
         "survivor_bytes": len(survivor),
-        "survivor_intact": survivor == stream,
-        "client_ok": outcome.get("client_ok", False),
+        "survivor_intact": survivor == bulk.pattern_bytes(total_bytes),
+        "client_ok": "t_closed" in pushed,
     }
 
 
@@ -507,19 +414,7 @@ def measure_chain_depth(
 
     ``replicas == 1`` is the unreplicated standard-TCP baseline.
     """
-    from repro.failover.chain import ReplicatedChain
-    from repro.harness.topology import (
-        BRIDGE_COST,
-        CLIENT_IP,
-        CLIENT_PROFILE,
-        EMIT_COST,
-        SERVER_PROFILE,
-        Lan,
-    )
-    from repro.net.addresses import Ipv4Address
-
     lan = Lan(seed, collision_prob=0.05)
-    sim = lan.sim
     client = lan.add_host("client", 1, CLIENT_IP, CLIENT_PROFILE)
     members = [
         lan.add_host(
@@ -530,36 +425,25 @@ def measure_chain_depth(
     ]
     lan.warm_arp()
 
-    from repro.apps import bulk as bulk_app
+    def source(host):
+        return bulk.source_server(host, SERVICE_PORT, total_bytes)
 
     if replicas == 1:
-        members[0].spawn(
-            bulk_app.source_server(members[0], SERVICE_PORT, total_bytes), "src"
-        )
+        members[0].spawn(source(members[0]), "src")
         service_ip = members[0].ip.primary_address()
     else:
         chain = ReplicatedChain(
             members, failover_ports=[SERVICE_PORT],
             bridge_cost=BRIDGE_COST, emit_cost=EMIT_COST,
         )
-        chain.run_app(
-            lambda host: bulk_app.source_server(host, SERVICE_PORT, total_bytes)
-        )
+        chain.run_app(source)
         service_ip = chain.service_ip
 
     results: Dict = {}
-    spawn(
-        sim,
-        bulk_app.pull_client(
-            client, service_ip, SERVICE_PORT, total_bytes, results, verify=False
-        ),
-        "pull",
-    )
-    sim.run(until=total_bytes / 5e4 + 60.0)
-    if "t_last_byte" not in results:
-        raise RuntimeError(f"depth-{replicas} stream did not complete")
-    from repro.harness.metrics import rate_kb_s
-
+    _drive(lan, bulk.pull_client(client, service_ip, SERVICE_PORT, total_bytes,
+                                 results, verify=False),
+           total_bytes / 5e4 + 60.0, lambda: "t_last_byte" in results,
+           f"depth-{replicas} stream")
     return rate_kb_s(total_bytes, results["t_last_byte"] - results["t_request_sent"])
 
 
@@ -596,45 +480,29 @@ def measure_minwindow_ablation(
     received: Dict[str, int] = {}
     sink_conns: Dict[str, object] = {}
 
-    def paced_sink(host):
-        def app() -> Generator:
-            listening = ListeningSocket.listen(host, SERVICE_PORT)
-            sock = yield from listening.accept()
-            sink_conns[host.name] = sock.conn
-            total = 0
-            while True:
-                data = sock.conn.read(read_chunk)
-                if data:
-                    total += len(data)
-                elif sock.conn.eof:
-                    break
-                elif sock.conn.reset_received:
-                    break
-                else:
-                    yield sock.conn.wait_readable()
-                    continue
-                yield read_interval  # paced consumer
-            received[host.name] = total
-            yield from sock.close_and_wait()
-        return app()
-
-    bed.pair.run_app(paced_sink, "paced-sink")
-    import repro.apps.bulk as bulk_app
-
-    stream = bulk_app.pattern_bytes(total_bytes)
-    outcome: Dict = {}
-
-    def client() -> Generator:
-        sock = SimSocket.connect(bed.client, bed.server_ip, SERVICE_PORT)
-        yield from sock.wait_connected()
-        yield from sock.send_all(stream)
+    def paced_sink(host) -> Generator:
+        listening = ListeningSocket.listen(host, SERVICE_PORT)
+        sock = yield from listening.accept()
+        sink_conns[host.name] = sock.conn
+        total = 0
+        while True:
+            data = sock.conn.read(read_chunk)
+            if data:
+                total += len(data)
+            elif sock.conn.eof or sock.conn.reset_received:
+                break
+            else:
+                yield sock.conn.wait_readable()
+                continue
+            yield read_interval  # paced consumer
+        received[host.name] = total
         yield from sock.close_and_wait()
-        outcome["t_done"] = bed.sim.now
 
-    spawn(bed.sim, client(), "paced-client")
-    bed.run(until=120.0)
-    if "t_done" not in outcome:
-        raise RuntimeError("paced stream did not complete")
+    bed.serve(paced_sink, "paced-sink")
+    pushed: Dict = {}
+    _drive(bed, bulk.push_client(bed.client, bed.server_ip, SERVICE_PORT,
+                                 total_bytes, pushed),
+           120.0, lambda: "t_closed" in pushed, "paced stream")
     secondary_conn = sink_conns.get("secondary")
     trimmed = (
         secondary_conn.recv_buffer.bytes_trimmed
@@ -643,7 +511,7 @@ def measure_minwindow_ablation(
     )
     return {
         "window_merging": window_merging,
-        "completion_s": outcome["t_done"],
+        "completion_s": pushed["t_closed"],
         "secondary_bytes": received.get("secondary", 0),
         "primary_bytes": received.get("primary", 0),
         "secondary_trimmed": trimmed,
@@ -689,72 +557,25 @@ def measure_reintegration(
     pair = bed.pair
     pair.auto_reintegrate = True
     pair.reintegrate_delay = 0.020
-
-    blob = bulk.pattern_bytes(total_bytes)
-
-    def source_app(host):
-        return bulk.source_server(host, SERVICE_PORT, total_bytes)
-
-    pair.run_app(source_app, "reint-source")
-
-    def resume_source(host, sock, resume):
-        def app() -> Generator:
-            if resume.written == 0 and resume.read < 4:
-                yield from sock.recv_exactly(4 - resume.read)
-            yield from sock.send_all(blob[resume.written:])
-            yield from sock.close_and_wait()
-        return app()
-
-    pair.set_resume_app(resume_source)
-
-    arrivals: List[float] = []
-    outcome: Dict = {}
-
-    def client_proc() -> Generator:
-        sock = SimSocket.connect(bed.client, bed.server_ip, SERVICE_PORT)
-        yield from sock.wait_connected()
-        yield from sock.send_all(b"PULL")
-        received = bytearray()
-        while len(received) < total_bytes:
-            data = yield from sock.recv(65536)
-            if not data:
-                break
-            received.extend(data)
-            arrivals.append(bed.sim.now)
-        outcome["intact"] = bytes(received) == blob
-        outcome["t_done"] = bed.sim.now
-        yield from sock.close_and_wait()
-
-    spawn(bed.sim, client_proc(), "reint-client")
-    bed.sim.schedule(crash_at, bed.pair.crash_primary)
+    bed.serve(lambda host: bulk.source_server(host, SERVICE_PORT, total_bytes),
+              "reint-source")
+    pair.set_resume_app(bulk.resume_source(bulk.pattern_bytes(total_bytes)))
+    bed.sim.schedule(crash_at, pair.crash_primary)
     bed.sim.schedule(crash_at + restart_after, bed.primary.restart)
     if double:
         # Crash whoever is primary *then* — after reintegration that is
         # the original secondary, so the reintegrated replica takes over.
-        bed.sim.schedule(
-            crash_at + crash_again_after, lambda: bed.pair.primary.crash()
-        )
-    bed.run(until=total_bytes / 1e5 + 60.0)
-    if "t_done" not in outcome:
-        raise RuntimeError("stream did not complete after reintegration")
-
-    stall = 0.0
-    for before, after in zip(arrivals, arrivals[1:]):
-        if after > crash_at and after - before > stall:
-            stall = after - before
+        bed.sim.schedule(crash_at + crash_again_after, lambda: pair.primary.crash())
+    pulled = _pull_through(bed, total_bytes, crash_at, "stream after reintegration")
     result = {
-        "intact": outcome["intact"],
-        "stall_s": stall,
-        "total_s": outcome["t_done"],
+        "intact": pulled["intact"],
+        "stall_s": pulled["stall_s"],
+        "total_s": pulled["total_s"],
         "reintegrations": len(pair.reintegrations),
-        "redundancy_restored": any(
-            r.merge_complete for r in pair.reintegrations
-        ),
+        "redundancy_restored": any(r.merge_complete for r in pair.reintegrations),
         "resumed_connections": sum(r.resumed for r in pair.reintegrations),
     }
     if record_traces:
-        from repro.obs.flight import FlightRecorder
-
         recorder = FlightRecorder(bed.tracer)
         result["tracer"] = bed.tracer
         result["recorder"] = recorder

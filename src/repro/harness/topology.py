@@ -24,7 +24,7 @@ that turns a :class:`HostProfile` into a :class:`~repro.net.host.Host`
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from typing import Iterable, List, Optional
+from typing import Callable, Generator, Iterable, List, Optional
 
 from repro.failover.replicated import ReplicatedServerPair
 from repro.harness.invariants import InvariantChecker
@@ -330,6 +330,15 @@ class Lan:
 
     # -- running ---------------------------------------------------------
 
+    def serve(self, factory: Callable[[Host], Generator], name: str) -> None:
+        """Run the service app ``factory(host)`` where :meth:`add_servers`
+        put the service: on both replicas (``name@P``/``name@S``) or on the
+        one server (``name``)."""
+        if self.pair is not None:
+            self.pair.run_app(factory, name)
+        else:
+            self.server.spawn(factory(self.server), name)
+
     def start_detectors(self) -> None:
         if self.pair is not None:
             self.pair.start_detectors()
@@ -438,15 +447,6 @@ class WanTestbed(Lan):
         for server in self.add_servers(replicated, failover_ports):
             server.ip.set_default_gateway(ROUTER_LAN_IP)
         self.warm_arp()
-
-
-def build_lan(**kwargs) -> LanTestbed:
-    """Convenience constructor used by examples and benchmarks."""
-    return LanTestbed(**kwargs)
-
-
-def build_wan(**kwargs) -> WanTestbed:
-    return WanTestbed(**kwargs)
 
 
 # ----------------------------------------------------------------------

@@ -5,7 +5,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.apps import bulk
+from repro.failover.reintegration import AppResume
 from repro.sim.process import spawn
+from repro.tcp.socket_api import ListeningSocket, SimSocket
 from tests.util import SERVER_IP, TwoHostLan, run_all
 
 
@@ -110,3 +112,48 @@ def test_send_time_flat_below_buffer_then_grows():
     lan.run(until=60.0)
     assert timings["small"] < 1e-3           # near-instant buffer copy
     assert timings["large"] > 10 * timings["small"]
+
+
+class _CountingSocket:
+    """Counts the bytes an app reads through ``recv_exactly``."""
+
+    def __init__(self, sock):
+        self.sock = sock
+        self.read = 0
+
+    def recv_exactly(self, count):
+        data = yield from self.sock.recv_exactly(count)
+        self.read += len(data)
+        return data
+
+    def __getattr__(self, name):
+        return getattr(self.sock, name)
+
+
+@pytest.mark.parametrize("read, written", [(1, 0), (2, 0), (3, 0), (4, 3000)])
+def test_resume_source_reads_the_rest_of_the_request_then_sends_the_rest(
+    read, written
+):
+    lan = TwoHostLan()
+    blob = bulk.pattern_bytes(10_000, salt=5)
+    box = {}
+
+    def server():
+        listening = ListeningSocket.listen(lan.server, 80)
+        box["sock"] = _CountingSocket((yield from listening.accept()))
+        resume = AppResume(written=written, read=read, snapshot=None)
+        yield from bulk.resume_source(blob)(lan.server, box["sock"], resume)
+
+    def client():
+        sock = SimSocket.connect(lan.client, SERVER_IP, 80)
+        yield from sock.wait_connected()
+        if read < 4:  # the survivor had read only part of the request
+            yield from sock.send_all(b"PULL"[read:])
+        box["data"] = yield from sock.recv_until_eof()
+        yield from sock.close_and_wait()
+
+    lan.server.spawn(server(), "resume")
+    spawn(lan.sim, client(), "client")
+    lan.run(until=30.0)
+    assert box["sock"].read == 4 - read
+    assert box["data"] == blob[written:]

@@ -182,3 +182,28 @@ def test_add_station_knows_every_member_but_no_member_knows_it():
         assert station.nic.mac not in _arp_view(host).values()
     lan.warm_arp()  # the mesh stays the membership's: still no way in
     assert {host.name: _arp_view(host) for host in lan.hosts} == before
+
+
+def _served_on(bed):
+    """Names of the hosts on which ``Lan.serve`` started the app."""
+    ran = []
+
+    def factory(host):
+        def app():
+            ran.append(host.name)
+            yield 0.0
+        return app()
+
+    bed.serve(factory, "svc")
+    bed.run(until=0.01)
+    return ran
+
+
+def test_serve_runs_on_both_replicas_and_nowhere_else():
+    assert _served_on(LanTestbed(seed=1, failover_ports=[7])) == ["primary", "secondary"]
+    assert _served_on(WanTestbed(seed=1, failover_ports=[7])) == ["primary", "secondary"]
+
+
+def test_serve_runs_on_the_one_server_of_an_unreplicated_testbed():
+    assert _served_on(LanTestbed(seed=1, replicated=False)) == ["server"]
+    assert _served_on(WanTestbed(seed=1, replicated=False)) == ["server"]
