@@ -46,8 +46,8 @@ from repro.harness.invariants import InvariantChecker
 from repro.harness.metrics import Stats, latency_windows
 from repro.harness.report import Report, Table
 from repro.harness.topology import (
-    BRIDGE_COST, CLIENT_ARP_DELAY, CLIENT_PROFILE, CLIENT_TIER_MAC_BASE,
-    EMIT_COST, PRIMARY_IP, SECONDARY_IP, SERVER_PROFILE, Lan,
+    CLIENT_ARP_DELAY, CLIENT_PROFILE, CLIENT_TIER_MAC_BASE, PRIMARY_IP,
+    SECONDARY_IP, SERVER_PROFILE, Lan,
 )
 from repro.net.addresses import Ipv4Address
 from repro.net.host import Host
@@ -299,7 +299,6 @@ def run_client_path(
             (SERVICE_PORT,), SERVER_PROFILE,
             detector_interval=detector_interval,
             detector_timeout=detector_timeout,
-            bridge_cost=BRIDGE_COST, emit_cost=EMIT_COST,
         )
         lan.warm_arp()
         pair.run_app(

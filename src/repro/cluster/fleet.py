@@ -15,7 +15,7 @@ pair, bridge, detectors, takeover — on a private LAN, so a failover
 storm (several primaries killed at once) plays out shard-locally: the
 gratuitous ARP that moves a shard's service address only crosses that
 shard's LAN, and the dispatcher's per-shard interface applies it after
-``gratuitous_apply_delay`` exactly like the paper's router (interval T).
+``ROUTER_ARP_DELAY``, exactly like the paper's router (interval T).
 
 The fleet also owns the per-shard :class:`MetricsRegistry` instances the
 ``repro obs report --cluster`` rollup aggregates.
@@ -30,9 +30,7 @@ from repro.cluster.dispatcher import VirtualService
 from repro.failover.replicated import ReplicatedServerPair
 from repro.harness.invariants import InvariantChecker
 from repro.harness.topology import (
-    BRIDGE_COST,
     CLIENT_PROFILE,
-    EMIT_COST,
     FLEET_MAC_BASE,
     ROUTER_ARP_DELAY,
     SERVER_PROFILE,
@@ -121,14 +119,9 @@ class ShardedFleet:
         service_port: int = CLUSTER_SERVICE_PORT,
         detector_interval: float = 0.010,
         detector_timeout: float = 0.050,
-        collision_prob: float = 0.0,
-        dispatcher_arp_delay: float = ROUTER_ARP_DELAY,
         enable_metrics: bool = False,
         record_traces: bool = False,
-        max_trace_records: Optional[int] = None,
-        conn_defaults: Optional[dict] = None,
         auto_reintegrate: bool = False,
-        takeover_resume_delay: float = 200e-6,
         span_sample_rate: float = 0.0,
         max_spans: Optional[int] = None,
     ):
@@ -139,7 +132,7 @@ class ShardedFleet:
         self.sim = Simulator()
         self.seed = seed
         self.rng = RngRegistry(seed)
-        self.tracer = Tracer(record=record_traces, max_records=max_trace_records)
+        self.tracer = Tracer(record=record_traces)
         self.service_port = service_port
         self.virtual_ip = VIRTUAL_IP
         self.enable_metrics = enable_metrics
@@ -163,10 +156,11 @@ class ShardedFleet:
         if enable_metrics:
             self.sim.set_metrics(self.front_metrics)
 
+        # Every fleet segment is collision-free (the segment's default is not).
         self.front_segment = EthernetSegment(
             self.sim,
             name="front",
-            collision_prob=collision_prob,
+            collision_prob=0.0,
             tracer=self.tracer,
             rng=self.rng.stream("ethernet.front"),
             metrics=self.front_metrics if enable_metrics else None,
@@ -178,7 +172,7 @@ class ShardedFleet:
             _fleet_mac(0),
             tracer=self.tracer,
             rng=self.rng.stream("host.dispatcher"),
-            gratuitous_apply_delay=dispatcher_arp_delay,
+            gratuitous_apply_delay=ROUTER_ARP_DELAY,
             spans=self.spans,
         )
         front_iface = self.dispatcher.attach_ethernet(
@@ -196,8 +190,6 @@ class ShardedFleet:
             client.attach_ethernet(
                 self.front_segment, Ipv4Address(f"10.0.0.{1 + i}")
             )
-            if conn_defaults:
-                client.tcp.conn_defaults.update(conn_defaults)
             self.clients.append(client)
 
         self.shards: List[Shard] = []
@@ -208,7 +200,7 @@ class ShardedFleet:
             segment = EthernetSegment(
                 self.sim,
                 name=f"shard{s}",
-                collision_prob=collision_prob,
+                collision_prob=0.0,
                 tracer=self.tracer,
                 rng=self.rng.stream(f"ethernet.shard{s}"),
                 metrics=shard_metrics if enable_metrics else None,
@@ -229,19 +221,13 @@ class ShardedFleet:
             shard_iface = self.dispatcher.attach_ethernet(segment, gateway_ip)
             primary.ip.set_default_gateway(gateway_ip)
             secondary.ip.set_default_gateway(gateway_ip)
-            if conn_defaults:
-                primary.tcp.conn_defaults.update(conn_defaults)
-                secondary.tcp.conn_defaults.update(conn_defaults)
             pair = ReplicatedServerPair(
                 primary,
                 secondary,
                 failover_ports=(service_port,),
                 detector_interval=detector_interval,
                 detector_timeout=detector_timeout,
-                bridge_cost=BRIDGE_COST,
-                emit_cost=EMIT_COST,
                 auto_reintegrate=auto_reintegrate,
-                takeover_resume_delay=takeover_resume_delay,
             )
             self.shards.append(
                 Shard(shard_id, segment, primary, secondary, pair, shard_metrics)

@@ -66,7 +66,6 @@ class BridgeBase(EventSource):
         host: "Host",
         config: "FailoverConfig",
         tracer: Optional["Tracer"] = None,
-        bridge_cost: float = 15e-6,
     ):
         self.host = host
         self.sim = host.sim
@@ -74,7 +73,9 @@ class BridgeBase(EventSource):
         self.tracer = tracer or host.tracer
         self.metrics = getattr(host, "metrics", None) or NULL_METRICS
         self.spans = getattr(host, "spans", None) or NULL_SPANS
-        self.bridge_cost = bridge_cost
+        # The host's machine class prices the bridge's work (a copy: it is
+        # read on every segment).
+        self.bridge_cost = host.profile.bridge_cost
         self._bind_events(self.metrics, host.name)
 
     def install(self) -> None:

@@ -45,6 +45,7 @@ from repro.failover.detector import FaultDetector
 from repro.failover.options import FailoverConfig
 from repro.failover.primary import PrimaryBridge
 from repro.failover.reintegration import (
+    INSTALL_DELAY,
     ResumeApp,
     export_resumable_connections,
     spawn_resume_apps,
@@ -75,8 +76,6 @@ class ChainBridge(PrimaryBridge):
         upstream_ip: Ipv4Address,
         service_ip: Ipv4Address,
         tracer: Optional[Tracer] = None,
-        bridge_cost: float = 15e-6,
-        emit_cost: float = 25e-6,
     ):
         # ``secondary_ip`` in the parent is "where my merge partner's
         # segments come from"; for a chain node that is its downstream.
@@ -85,8 +84,6 @@ class ChainBridge(PrimaryBridge):
             config,
             downstream_ip if downstream_ip is not None else upstream_ip,
             tracer=tracer,
-            bridge_cost=bridge_cost,
-            emit_cost=emit_cost,
         )
         self.upstream_ip = upstream_ip
         self.service_ip = service_ip  # the client-visible address (a_p)
@@ -182,16 +179,12 @@ class ReplicatedChain:
         failover_ports: Iterable[int] = (),
         detector_interval: float = 0.010,
         detector_timeout: float = 0.050,
-        takeover_resume_delay: float = 200e-6,
-        bridge_cost: float = 15e-6,
-        emit_cost: float = 25e-6,
     ):
         if len(hosts) < 2:
             raise ValueError("a chain needs at least two replicas")
         self.hosts = list(hosts)
         self.sim = hosts[0].sim
         self.service_ip = hosts[0].ip.primary_address()
-        self.takeover_resume_delay = takeover_resume_delay
         self.config = FailoverConfig(failover_ports)
         self.alive = {host.name: True for host in hosts}
         self.bridges: Dict[str, ChainBridge] = {}
@@ -201,8 +194,6 @@ class ReplicatedChain:
         self._detectors_started = False
         self.detector_interval = detector_interval
         self.detector_timeout = detector_timeout
-        self.bridge_cost = bridge_cost
-        self.emit_cost = emit_cost
 
         for index, host in enumerate(self.hosts):
             upstream = self.hosts[index - 1] if index > 0 else None
@@ -215,8 +206,6 @@ class ReplicatedChain:
                 downstream_ip=downstream.ip.primary_address() if downstream else None,
                 upstream_ip=up_ip,
                 service_ip=self.service_ip,
-                bridge_cost=bridge_cost,
-                emit_cost=emit_cost,
             )
             bridge.is_head = upstream is None
             bridge.install()
@@ -290,7 +279,6 @@ class ReplicatedChain:
     def splice_in(
         self,
         host: Host,
-        install_delay: float = 200e-6,
         resume_app: Optional[ResumeApp] = None,
         warm_sync: Optional[Callable[[Host, Host], None]] = None,
     ) -> ChainBridge:
@@ -337,8 +325,6 @@ class ReplicatedChain:
             downstream_ip=None,
             upstream_ip=old_tail.ip.primary_address(),
             service_ip=self.service_ip,
-            bridge_cost=self.bridge_cost,
-            emit_cost=self.emit_cost,
         )
 
         def do_install() -> None:
@@ -393,7 +379,7 @@ class ReplicatedChain:
         self.hosts.append(host)
         self.alive[host.name] = True
         self.bridges[host.name] = new_bridge
-        sim.schedule(install_delay, do_install)
+        sim.schedule(INSTALL_DELAY, do_install)
         return new_bridge
 
     def _promote_to_head(self, host: Host, bridge: ChainBridge) -> None:

@@ -128,12 +128,10 @@ class PrimaryBridge(BridgeBase, BridgeCore):
         config: "FailoverConfig",
         secondary_ip: Ipv4Address,
         tracer: Optional["Tracer"] = None,
-        bridge_cost: float = 15e-6,
-        emit_cost: float = 25e-6,
         ack_merging: bool = True,
         window_merging: bool = True,
     ):
-        BridgeBase.__init__(self, host, config, tracer=tracer, bridge_cost=bridge_cost)
+        BridgeBase.__init__(self, host, config, tracer=tracer)
         # The merge rules are ablation knobs (benchmarks only).
         BridgeCore.__init__(
             self,
@@ -141,7 +139,7 @@ class PrimaryBridge(BridgeBase, BridgeCore):
             ack_merging=ack_merging,
             window_merging=window_merging,
         )
-        self.emit_cost = emit_cost
+        self.emit_cost = host.profile.emit_cost
         self.secondary_ip = secondary_ip
         self.secondary_down = False
         # Reintegration: connections that could not be resumed (already

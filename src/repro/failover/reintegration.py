@@ -23,7 +23,7 @@ recorder can tile it; see DESIGN.md):
     for a §6 primary).  Connections already closing are not resumed:
     they bypass the bridge and finish as ordinary TCP.
 ``install``
-    After ``install_delay`` (models state-transfer time) the snapshots
+    After :data:`INSTALL_DELAY` (models state-transfer time) the snapshots
     are installed into the joiner's TCP layer, a secondary bridge with
     promiscuous snoop + divert translations is installed, and the
     replicated application is warm-started via ``resume_app`` with the
@@ -91,6 +91,9 @@ class AppResume:
     read: int
     snapshot: TcpSnapshot
 
+
+#: Snapshot-to-install delay: the modelled state-transfer time.
+INSTALL_DELAY = 200e-6
 
 # A resume-app factory: (joiner host, adopted socket, resume info) -> process.
 ResumeApp = Callable[[object, SimSocket, AppResume], Generator]
@@ -247,14 +250,11 @@ def perform_reintegration(
     config: FailoverConfig,
     service_ip: Ipv4Address,
     primary_bridge: Optional[PrimaryBridge] = None,
-    install_delay: float = 200e-6,
     resume_app: Optional[ResumeApp] = None,
     warm_sync: Optional[Callable[["Host", "Host"], None]] = None,
     on_armed: Optional[
         Callable[[ReintegrationResult, PrimaryBridge, SecondaryBridge], None]
     ] = None,
-    bridge_cost: float = 15e-6,
-    emit_cost: float = 25e-6,
     ack_merging: bool = True,
     window_merging: bool = True,
     tracer: Optional["Tracer"] = None,
@@ -302,8 +302,6 @@ def perform_reintegration(
             config,
             joiner_ip,
             tracer=tracer,
-            bridge_cost=bridge_cost,
-            emit_cost=emit_cost,
             ack_merging=ack_merging,
             window_merging=window_merging,
         )
@@ -381,8 +379,7 @@ def perform_reintegration(
             return
         result.phase = ReintegrationPhase.INSTALL
         joiner_bridge = SecondaryBridge(
-            joiner, config.copy(), service_ip,
-            tracer=tracer, bridge_cost=bridge_cost,
+            joiner, config.copy(), service_ip, tracer=tracer
         )
         conns: List[TcpConnection] = []
         for snap in snapshots:
@@ -410,5 +407,5 @@ def perform_reintegration(
         if not pending:
             complete()  # nothing to merge: redundancy is restored already
 
-    sim.schedule(install_delay, do_install)
+    sim.schedule(INSTALL_DELAY, do_install)
     return result

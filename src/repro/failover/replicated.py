@@ -34,6 +34,12 @@ from repro.failover.takeover import TakeoverProcedure, perform_ip_takeover
 from repro.net.host import Host
 from repro.obs.spans import SpanContext
 
+#: §5: the secondary's local reconfiguration time between its gratuitous
+#: ARP and its bridge resuming transmission.
+TAKEOVER_RESUME_DELAY = 200e-6
+#: A restarted replica waits this long before it rejoins (``auto_reintegrate``).
+REINTEGRATE_DELAY = 0.020
+
 
 class ReplicatedServerPair:
     """A primary/secondary pair running an actively replicated service."""
@@ -45,14 +51,9 @@ class ReplicatedServerPair:
         failover_ports: Iterable[int] = (),
         detector_interval: float = 0.010,
         detector_timeout: float = 0.050,
-        takeover_resume_delay: float = 200e-6,
-        bridge_cost: float = 15e-6,
-        emit_cost: float = 25e-6,
         ack_merging: bool = True,
         window_merging: bool = True,
         auto_reintegrate: bool = False,
-        reintegrate_delay: float = 0.020,
-        reintegrate_install_delay: float = 200e-6,
     ):
         if primary.sim is not secondary.sim:
             raise ValueError("both hosts must share one simulator")
@@ -61,14 +62,9 @@ class ReplicatedServerPair:
         self.secondary = secondary
         self.primary_ip = primary.ip.primary_address()
         self.secondary_ip = secondary.ip.primary_address()
-        self.takeover_resume_delay = takeover_resume_delay
         self.auto_reintegrate = auto_reintegrate
-        self.reintegrate_delay = reintegrate_delay
-        self.reintegrate_install_delay = reintegrate_install_delay
         self.detector_interval = detector_interval
         self.detector_timeout = detector_timeout
-        self.bridge_cost = bridge_cost
-        self.emit_cost = emit_cost
         self.ack_merging = ack_merging
         self.window_merging = window_merging
         # §7: "the user must specify the same set of ports on the primary
@@ -80,13 +76,11 @@ class ReplicatedServerPair:
             primary,
             self.primary_config,
             self.secondary_ip,
-            bridge_cost=bridge_cost,
-            emit_cost=emit_cost,
             ack_merging=ack_merging,
             window_merging=window_merging,
         )
         self.secondary_bridge = SecondaryBridge(
-            secondary, self.secondary_config, self.primary_ip, bridge_cost=bridge_cost
+            secondary, self.secondary_config, self.primary_ip
         )
         self.primary_bridge.install()
         self.secondary_bridge.install()
@@ -201,7 +195,7 @@ class ReplicatedServerPair:
         self.takeover = perform_ip_takeover(
             self.secondary_bridge,
             self.primary_ip,
-            resume_delay=self.takeover_resume_delay,
+            resume_delay=TAKEOVER_RESUME_DELAY,
         )
 
     def _secondary_failed(self) -> None:
@@ -259,7 +253,7 @@ class ReplicatedServerPair:
         """Restart hook: optionally re-admit the reborn replica."""
         if not self.auto_reintegrate:
             return
-        self.sim.schedule(self.reintegrate_delay, self._auto_rejoin, host)
+        self.sim.schedule(REINTEGRATE_DELAY, self._auto_rejoin, host)
 
     def _auto_rejoin(self, host: Host) -> None:
         # Only the replica whose failure was handled rejoins, and only if it
@@ -270,11 +264,7 @@ class ReplicatedServerPair:
         ):
             self.reintegrate(joiner=host)
 
-    def reintegrate(
-        self,
-        joiner: Optional[Host] = None,
-        install_delay: Optional[float] = None,
-    ) -> ReintegrationResult:
+    def reintegrate(self, joiner: Optional[Host] = None) -> ReintegrationResult:
         """Re-admit ``joiner`` (default: the replica that died) as the live
         secondary of the current survivor.
 
@@ -298,8 +288,6 @@ class ReplicatedServerPair:
             raise RuntimeError("no survivor left to reintegrate with")
         if not (self.failed_over or self.secondary_removed):
             raise RuntimeError("no failover happened; nothing to reintegrate")
-        if install_delay is None:
-            install_delay = self.reintegrate_install_delay
         rejoin = self.failed_over
         survivor = self.secondary if rejoin else self.primary
         joiner = joiner or (self.primary if rejoin else self.secondary)
@@ -340,12 +328,9 @@ class ReplicatedServerPair:
             self.secondary_config if rejoin else self.primary_config,
             service_ip=self.primary_ip,
             primary_bridge=None if rejoin else self.primary_bridge,
-            install_delay=install_delay,
             resume_app=self._resume_app,
             warm_sync=self._warm_sync,
             on_armed=lambda *armed: self._rearm(survivor, joiner, *armed),
-            bridge_cost=self.bridge_cost,
-            emit_cost=self.emit_cost,
             ack_merging=self.ack_merging,
             window_merging=self.window_merging,
         )

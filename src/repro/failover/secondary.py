@@ -60,9 +60,8 @@ class SecondaryBridge(BridgeBase):
         config: "FailoverConfig",
         primary_ip: Ipv4Address,
         tracer: Optional["Tracer"] = None,
-        bridge_cost: float = 15e-6,
     ):
-        super().__init__(host, config, tracer=tracer, bridge_cost=bridge_cost)
+        super().__init__(host, config, tracer=tracer)
         self.primary_ip = primary_ip
         self.active = True
         self.holding = False

@@ -44,6 +44,10 @@ from repro.failover.secondary import SecondaryBridge
 if TYPE_CHECKING:
     from repro.net.host import Host
 
+#: How long a freshly taken-over address ignores conflicting gratuitous
+#: ARP (see :func:`perform_ip_takeover`).
+ARP_GUARD_DURATION = 0.5
+
 
 class TakeoverState(enum.Enum):
     """Lifecycle of one §5 takeover run."""
@@ -79,12 +83,10 @@ class TakeoverProcedure:
         bridge: SecondaryBridge,
         primary_ip: Ipv4Address,
         resume_delay: float = 0.0,
-        arp_guard_duration: float = 0.5,
     ):
         self.bridge = bridge
         self.primary_ip = primary_ip
         self.resume_delay = resume_delay
-        self.arp_guard_duration = arp_guard_duration
         self.host: "Host" = bridge.host
         self.state = TakeoverState.IDLE
         self._span_ctx: Optional[object] = None
@@ -111,8 +113,7 @@ class TakeoverProcedure:
         # Step 5: acquire a_p and announce it.
         interface = host.eth_interface
         interface.add_address(self.primary_ip)
-        if self.arp_guard_duration > 0:
-            interface.arp.guard_ip(self.primary_ip, self.arp_guard_duration)
+        interface.arp.guard_ip(self.primary_ip, ARP_GUARD_DURATION)
         rebind_failover_connections(host, config, old_ip, self.primary_ip)
         interface.arp.announce(self.primary_ip)
         self.state = TakeoverState.ANNOUNCED
@@ -163,7 +164,6 @@ def perform_ip_takeover(
     bridge: SecondaryBridge,
     primary_ip: Ipv4Address,
     resume_delay: float = 0.0,
-    arp_guard_duration: float = 0.5,
 ) -> TakeoverProcedure:
     """Run the §5 procedure on the secondary ``bridge``'s host.
 
@@ -171,20 +171,15 @@ def perform_ip_takeover(
     gratuitous ARP and the bridge resuming transmission ("after the change
     of IP address is completed, the bridge resumes sending TCP segments").
 
-    ``arp_guard_duration`` protects the freshly-acquired address from
-    spoofed gratuitous ARP during the rebind: a forged claim inside the
-    window is ignored (and answered with a corrective re-announce) rather
-    than fencing the taker off the VIP it just acquired.
+    For :data:`ARP_GUARD_DURATION` the freshly-acquired address is guarded
+    against spoofed gratuitous ARP: a forged claim inside the window is
+    ignored (and answered with a corrective re-announce) rather than
+    fencing the taker off the VIP it just acquired.
 
     Returns the running :class:`TakeoverProcedure` so callers can observe
     its state or :meth:`~TakeoverProcedure.fence` it on step-down.
     """
-    procedure = TakeoverProcedure(
-        bridge,
-        primary_ip,
-        resume_delay=resume_delay,
-        arp_guard_duration=arp_guard_duration,
-    )
+    procedure = TakeoverProcedure(bridge, primary_ip, resume_delay=resume_delay)
     procedure.run()
     return procedure
 

@@ -314,9 +314,8 @@ def run_cell(spec: CellSpec, until: float = 90.0) -> ChaosResult:
         if spec.fault in REINTEGRATE_FAULTS:
             # The crashed primary reboots and is automatically re-admitted
             # as the live secondary (the pair's restart hook fires after
-            # ``reintegrate_delay``), resuming through the warm-sync apps.
+            # ``REINTEGRATE_DELAY``), resuming through the warm-sync apps.
             lan.pair.auto_reintegrate = True
-            lan.pair.reintegrate_delay = 0.020
             lan.plane.crash_at(lan.primary, when)
             lan.plane.restart_at(lan.primary, when + RESTART_DELAY)
             if spec.fault == "reintegrate-crash-again":

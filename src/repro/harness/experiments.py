@@ -26,10 +26,8 @@ from repro.failover.chain import ReplicatedChain
 from repro.harness.metrics import Stats, rate_kb_s, summarize
 from repro.harness.report import Report, Table
 from repro.harness.topology import (
-    BRIDGE_COST,
     CLIENT_IP,
     CLIENT_PROFILE,
-    EMIT_COST,
     SERVER_PROFILE,
     Lan,
     LanTestbed,
@@ -432,10 +430,7 @@ def measure_chain_depth(
         members[0].spawn(source(members[0]), "src")
         service_ip = members[0].ip.primary_address()
     else:
-        chain = ReplicatedChain(
-            members, failover_ports=[SERVICE_PORT],
-            bridge_cost=BRIDGE_COST, emit_cost=EMIT_COST,
-        )
+        chain = ReplicatedChain(members, failover_ports=[SERVICE_PORT])
         chain.run_app(source)
         service_ip = chain.service_ip
 
@@ -556,7 +551,6 @@ def measure_reintegration(
     bed.start_detectors()
     pair = bed.pair
     pair.auto_reintegrate = True
-    pair.reintegrate_delay = 0.020
     bed.serve(lambda host: bulk.source_server(host, SERVICE_PORT, total_bytes),
               "reint-source")
     pair.set_resume_app(bulk.resume_source(bulk.pattern_bytes(total_bytes)))

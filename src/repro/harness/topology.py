@@ -16,14 +16,15 @@ Every single-segment testbed in the repo is a :class:`Lan`: the calibrated
 :class:`LanTestbed` / :class:`WanTestbed`, the default-cost
 :class:`TwoHostLan` / :class:`ReplicatedLan` / :class:`ChaosLan` the tests
 and the chaos harness run on, the adversary plane's attacker LAN, E14's
-client LAN and the chain-depth LAN.  :func:`make_host` is the only code
-that turns a :class:`HostProfile` into a :class:`~repro.net.host.Host`
+client LAN and the chain-depth LAN.  A machine class is a
+:class:`~repro.net.host.HostProfile` (protocol and bridge costs);
+:func:`make_host` builds a host of one, seeded from the run's RNG registry
 (the multi-segment :class:`~repro.cluster.fleet.ShardedFleet` uses it too).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import replace
 from typing import Callable, Generator, Iterable, List, Optional
 
 from repro.failover.replicated import ReplicatedServerPair
@@ -31,7 +32,7 @@ from repro.harness.invariants import InvariantChecker
 from repro.net.addresses import Ipv4Address, MacAddress
 from repro.net.ethernet import EthernetSegment
 from repro.net.faults import FaultPlane
-from repro.net.host import Host
+from repro.net.host import DEFAULT_PROFILE, Host, HostProfile
 from repro.net.router import Router
 from repro.net.wan import WanLink
 from repro.obs.metrics import NULL_METRICS, MetricsRegistry
@@ -41,27 +42,13 @@ from repro.sim.rng import RngRegistry
 from repro.sim.trace import Tracer
 
 
-@dataclass(frozen=True)
-class HostProfile:
-    """Protocol-processing cost model for one machine class."""
-
-    rx_segment_cost: float
-    rx_byte_cost: float
-    tx_segment_cost: float
-    tx_byte_cost: float
-    cpu_jitter: float
-    cpu_spike_prob: float
-    cpu_spike_cost: float
-    app_write_fixed_cost: float = 0.0
-    app_write_byte_cost: float = 0.0
-
-
 # 566 MHz FreeBSD 4.4 server.  Calibration solves three equations against
 # the paper's standard-TCP numbers (including the cost of generating one
 # ACK per two data segments and ~5% average jitter):
 #   inbound:  rx + rx_byte*1460 + tx/2 = 186 µs/segment  (7.83 MB/s send)
 #   outbound: tx + tx_byte*1460 + rx/2 = 168 µs/segment  (8.71 MB/s recv)
 #   connect:  client costs + wire + rx + tx ≈ 294 µs
+# The bridge's per-segment and per-emission costs were chosen, not fitted.
 SERVER_PROFILE = HostProfile(
     rx_segment_cost=79.3e-6,
     rx_byte_cost=0.0305e-6,
@@ -70,6 +57,8 @@ SERVER_PROFILE = HostProfile(
     cpu_jitter=0.10,
     cpu_spike_prob=0.02,
     cpu_spike_cost=250e-6,
+    bridge_cost=20e-6,
+    emit_cost=30e-6,
 )
 
 # 1 GHz Linux 2.2 client: proportionally faster.  The app-write costs are
@@ -85,24 +74,6 @@ CLIENT_PROFILE = HostProfile(
     app_write_fixed_cost=15e-6,
     app_write_byte_cost=0.012e-6,
 )
-
-# The uncalibrated machine: a flat 40 µs per segment, no jitter, no spikes
-# (``Host``'s own defaults).  Timing on it is a pure function of the
-# protocol, which is what the unit tests and the chaos cells want.
-DEFAULT_PROFILE = HostProfile(
-    rx_segment_cost=40e-6,
-    rx_byte_cost=0.0,
-    tx_segment_cost=40e-6,
-    tx_byte_cost=0.0,
-    cpu_jitter=0.0,
-    cpu_spike_prob=0.0,
-    cpu_spike_cost=0.0,
-)
-
-# Bridge processing: the per-segment interposition cost and the cost of
-# constructing one outgoing client segment (incremental checksum etc.).
-BRIDGE_COST = 20e-6
-EMIT_COST = 30e-6
 
 # §5: time for an ARP-table holder to apply a gratuitous ARP.  For the
 # router this is the paper's interval "T".
@@ -145,15 +116,7 @@ def make_host(
         metrics=metrics,
         spans=spans,
         rng=rng.stream(f"host.{name}"),
-        rx_segment_cost=profile.rx_segment_cost,
-        rx_byte_cost=profile.rx_byte_cost,
-        tx_segment_cost=profile.tx_segment_cost,
-        tx_byte_cost=profile.tx_byte_cost,
-        cpu_jitter=profile.cpu_jitter,
-        cpu_spike_prob=profile.cpu_spike_prob,
-        cpu_spike_cost=profile.cpu_spike_cost,
-        app_write_fixed_cost=profile.app_write_fixed_cost,
-        app_write_byte_cost=profile.app_write_byte_cost,
+        profile=profile,
         gratuitous_apply_delay=gratuitous_apply_delay,
     )
 
@@ -262,8 +225,7 @@ class Lan:
         self.replicated = replicated
         if replicated:
             self.add_pair(
-                failover_ports, SERVER_PROFILE, conn_defaults,
-                bridge_cost=BRIDGE_COST, emit_cost=EMIT_COST, **pair_kwargs,
+                failover_ports, SERVER_PROFILE, conn_defaults, **pair_kwargs
             )
             return [self.primary, self.secondary]
         self.server = self.add_host(
@@ -365,7 +327,6 @@ class LanTestbed(Lan):
         conn_defaults: Optional[dict] = None,
         ack_merging: bool = True,
         window_merging: bool = True,
-        takeover_resume_delay: float = 200e-6,
     ):
         super().__init__(
             seed, collision_prob=collision_prob, record_traces=record_traces,
@@ -383,7 +344,6 @@ class LanTestbed(Lan):
             detector_timeout=detector_timeout,
             ack_merging=ack_merging,
             window_merging=window_merging,
-            takeover_resume_delay=takeover_resume_delay,
         )
         self.warm_arp()
 
@@ -399,11 +359,9 @@ class WanTestbed(Lan):
         seed: int = 0,
         replicated: bool = True,
         failover_ports: Iterable[int] = (),
-        wan_bandwidth_bps: float = 2e6,
         wan_delay: float = 0.020,
         wan_loss: float = 0.002,
         wan_cross_load: float = 0.4,
-        router_arp_delay: float = ROUTER_ARP_DELAY,
         record_traces: bool = False,
         max_trace_records: Optional[int] = None,
         metrics: Optional[MetricsRegistry] = None,
@@ -418,7 +376,7 @@ class WanTestbed(Lan):
             MacAddress(self.mac_base + 10),
             tracer=self.tracer,
             rng=self.rng.stream("host.router"),
-            gratuitous_apply_delay=router_arp_delay,
+            gratuitous_apply_delay=ROUTER_ARP_DELAY,
         )
         self.attach(self.router, ROUTER_LAN_IP)
         router_wan_iface = self.router.attach_point_to_point(ROUTER_WAN_IP)
@@ -430,7 +388,6 @@ class WanTestbed(Lan):
 
         self.wan = WanLink(
             self.sim,
-            bandwidth_bps=wan_bandwidth_bps,
             propagation_delay=wan_delay,
             loss_prob=wan_loss,
             cross_load=wan_cross_load,

@@ -7,8 +7,6 @@ hit all of those points.  A :class:`FaultPlane` holds an ordered list of
 paths of the simulated network:
 
 * :class:`~repro.net.ethernet.EthernetSegment` — the shared LAN medium;
-* :class:`~repro.net.wan.WanDirection` — one direction of a WAN pipe;
-* :class:`~repro.net.ip.PointToPointInterface` — the WAN transmit side;
 * :class:`~repro.net.nic.Nic` — one station's receive path (per-host
   faults: snoop loss, partitions affecting a single receiver).
 
@@ -61,7 +59,7 @@ class FaultContext:
 
     point: str
     time: float
-    payload: object  # EthernetFrame (segment/nic taps) or Ipv4Datagram (WAN)
+    payload: object  # the EthernetFrame (segment and nic taps)
     datagram: Optional[Ipv4Datagram] = None
     segment: Optional[object] = None  # TcpSegment when the datagram carries one
     src_ip: Optional[object] = None
@@ -69,11 +67,8 @@ class FaultContext:
 
     @classmethod
     def wrap(cls, point: str, time: float, payload: object) -> "FaultContext":
-        datagram = payload if isinstance(payload, Ipv4Datagram) else None
-        if datagram is None and isinstance(payload, EthernetFrame):
-            inner = payload.payload
-            if isinstance(inner, Ipv4Datagram):
-                datagram = inner
+        inner = payload.payload if isinstance(payload, EthernetFrame) else None
+        datagram = inner if isinstance(inner, Ipv4Datagram) else None
         segment = None
         src_ip = dst_ip = None
         if datagram is not None:
@@ -419,19 +414,6 @@ class FaultPlane:
         segment.fault_filter = fault_filter
         return point
 
-    def tap_wan(self, direction, point: Optional[str] = None) -> str:
-        """Tap one WanDirection's in-flight datagrams."""
-        point = point or direction.name
-        self._points.append(point)
-
-        def fault_filter(
-            datagram: Ipv4Datagram, deliver: Callable[[float, object], None]
-        ) -> bool:
-            return self._filter(point, datagram, deliver)
-
-        direction.fault_filter = fault_filter
-        return point
-
     def tap_nic(self, nic, point: Optional[str] = None) -> str:
         """Tap a NIC's receive path (per-host faults: snoop loss etc.)."""
         point = point or f"nic:{nic.name}"
@@ -454,25 +436,6 @@ class FaultPlane:
             return self._filter(point, frame, redeliver)
 
         nic.rx_fault_filter = fault_filter
-        return point
-
-    def tap_p2p(self, interface, point: str) -> str:
-        """Tap a point-to-point interface's transmit side."""
-        self._points.append(point)
-
-        def deliver(extra_delay: float, payload: Ipv4Datagram) -> None:
-            transmit = interface._transmit
-            if transmit is None:
-                return
-            if extra_delay <= 0.0:
-                transmit(payload)
-            else:
-                self.sim.schedule(extra_delay, transmit, payload)
-
-        def fault_filter(datagram: Ipv4Datagram) -> bool:
-            return self._filter(point, datagram, deliver)
-
-        interface.fault_filter = fault_filter
         return point
 
     # -- evaluation engine -------------------------------------------------

@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import random
 import zlib
+from dataclasses import dataclass
 from typing import Any, Callable, Generator, List, Optional
 
 from repro.net.addresses import Ipv4Address, MacAddress
@@ -39,6 +40,35 @@ from repro.sim.rng import fork_rng, seeded_rng
 from repro.sim.trace import Tracer
 from repro.tcp.connection import ConnectionReset
 from repro.tcp.layer import TcpLayer
+
+
+@dataclass(frozen=True)
+class HostProfile:
+    """Protocol-processing cost model for one machine class.
+
+    The defaults are the uncalibrated machine: a flat 40 µs per segment,
+    no jitter, no spikes.  ``bridge_cost`` is the failover bridge's
+    per-segment interposition cost on this machine and ``emit_cost`` the
+    cost of constructing one outgoing client segment (incremental
+    checksum etc.); every bridge reads them from its host.
+    """
+
+    rx_segment_cost: float = 40e-6
+    rx_byte_cost: float = 0.0
+    tx_segment_cost: float = 40e-6
+    tx_byte_cost: float = 0.0
+    cpu_jitter: float = 0.0
+    cpu_spike_prob: float = 0.0
+    cpu_spike_cost: float = 0.0
+    app_write_fixed_cost: float = 0.0
+    app_write_byte_cost: float = 0.0
+    bridge_cost: float = 15e-6
+    emit_cost: float = 25e-6
+
+
+# Timing on the default machine is a pure function of the protocol, which
+# is what the unit tests and the chaos cells want.
+DEFAULT_PROFILE = HostProfile()
 
 
 class Cpu:
@@ -103,15 +133,7 @@ class Host:
         mac: MacAddress,
         tracer: Optional[Tracer] = None,
         rng: Optional[random.Random] = None,
-        rx_segment_cost: float = 40e-6,
-        rx_byte_cost: float = 0.0,
-        tx_segment_cost: float = 40e-6,
-        tx_byte_cost: float = 0.0,
-        cpu_jitter: float = 0.0,
-        cpu_spike_prob: float = 0.0,
-        cpu_spike_cost: float = 0.0,
-        app_write_fixed_cost: float = 0.0,
-        app_write_byte_cost: float = 0.0,
+        profile: HostProfile = DEFAULT_PROFILE,
         forwarding: bool = False,
         gratuitous_apply_delay: float = 0.0,
         metrics: Optional[MetricsRegistry] = None,
@@ -125,22 +147,24 @@ class Host:
         # Default seed derives from the host name so two hosts never share
         # RNG state by accident (distinct ISS choices matter to the bridge).
         self.rng = rng or seeded_rng(zlib.crc32(name.encode()))
-        self.rx_segment_cost = rx_segment_cost
-        self.rx_byte_cost = rx_byte_cost
-        self.tx_segment_cost = tx_segment_cost
-        self.tx_byte_cost = tx_byte_cost
+        self.profile = profile
+        # Copies of the profile's per-segment costs: read on every segment.
+        self.rx_segment_cost = profile.rx_segment_cost
+        self.rx_byte_cost = profile.rx_byte_cost
+        self.tx_segment_cost = profile.tx_segment_cost
+        self.tx_byte_cost = profile.tx_byte_cost
         # Cost of the application's send() call itself (syscall + copy into
         # the socket buffer) — what the paper's Fig. 3 actually times.
-        self.app_write_fixed_cost = app_write_fixed_cost
-        self.app_write_byte_cost = app_write_byte_cost
+        self.app_write_fixed_cost = profile.app_write_fixed_cost
+        self.app_write_byte_cost = profile.app_write_byte_cost
         self.gratuitous_apply_delay = gratuitous_apply_delay
         self.alive = True
         self.cpu = Cpu(
             sim,
-            jitter=cpu_jitter,
+            jitter=profile.cpu_jitter,
             rng=fork_rng(self.rng),
-            spike_prob=cpu_spike_prob,
-            spike_cost=cpu_spike_cost,
+            spike_prob=profile.cpu_spike_prob,
+            spike_cost=profile.cpu_spike_cost,
             metrics=self.metrics,
             owner=name,
         )

@@ -114,9 +114,6 @@ class PointToPointInterface:
         self.addresses: List[Ipv4Address] = [address]
         self.prefix_len = prefix_len
         self._transmit: Optional[Callable[[Ipv4Datagram], None]] = None
-        # Fault-injection tap (see repro.net.faults.FaultPlane.tap_p2p):
-        # called with each outbound datagram; True = plane owns delivery.
-        self.fault_filter: Optional[Callable[[Ipv4Datagram], bool]] = None
 
     @property
     def address(self) -> Ipv4Address:
@@ -138,8 +135,6 @@ class PointToPointInterface:
     def send_datagram(self, datagram: Ipv4Datagram, next_hop: Ipv4Address) -> None:
         if self._transmit is None:
             raise RoutingError("point-to-point interface has no link bound")
-        if self.fault_filter is not None and self.fault_filter(datagram):
-            return
         self._transmit(datagram)
 
 

@@ -13,10 +13,16 @@ import random
 from typing import Optional
 
 from repro.net.addresses import MacAddress
-from repro.net.host import Host
+from repro.net.host import Host, HostProfile
 from repro.obs.spans import SpanTracer
 from repro.sim.engine import Simulator
 from repro.sim.trace import Tracer
+
+#: Per-datagram forwarding cost, charged on the router's CPU.
+FORWARDING_COST = 15e-6
+ROUTER_PROFILE = HostProfile(
+    rx_segment_cost=FORWARDING_COST, tx_segment_cost=FORWARDING_COST
+)
 
 
 class Router(Host):
@@ -32,7 +38,6 @@ class Router(Host):
         # repro.harness.topology); the Host base derives a stable
         # name-keyed default via repro.sim.rng otherwise.
         rng: Optional[random.Random] = None,
-        forwarding_cost: float = 15e-6,
         gratuitous_apply_delay: float = 0.0,
         spans: Optional[SpanTracer] = None,
     ):
@@ -42,13 +47,9 @@ class Router(Host):
             mac,
             tracer=tracer,
             rng=rng,
-            rx_segment_cost=forwarding_cost,
-            tx_segment_cost=forwarding_cost,
+            profile=ROUTER_PROFILE,
             forwarding=True,
             gratuitous_apply_delay=gratuitous_apply_delay,
             spans=spans,
         )
-        self.forwarding_cost = forwarding_cost
-        self.ip.set_forward_defer(
-            lambda cont: self.cpu.run(self.forwarding_cost, cont)
-        )
+        self.ip.set_forward_defer(lambda cont: self.cpu.run(FORWARDING_COST, cont))

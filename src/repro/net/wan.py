@@ -56,9 +56,6 @@ class WanDirection:
         self._deliver: Optional[Callable[[Ipv4Datagram], None]] = None
         self.packets_sent = 0
         self.packets_lost = 0
-        # Fault-injection tap (see repro.net.faults.FaultPlane.tap_wan):
-        # called as fault_filter(datagram, deliver); True = plane delivers.
-        self.fault_filter: Optional[Callable[[Ipv4Datagram, Callable], bool]] = None
 
     def bind(self, deliver: Callable[[Ipv4Datagram], None]) -> None:
         self._deliver = deliver
@@ -96,32 +93,14 @@ class WanDirection:
         self._busy_until = start + service_time
         self._queued_bytes += datagram.wire_size
         self.packets_sent += 1
-        deliver_at = self._busy_until + self.propagation_delay
-        if self.fault_filter is not None:
-
-            def deliver(extra_delay: float, copy: Ipv4Datagram) -> None:
-                self.sim.call_at(
-                    max(self.sim.now, deliver_at + extra_delay),
-                    self._deliver_copy,
-                    copy,
-                )
-
-            if self.fault_filter(datagram, deliver):
-                # The plane owns delivery; the queue still drains on time.
-                self.sim.call_at(deliver_at, self._dequeue, datagram)
-                return
-        self.sim.call_at(deliver_at, self._delivered, datagram)
-
-    def _dequeue(self, datagram: Ipv4Datagram) -> None:
-        self._queued_bytes -= datagram.wire_size
-
-    def _deliver_copy(self, datagram: Ipv4Datagram) -> None:
-        if self._deliver is not None:
-            self._deliver(datagram)
+        self.sim.call_at(
+            self._busy_until + self.propagation_delay, self._delivered, datagram
+        )
 
     def _delivered(self, datagram: Ipv4Datagram) -> None:
-        self._dequeue(datagram)
-        self._deliver_copy(datagram)
+        self._queued_bytes -= datagram.wire_size
+        if self._deliver is not None:
+            self._deliver(datagram)
 
 
 class WanLink:

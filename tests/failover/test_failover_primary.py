@@ -3,6 +3,7 @@
 import pytest
 
 from repro.apps import bulk
+from repro.failover.takeover import TakeoverState
 from repro.tcp.socket_api import ListeningSocket, SimSocket
 from tests.util import PRIMARY_IP, SECONDARY_IP, ReplicatedLan, run_all
 
@@ -166,3 +167,27 @@ def test_stream_intact_for_various_crash_instants(crash_ms):
     size = 250_000
     data = pull_through_crash(lan, size, crash_at=crash_ms / 1000.0)
     assert data == bulk.pattern_bytes(size)
+
+
+def test_fence_while_resuming_never_completes_the_takeover():
+    """Step-down fencing lands inside the takeover's RESUMING window: the
+    trusted peer claims the secondary's own (unguarded) address after the
+    gratuitous ARP for the service address went out.  The procedure ends
+    FENCED, never resumes transmission, and the secondary's failover plane
+    stands down."""
+    lan = ReplicatedLan()
+    lan.start_detectors()
+    pair = lan.pair
+    states = []
+    lan.sim.schedule(0.010, pair.force_primary_failover)
+    lan.sim.schedule(0.01004, lambda: states.append(pair.takeover.state))
+    lan.sim.schedule(
+        0.01005, lambda: lan.primary.eth_interface.arp.announce(SECONDARY_IP)
+    )
+    lan.run(until=0.100)
+
+    assert states == [TakeoverState.RESUMING]
+    assert pair.takeover.state is TakeoverState.FENCED
+    assert not lan.tracer.select(category="takeover.complete")
+    assert lan.secondary.bridge is None
+    assert not pair.secondary_detector.started

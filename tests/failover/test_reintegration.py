@@ -12,6 +12,7 @@ stream and zero resets.
 import pytest
 
 from repro.apps.bulk import pattern_bytes
+from repro.failover.reintegration import ReintegrationPhase
 from repro.tcp.connection import ConnectionReset
 from repro.tcp.socket_api import ListeningSocket, SimSocket
 from tests.util import PRIMARY_IP, SECONDARY_IP, ChaosLan, ReplicatedLan, run_process
@@ -161,7 +162,7 @@ def test_double_failover_with_auto_reintegration():
     secondary, then the *new* primary crashes.  The client's stream is
     byte-exact with zero resets, and the flight recorder tiles two
     failover phase breakdowns plus one completed reintegration."""
-    lan = ChaosLan(seed=6, auto_reintegrate=True, reintegrate_delay=0.020)
+    lan = ChaosLan(seed=6, auto_reintegrate=True)
     lan.start_detectors()
     blob = pattern_bytes(4_000_000)
     received, client = upload_workload(lan, blob)
@@ -242,3 +243,28 @@ def test_falsely_suspected_primary_steps_down():
     assert bytes(received["secondary"]) == blob
     lan.checker.check_no_peer_reset(node="client")
     lan.assert_invariants()
+
+
+def test_joiner_crash_inside_install_delay_aborts():
+    """The joiner dies between the snapshot and the install event (inside
+    ``INSTALL_DELAY``): the run aborts once, nothing is installed on the
+    corpse, and the pair stays failed over with its roles unchanged."""
+    lan = ChaosLan(seed=3)
+    lan.start_detectors()
+    old_primary, old_secondary = lan.primary, lan.secondary
+    lan.sim.schedule(0.010, old_primary.crash)
+    lan.sim.schedule(0.110, old_primary.restart)
+    results = []
+    lan.sim.schedule(0.140, lambda: results.append(lan.pair.reintegrate()))
+    lan.sim.schedule(0.1401, old_primary.crash)
+    lan.run(until=0.300)
+
+    (result,) = results
+    assert result.phase is ReintegrationPhase.ABORTED
+    assert result.installed is False
+    (aborted,) = lan.tracer.select(category="reintegration.aborted")
+    assert aborted.time == pytest.approx(0.1401)  # at the crash, not at install
+    assert not lan.tracer.select(category="reintegration.installed")
+    assert lan.pair.failed_over
+    assert lan.pair.primary is old_primary
+    assert lan.pair.secondary is old_secondary
