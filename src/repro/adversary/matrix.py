@@ -51,9 +51,8 @@ from repro.harness.cells import (
 from repro.harness.invariants import InvariantChecker, Violation
 from repro.harness.report import Report, Table
 from repro.harness.topology import CLIENT_IP, ChaosLan
-from repro.net.addresses import Ipv4Address, MacAddress
-from repro.net.host import Host
-from repro.obs.metrics import MetricsRegistry
+from repro.net.addresses import Ipv4Address
+from repro.obs.metrics import NULL_METRICS, MetricsRegistry
 from repro.sim.process import spawn
 from repro.sim.rng import seeded_rng
 
@@ -313,12 +312,9 @@ def _dispatcher_cell(spec: AttackSpec, until: float = 30.0) -> AttackResult:
     )
     result = AttackResult(spec=spec)
 
-    station = Host(
-        fleet.sim, "attacker", MacAddress(0x0200_00AA_00F9),
-        tracer=fleet.tracer, rng=fleet.rng.stream("host.attacker"),
+    station = fleet.add_station(
+        "attacker", 0xF9, ATTACKER_FRONT_IP, segment="front", metrics=NULL_METRICS
     )
-    station.attach_ethernet(fleet.front_segment, ATTACKER_FRONT_IP)
-    station.eth_interface.arp.prime(fleet.virtual_ip, fleet.dispatcher.nic.mac)
     attacker = AttackerHost(station, fleet.rng.stream("adversary.attacker"))
 
     workload = ClosedLoopWorkload(

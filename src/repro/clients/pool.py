@@ -162,7 +162,6 @@ class ConnectionPool:
         self._idle: List[SimSocket] = []
         self._size = 0  # checked-out + idle live connections
         self._waiters: List[Event] = []
-        self._closed = False
         # Counters (deterministic; folded into BENCH rows by E14).
         self.dials = 0
         self.reuses = 0
@@ -210,7 +209,7 @@ class ConnectionPool:
 
     def checkin(self, sock: SimSocket) -> None:
         """Return a healthy connection to the idle list."""
-        if self._closed or not sock.connected:
+        if not sock.connected:
             self._drop(sock, "checkin-dead")
             return
         self._idle.append(sock)
@@ -225,16 +224,6 @@ class ConnectionPool:
         )
         sock.abort()
         self._drop(sock, "invalidated")
-
-    def close(self) -> None:
-        """Abort all idle connections and refuse further checkins."""
-        self._closed = True
-        idle = list(self._idle)
-        self._idle = []
-        for sock in idle:
-            sock.abort()
-            self._size -= 1
-        self._wake()
 
     def _drop(self, sock: SimSocket, why: str) -> None:
         if sock in self._idle:
@@ -339,7 +328,7 @@ class ConnectionPool:
         self.client.spawn(self._health_loop(), f"{self.name}.health")
 
     def _health_loop(self) -> Generator:
-        while not self._closed:
+        while True:
             yield self.health_interval
             # Probe the coldest idle socket (front of the LIFO list):
             # the warm end is validated by regular traffic already.

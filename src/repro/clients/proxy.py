@@ -84,17 +84,6 @@ class ProxyRunbook:
             self.proxy.host.name, backend=backend_id, severed=severed,
         )
 
-    def restore(self, backend_id: str, weight: int = STANDBY_WEIGHT) -> None:
-        """Re-admit a recovered backend at a (low) weight."""
-        self.steps.append((self.proxy.sim.now, "restore", backend_id))
-        back = self.proxy.backend(backend_id)
-        back.healthy = True
-        back.weight = weight
-        self.proxy.tracer.emit(
-            self.proxy.sim.now, "clients.proxy.restore",
-            self.proxy.host.name, backend=backend_id, weight=weight,
-        )
-
 
 class L4Proxy:
     """Weighted TCP relay over primary/standby backends."""

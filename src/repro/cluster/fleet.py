@@ -17,8 +17,11 @@ gratuitous ARP that moves a shard's service address only crosses that
 shard's LAN, and the dispatcher's per-shard interface applies it after
 ``ROUTER_ARP_DELAY``, exactly like the paper's router (interval T).
 
-The fleet also owns the per-shard :class:`MetricsRegistry` instances the
-``repro obs report --cluster`` rollup aggregates.
+The fleet is a :class:`~repro.harness.topology.Lan` with no default
+segment: it names a front segment and one per shard, gives the
+dispatcher a leg on each, and lets the builder's one ARP-priming rule
+warm every cache.  It also owns the per-shard :class:`MetricsRegistry`
+instances the ``repro obs report --cluster`` rollup aggregates.
 """
 
 from __future__ import annotations
@@ -32,19 +35,13 @@ from repro.harness.invariants import InvariantChecker
 from repro.harness.topology import (
     CLIENT_PROFILE,
     FLEET_MAC_BASE,
-    ROUTER_ARP_DELAY,
     SERVER_PROFILE,
-    make_host,
+    Lan,
 )
-from repro.net.addresses import Ipv4Address, MacAddress
+from repro.net.addresses import Ipv4Address
 from repro.net.ethernet import EthernetSegment
 from repro.net.host import Host
-from repro.net.router import Router
 from repro.obs.metrics import MetricsRegistry, NULL_METRICS, merge_registries
-from repro.obs.spans import NULL_SPANS, SpanTracer
-from repro.sim.engine import Simulator
-from repro.sim.rng import RngRegistry
-from repro.sim.trace import Tracer
 
 #: Advertised service address (front LAN) and port.
 VIRTUAL_IP = Ipv4Address("10.0.0.100")
@@ -53,12 +50,6 @@ CLUSTER_SERVICE_PORT = 8000
 
 #: Highest client count before addresses collide with the VIP (.100).
 MAX_CLIENTS = 64
-
-
-def _fleet_mac(index: int) -> MacAddress:
-    # Dispatcher extra NICs derive their MACs from base+0 in a different
-    # byte (see Host.attach_ethernet).
-    return MacAddress(FLEET_MAC_BASE + index)
 
 
 class Shard:
@@ -108,7 +99,7 @@ class Shard:
         return f"Shard({self.shard_id}, service={self.service_ip})"
 
 
-class ShardedFleet:
+class ShardedFleet(Lan):
     """Build and operate the whole cluster in one object."""
 
     def __init__(
@@ -129,96 +120,49 @@ class ShardedFleet:
             raise ValueError(f"need at least one shard, got {shards}")
         if not 0 < clients <= MAX_CLIENTS:
             raise ValueError(f"clients must be in 1..{MAX_CLIENTS}, got {clients}")
-        self.sim = Simulator()
-        self.seed = seed
-        self.rng = RngRegistry(seed)
-        self.tracer = Tracer(record=record_traces)
-        self.service_port = service_port
-        self.virtual_ip = VIRTUAL_IP
-        self.enable_metrics = enable_metrics
         # Tracing at rate 0 is the shared NULL_SPANS: no "obs.spans" rng
         # stream is ever created, so every other stream — and therefore
         # every artifact — is bit-identical to a fleet built without
         # tracing (registry streams are independently seed-derived).
-        if span_sample_rate > 0.0:
-            self.spans: SpanTracer = SpanTracer(
-                rng=self.rng.stream("obs.spans"),
-                sample_rate=span_sample_rate,
-                max_spans=max_spans,
-            )
-        else:
-            self.spans = NULL_SPANS
-
-        def registry() -> MetricsRegistry:
-            return MetricsRegistry() if enable_metrics else NULL_METRICS
-
-        self.front_metrics = registry()
-        if enable_metrics:
-            self.sim.set_metrics(self.front_metrics)
-
-        # Every fleet segment is collision-free (the segment's default is not).
-        self.front_segment = EthernetSegment(
-            self.sim,
-            name="front",
-            collision_prob=0.0,
-            tracer=self.tracer,
-            rng=self.rng.stream("ethernet.front"),
-            metrics=self.front_metrics if enable_metrics else None,
-            spans=self.spans,
+        super().__init__(
+            seed, record_traces=record_traces,
+            metrics=MetricsRegistry() if enable_metrics else None,
+            span_sample_rate=span_sample_rate, max_spans=max_spans,
+            mac_base=FLEET_MAC_BASE, segment_name=None,
         )
-        self.dispatcher = Router(
-            self.sim,
-            "dispatcher",
-            _fleet_mac(0),
-            tracer=self.tracer,
-            rng=self.rng.stream("host.dispatcher"),
-            gratuitous_apply_delay=ROUTER_ARP_DELAY,
-            spans=self.spans,
-        )
-        front_iface = self.dispatcher.attach_ethernet(
-            self.front_segment, DISPATCHER_FRONT_IP
-        )
-        front_iface.add_address(self.virtual_ip)
-        self._front_iface = front_iface
+        self.seed = seed
+        self.service_port = service_port
+        self.virtual_ip = VIRTUAL_IP
+        self.enable_metrics = enable_metrics
+        self.front_metrics = self.metrics
 
-        self.clients: List[Host] = []
-        for i in range(clients):
-            client = make_host(
-                self.sim, f"client{i}", _fleet_mac(1 + i), CLIENT_PROFILE,
-                self.tracer, self.rng, self.front_metrics, self.spans,
+        # Every fleet segment is collision-free.
+        self.front_segment = self.add_segment("front")
+        self.dispatcher = self.add_router("dispatcher", 0)
+        self.attach(self.dispatcher, DISPATCHER_FRONT_IP, "front")
+        self.dispatcher.eth_interface.add_address(self.virtual_ip)
+        self.clients: List[Host] = [
+            self.add_host(
+                f"client{i}", 1 + i, Ipv4Address(f"10.0.0.{1 + i}"),
+                CLIENT_PROFILE, segment="front",
             )
-            client.attach_ethernet(
-                self.front_segment, Ipv4Address(f"10.0.0.{1 + i}")
-            )
-            self.clients.append(client)
+            for i in range(clients)
+        ]
 
         self.shards: List[Shard] = []
-        self._shard_ifaces = []
         for s in range(shards):
-            shard_id = f"s{s}"
-            shard_metrics = registry()
-            segment = EthernetSegment(
-                self.sim,
-                name=f"shard{s}",
-                collision_prob=0.0,
-                tracer=self.tracer,
-                rng=self.rng.stream(f"ethernet.shard{s}"),
-                metrics=shard_metrics if enable_metrics else None,
-                spans=self.spans,
+            shard_metrics = MetricsRegistry() if enable_metrics else NULL_METRICS
+            name = f"shard{s}"
+            segment = self.add_segment(name, metrics=shard_metrics)
+            primary, secondary = (
+                self.add_host(
+                    f"{role}{s}", 100 + 2 * s + k, Ipv4Address(f"10.{32 + s}.0.{2 + k}"),
+                    SERVER_PROFILE, segment=name, metrics=shard_metrics,
+                )
+                for k, role in enumerate("pb")
             )
-            primary = make_host(
-                self.sim, f"p{s}", _fleet_mac(100 + 2 * s), SERVER_PROFILE,
-                self.tracer, self.rng, shard_metrics, self.spans,
-            )
-            secondary = make_host(
-                self.sim, f"b{s}", _fleet_mac(101 + 2 * s), SERVER_PROFILE,
-                self.tracer, self.rng, shard_metrics, self.spans,
-            )
-            subnet = 32 + s
-            primary.attach_ethernet(segment, Ipv4Address(f"10.{subnet}.0.2"))
-            secondary.attach_ethernet(segment, Ipv4Address(f"10.{subnet}.0.3"))
-            gateway_ip = Ipv4Address(f"10.{subnet}.0.254")
-            shard_iface = self.dispatcher.attach_ethernet(segment, gateway_ip)
+            gateway_ip = Ipv4Address(f"10.{32 + s}.0.254")
+            self.attach(self.dispatcher, gateway_ip, name)
             primary.ip.set_default_gateway(gateway_ip)
             secondary.ip.set_default_gateway(gateway_ip)
             pair = ReplicatedServerPair(
@@ -230,9 +174,8 @@ class ShardedFleet:
                 auto_reintegrate=auto_reintegrate,
             )
             self.shards.append(
-                Shard(shard_id, segment, primary, secondary, pair, shard_metrics)
+                Shard(f"s{s}", segment, primary, secondary, pair, shard_metrics)
             )
-            self._shard_ifaces.append(shard_iface)
 
         self.service = VirtualService(
             self.dispatcher,
@@ -241,37 +184,7 @@ class ShardedFleet:
             {shard.shard_id: shard.service_ip for shard in self.shards},
             metrics=self.front_metrics if enable_metrics else None,
         )
-        self.warm_arp_caches()
-
-    # ------------------------------------------------------------------
-    # wiring helpers
-    # ------------------------------------------------------------------
-
-    def warm_arp_caches(self) -> None:
-        """Prime every ARP relationship the steady-state datapath uses."""
-        for client in self.clients:
-            client.eth_interface.arp.prime(
-                self.virtual_ip, self.dispatcher.nic.mac
-            )
-            self._front_iface.arp.prime(
-                client.ip.primary_address(), client.nic.mac
-            )
-        for shard, iface in zip(self.shards, self._shard_ifaces):
-            gateway_mac = iface.nic.mac
-            iface.arp.prime(
-                shard.primary.ip.primary_address(), shard.primary.nic.mac
-            )
-            iface.arp.prime(
-                shard.secondary.ip.primary_address(), shard.secondary.nic.mac
-            )
-            for host in (shard.primary, shard.secondary):
-                host.eth_interface.arp.prime(iface.address, gateway_mac)
-            shard.primary.eth_interface.arp.prime(
-                shard.secondary.ip.primary_address(), shard.secondary.nic.mac
-            )
-            shard.secondary.eth_interface.arp.prime(
-                shard.primary.ip.primary_address(), shard.primary.nic.mac
-            )
+        self.warm_arp()
 
     def run_reply_service(
         self, backlog: int = 64, max_requests: Optional[int] = None
@@ -370,9 +283,6 @@ class ShardedFleet:
         sources = {shard.shard_id: shard.metrics for shard in self.shards}
         sources["front"] = self.front_metrics
         return merge_registries(sources, label="shard")
-
-    def run(self, until: float) -> None:
-        self.sim.run(until=until)
 
     def __repr__(self) -> str:
         return (

@@ -42,7 +42,9 @@ the result): ``QUIESCE → SNAPSHOT → INSTALL → REARM → MERGE →
 COMPLETE``, and every live phase aborts to ``ABORTED`` when either host
 crashes mid-run (crash hooks registered on both sides) — a second crash
 during reintegration must never install snapshots on a corpse or report
-redundancy that does not exist.  The transition graph is declared in
+redundancy that does not exist.  An abort before the rearm sends a live
+survivor's bridge to §6 direct mode, since no detector is armed yet to
+do it.  The transition graph is declared in
 :mod:`repro.analysis.specs.reintegration` and model-checked against
 this file by ``repro lint --semantic``.
 
@@ -350,12 +352,21 @@ def perform_reintegration(
     def abort(reason: str) -> None:
         if result.phase not in LIVE_PHASES:
             return
+        armed = result.phase is ReintegrationPhase.MERGE
         result.phase = ReintegrationPhase.ABORTED
         detach_hooks()
         tracer.emit(
             sim.now, "reintegration.aborted", survivor.name,
             joiner=joiner.name, reason=reason,
         )
+        # The quiesce put the survivor's bridge in merge mode and no
+        # detector is armed to notice that the partner is gone: leave it
+        # where §6 leaves a bridge whose secondary died.  (Looked up on the
+        # host: a reference to ``bridge`` here would close a cycle through
+        # its ``on_resume_merged`` callback.)
+        active = survivor.bridge
+        if survivor.alive and not armed and isinstance(active, PrimaryBridge):
+            active.secondary_failed()
 
     def _abort_on_crash(host: "Host") -> None:
         abort(f"{host.name} crashed")

@@ -1,4 +1,4 @@
-"""The testbed builder: one shared Ethernet, the paper's §9 setup on it.
+"""The one topology builder, and the paper's §9 testbed on it.
 
 The paper's testbed: 566 MHz Pentium III Celeron servers running FreeBSD
 4.4, a 1 GHz Pentium III client running Linux 2.2, all on 100 Mbit/s
@@ -12,20 +12,21 @@ send ≈ 7.8 MB/s, receive ≈ 8.7 MB/s).  Nothing on the failover side is
 tuned — the failover/standard ratios in EXPERIMENTS.md come out of the
 mechanism.
 
-Every single-segment testbed in the repo is a :class:`Lan`: the calibrated
+Every topology in the repo is built by :class:`Lan`: named segments,
+hosts, routers with a leg per segment or on a WAN link, and one ARP
+priming rule (:meth:`Lan.warm_arp`).  On it sit the calibrated
 :class:`LanTestbed` / :class:`WanTestbed`, the default-cost
 :class:`TwoHostLan` / :class:`ReplicatedLan` / :class:`ChaosLan` the tests
 and the chaos harness run on, the adversary plane's attacker LAN, E14's
-client LAN and the chain-depth LAN.  A machine class is a
-:class:`~repro.net.host.HostProfile` (protocol and bridge costs);
-:func:`make_host` builds a host of one, seeded from the run's RNG registry
-(the multi-segment :class:`~repro.cluster.fleet.ShardedFleet` uses it too).
+client LAN, the chain-depth LAN and the multi-segment
+:class:`~repro.cluster.fleet.ShardedFleet`.  A machine class is a
+:class:`~repro.net.host.HostProfile` (protocol and bridge costs).
 """
 
 from __future__ import annotations
 
 from dataclasses import replace
-from typing import Callable, Generator, Iterable, List, Optional
+from typing import Callable, Dict, Generator, Iterable, List, Optional
 
 from repro.failover.replicated import ReplicatedServerPair
 from repro.harness.invariants import InvariantChecker
@@ -33,6 +34,7 @@ from repro.net.addresses import Ipv4Address, MacAddress
 from repro.net.ethernet import EthernetSegment
 from repro.net.faults import FaultPlane
 from repro.net.host import DEFAULT_PROFILE, Host, HostProfile
+from repro.net.ip import EthernetInterface
 from repro.net.router import Router
 from repro.net.wan import WanLink
 from repro.obs.metrics import NULL_METRICS, MetricsRegistry
@@ -96,39 +98,19 @@ FLEET_MAC_BASE = 0x0200_00AA_0000
 CLIENT_TIER_MAC_BASE = 0x0200_00CE_0000
 
 
-def make_host(
-    sim: Simulator,
-    name: str,
-    mac: MacAddress,
-    profile: HostProfile,
-    tracer: Tracer,
-    rng: RngRegistry,
-    metrics: Optional[MetricsRegistry] = None,
-    spans: Optional[SpanTracer] = None,
-    gratuitous_apply_delay: float = 0.0,
-) -> Host:
-    """A host of machine class ``profile``, seeded from ``host.<name>``."""
-    return Host(
-        sim,
-        name,
-        mac,
-        tracer=tracer,
-        metrics=metrics,
-        spans=spans,
-        rng=rng.stream(f"host.{name}"),
-        profile=profile,
-        gratuitous_apply_delay=gratuitous_apply_delay,
-    )
-
-
 class Lan:
-    """One shared Ethernet segment and everything a run on it needs.
+    """The one topology builder: named segments, hosts, routers, WAN links.
 
     Owns the simulator, the seeded RNG registry, the tracer, the metrics
-    registry, the span tracer and the segment.  Stations join the bus in
-    the order they are added, and all randomness (host ISS and CPU jitter,
-    collisions, fault jitter, span sampling) derives from the one ``seed``
-    through named streams (``ethernet``, ``host.<name>``, ``obs.spans``).
+    registry and the span tracer; every testbed in the repo, the fleet
+    included, is built through it.  All randomness (host ISS and CPU
+    jitter, collisions, WAN loss, span sampling) derives from the one
+    ``seed`` through named streams: ``host.<name>``, ``ethernet`` for the
+    default segment and ``ethernet.<name>`` for a named one, ``wan``,
+    ``obs.spans`` (only when ``span_sample_rate`` is above 0).  Station
+    ``index`` gets MAC ``mac_base + index``; stations join a segment in
+    the order they are attached.  ``segment_name=None`` builds no default
+    segment (a multi-segment topology names all of its own).
     """
 
     def __init__(
@@ -139,8 +121,9 @@ class Lan:
         max_trace_records: Optional[int] = None,
         metrics: Optional[MetricsRegistry] = None,
         span_sample_rate: float = 0.0,
+        max_spans: Optional[int] = None,
         mac_base: int = LAN_MAC_BASE,
-        segment_name: str = "lan",
+        segment_name: Optional[str] = "lan",
     ):
         self.sim = Simulator()
         self.rng = RngRegistry(seed)
@@ -151,21 +134,45 @@ class Lan:
         self.spans: SpanTracer = NULL_SPANS  # rate 0 draws no rng stream
         if span_sample_rate > 0:
             self.spans = SpanTracer(
-                sample_rate=span_sample_rate, rng=self.rng.stream("obs.spans")
+                sample_rate=span_sample_rate, rng=self.rng.stream("obs.spans"),
+                max_spans=max_spans,
             )
         self.mac_base = mac_base
-        self.segment = EthernetSegment(
-            self.sim,
-            name=segment_name,
-            collision_prob=collision_prob,
-            tracer=self.tracer,
-            rng=self.rng.stream("ethernet"),
-            metrics=self.metrics,
-        )
+        self.segments: Dict[str, EthernetSegment] = {}
+        self._members: Dict[str, List[EthernetInterface]] = {}
         self.hosts: List[Host] = []
         self.pair: Optional[ReplicatedServerPair] = None
+        if segment_name is not None:
+            # The one-segment bus never carried spans; its artifacts stay as recorded.
+            self.segment = self.add_segment(
+                segment_name, collision_prob, stream="ethernet", spans=NULL_SPANS
+            )
 
-    # -- stations --------------------------------------------------------
+    # -- segments and stations -------------------------------------------
+
+    def add_segment(
+        self,
+        name: str,
+        collision_prob: float = 0.0,
+        metrics: Optional[MetricsRegistry] = None,
+        stream: Optional[str] = None,
+        spans: Optional[SpanTracer] = None,
+    ) -> EthernetSegment:
+        """Shared Ethernet ``name``, seeded from ``ethernet.<name>`` unless
+        ``stream`` says otherwise; counts into ``metrics`` (default: the
+        run's registry) and carries the run's span tracer."""
+        segment = EthernetSegment(
+            self.sim,
+            name=name,
+            collision_prob=collision_prob,
+            tracer=self.tracer,
+            rng=self.rng.stream(stream or f"ethernet.{name}"),
+            metrics=self.metrics if metrics is None else metrics,
+            spans=self.spans if spans is None else spans,
+        )
+        self.segments[name] = segment
+        self._members[name] = []
+        return segment
 
     def add_host(
         self,
@@ -175,23 +182,65 @@ class Lan:
         profile: HostProfile = DEFAULT_PROFILE,
         gratuitous_apply_delay: float = 0.0,
         conn_defaults: Optional[dict] = None,
+        segment: Optional[str] = None,
+        metrics: Optional[MetricsRegistry] = None,
     ) -> Host:
-        """Station ``index`` (MAC ``mac_base + index``); a member at ``ip``,
-        or left off the segment when ``ip`` is None."""
-        host = make_host(
-            self.sim, name, MacAddress(self.mac_base + index), profile,
-            self.tracer, self.rng, metrics=self.metrics, spans=self.spans,
+        """Station ``index`` of machine class ``profile``, seeded from
+        ``host.<name>`` and counting into ``metrics`` (default: the run's
+        registry); a member of ``segment`` at ``ip``, or on no segment
+        when ``ip`` is None."""
+        host = Host(
+            self.sim,
+            name,
+            MacAddress(self.mac_base + index),
+            tracer=self.tracer,
+            metrics=self.metrics if metrics is None else metrics,
+            spans=self.spans,
+            rng=self.rng.stream(f"host.{name}"),
+            profile=profile,
             gratuitous_apply_delay=gratuitous_apply_delay,
         )
         if conn_defaults:
             host.tcp.conn_defaults.update(conn_defaults)
-        return host if ip is None else self.attach(host, ip)
+        return host if ip is None else self.attach(host, ip, segment)
 
-    def attach(self, host: Host, ip: Ipv4Address) -> Host:
-        """Put ``host`` on the segment as a member :meth:`warm_arp` covers."""
-        host.attach_ethernet(self.segment, ip)
-        self.hosts.append(host)
+    def add_router(self, name: str, index: int) -> Router:
+        """A forwarding station ``index`` that applies a gratuitous ARP after
+        the paper's interval T, on no segment yet: give it a leg per
+        segment with :meth:`attach` and a WAN leg with :meth:`add_wan`."""
+        return Router(
+            self.sim,
+            name,
+            MacAddress(self.mac_base + index),
+            tracer=self.tracer,
+            rng=self.rng.stream(f"host.{name}"),
+            gratuitous_apply_delay=ROUTER_ARP_DELAY,
+            spans=self.spans,
+        )
+
+    def attach(
+        self, host: Host, ip: Ipv4Address, segment: Optional[str] = None
+    ) -> Host:
+        """Put ``host`` on ``segment`` (default: the default segment) at
+        ``ip``, as a member :meth:`warm_arp` covers; a further leg of a
+        multi-homed host gets a card of its own."""
+        name = self.segment.name if segment is None else segment
+        self._members[name].append(host.attach_ethernet(self.segments[name], ip))
+        if host not in self.hosts:
+            self.hosts.append(host)
         return host
+
+    def add_wan(
+        self, a: Host, a_ip: Ipv4Address, b: Host, b_ip: Ipv4Address, **link
+    ) -> WanLink:
+        """A point-to-point WAN link (stream ``wan``) from ``a`` to ``b``."""
+        side_a = a.attach_point_to_point(a_ip)
+        side_b = b.attach_point_to_point(b_ip)
+        wan = WanLink(self.sim, rng=self.rng.stream("wan"), tracer=self.tracer, **link)
+        wan.connect(
+            side_a, side_b, deliver_a=a.datagram_from_wan, deliver_b=b.datagram_from_wan
+        )
+        return wan
 
     def add_pair(
         self,
@@ -235,30 +284,38 @@ class Lan:
         self.server_ip = SINGLE_SERVER_IP
         return [self.server]
 
-    def add_station(self, name: str, index: int, ip: Ipv4Address) -> Host:
-        """One more default-cost station on the bus, outside the membership.
+    def add_station(
+        self,
+        name: str,
+        index: int,
+        ip: Ipv4Address,
+        segment: Optional[str] = None,
+        metrics: Optional[MetricsRegistry] = None,
+    ) -> Host:
+        """One more default-cost station on ``segment``, outside the membership.
 
-        It knows every member's MAC (it shares the segment, and could learn
-        them passively) but no member knows its; :meth:`warm_arp` and
-        :meth:`attach_checks` keep ignoring it.
+        It knows every address of every member there (it shares the
+        segment, and could learn them passively) but no member knows its;
+        :meth:`warm_arp` and :meth:`attach_checks` keep ignoring it.
         """
-        station = self.add_host(name, index)
-        station.attach_ethernet(self.segment, ip)
-        for member in self.hosts:
-            station.eth_interface.arp.prime(
-                member.ip.primary_address(), member.nic.mac
-            )
+        station = self.add_host(name, index, metrics=metrics)
+        bus = self.segment.name if segment is None else segment
+        station.attach_ethernet(self.segments[bus], ip)
+        for member in self._members[bus]:
+            for address in member.addresses:
+                station.eth_interface.arp.prime(address, member.nic.mac)
         return station
 
     def warm_arp(self) -> None:
-        """Prime every ordered pair of members: the paper measures with warm
-        caches, and ARP traffic would perturb timing."""
-        for host in self.hosts:
-            for other in self.hosts:
-                if host is not other:
-                    host.eth_interface.arp.prime(
-                        other.ip.primary_address(), other.nic.mac
-                    )
+        """The one priming rule: every member interface knows every address
+        of every other member interface on a segment it shares.  The paper
+        measures with warm caches, and ARP traffic would perturb timing."""
+        for members in self._members.values():
+            for iface in members:
+                for other in members:
+                    if other is not iface:
+                        for address in other.addresses:
+                            iface.arp.prime(address, other.nic.mac)
 
     # -- faults and invariants -------------------------------------------
 
@@ -370,36 +427,16 @@ class WanTestbed(Lan):
             seed, collision_prob=0.05, record_traces=record_traces,
             max_trace_records=max_trace_records, metrics=metrics,
         )
-        self.router = Router(
-            self.sim,
-            "router",
-            MacAddress(self.mac_base + 10),
-            tracer=self.tracer,
-            rng=self.rng.stream("host.router"),
-            gratuitous_apply_delay=ROUTER_ARP_DELAY,
-        )
+        self.router = self.add_router("router", 10)
         self.attach(self.router, ROUTER_LAN_IP)
-        router_wan_iface = self.router.attach_point_to_point(ROUTER_WAN_IP)
-
         # Off the segment: the client's only interface is the WAN link.
         self.client = self.add_host("client", 1, profile=CLIENT_PROFILE)
-        client_wan_iface = self.client.attach_point_to_point(WAN_CLIENT_IP)
-        self.client.ip.set_default_gateway(ROUTER_WAN_IP)
-
-        self.wan = WanLink(
-            self.sim,
-            propagation_delay=wan_delay,
-            loss_prob=wan_loss,
+        self.wan = self.add_wan(
+            self.client, WAN_CLIENT_IP, self.router, ROUTER_WAN_IP,
+            propagation_delay=wan_delay, loss_prob=wan_loss,
             cross_load=wan_cross_load,
-            rng=self.rng.stream("wan"),
-            tracer=self.tracer,
         )
-        self.wan.connect(
-            client_wan_iface,
-            router_wan_iface,
-            deliver_a=self.client.datagram_from_wan,
-            deliver_b=self.router.datagram_from_wan,
-        )
+        self.client.ip.set_default_gateway(ROUTER_WAN_IP)
 
         for server in self.add_servers(replicated, failover_ports):
             server.ip.set_default_gateway(ROUTER_LAN_IP)

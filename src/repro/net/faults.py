@@ -320,12 +320,12 @@ class FaultPlane:
     def __init__(
         self,
         sim: Simulator,
-        rng: Optional[RngRegistry] = None,
+        rng: RngRegistry,
         tracer: Optional[Tracer] = None,
         metrics=None,
     ):
         self.sim = sim
-        self.rng = rng or RngRegistry(0)
+        self.rng = rng
         self.tracer = tracer or Tracer(record=False)
         if metrics is None:
             from repro.obs.metrics import NULL_METRICS

@@ -10,12 +10,8 @@ from repro.clients.pool import ConnectionPool, constant_resolver
 from repro.clients.proxy import (
     L4Proxy, PRIMARY_WEIGHT, STANDBY_WEIGHT,
 )
-from repro.net.addresses import Ipv4Address, MacAddress
-from repro.net.ethernet import EthernetSegment
-from repro.net.host import Host
-from repro.sim.engine import Simulator
-from repro.sim.rng import RngRegistry
-from repro.sim.trace import Tracer
+from repro.harness.topology import Lan
+from repro.net.addresses import Ipv4Address
 from repro.tcp.socket_api import SimSocket
 
 PORT = 8000
@@ -25,27 +21,17 @@ STANDBY_IP = Ipv4Address("10.0.0.3")
 PROXY_IP = Ipv4Address("10.0.0.10")
 
 
-class ProxyLan:
+class ProxyLan(Lan):
     """Client, proxy, and two backends on one collision-free segment."""
 
     def __init__(self, seed: int = 0):
-        self.sim = Simulator()
-        self.rng = RngRegistry(seed)
-        self.tracer = Tracer()
-        self.segment = EthernetSegment(
-            self.sim, collision_prob=0.0, tracer=self.tracer,
-            rng=self.rng.stream("ethernet"),
-        )
-        self.hosts: List[Host] = []
-        self.client = self._host("client", 1, CLIENT_IP)
-        self.primary = self._host("primary", 2, PRIMARY_IP)
-        self.standby = self._host("standby", 3, STANDBY_IP)
-        self.frontend = self._host("proxy", 10, PROXY_IP)
-        for a in self.hosts:
-            for b in self.hosts:
-                if a is not b:
-                    a.eth_interface.arp.prime(
-                        b.ip.primary_address(), b.nic.mac)
+        super().__init__(seed, record_traces=True, mac_base=0x0200_0000_1000,
+                         segment_name="eth0")
+        self.client = self.add_host("client", 1, CLIENT_IP)
+        self.primary = self.add_host("primary", 2, PRIMARY_IP)
+        self.standby = self.add_host("standby", 3, STANDBY_IP)
+        self.frontend = self.add_host("proxy", 10, PROXY_IP)
+        self.warm_arp()
         self.primary.spawn(reply_server(self.primary, PORT), "reply")
         self.standby.spawn(reply_server(self.standby, PORT), "reply")
         self.proxy = L4Proxy(
@@ -56,13 +42,6 @@ class ProxyLan:
                                weight=PRIMARY_WEIGHT)
         self.proxy.add_backend("standby", self.standby, PORT,
                                weight=STANDBY_WEIGHT)
-
-    def _host(self, name: str, index: int, ip: Ipv4Address) -> Host:
-        host = Host(self.sim, name, MacAddress(0x0200_0000_1000 + index),
-                    tracer=self.tracer, rng=self.rng.stream(f"host.{name}"))
-        host.attach_ethernet(self.segment, ip)
-        self.hosts.append(host)
-        return host
 
 
 def _exchange(lan: ProxyLan, size: int, replies: List[bytes]) -> Generator:

@@ -8,37 +8,25 @@ import pytest
 
 from repro.apps import bulk
 from repro.failover.chain import ReplicatedChain
+from repro.harness.topology import Lan
 from repro.net.addresses import Ipv4Address
-from repro.net.ethernet import EthernetSegment
-from repro.net.host import Host
-from repro.sim.engine import Simulator
 from repro.sim.process import spawn
-from repro.sim.trace import Tracer
 from repro.tcp.socket_api import ListeningSocket, SimSocket
-from tests.util import mac
 
 PORT = 80
 CLIENT_IP = Ipv4Address("10.0.0.1")
 
 
-class ChainLan:
+class ChainLan(Lan):
     def __init__(self, replicas=3, seed=0):
-        self.sim = Simulator()
-        self.tracer = Tracer(record=True)
-        self.segment = EthernetSegment(self.sim, collision_prob=0.0, tracer=self.tracer)
-        self.client = Host(self.sim, "client", mac(1), tracer=self.tracer,
-                           gratuitous_apply_delay=300e-6)
-        self.client.attach_ethernet(self.segment, CLIENT_IP)
-        self.replicas = []
-        for i in range(replicas):
-            host = Host(self.sim, f"replica{i}", mac(10 + i), tracer=self.tracer)
-            host.attach_ethernet(self.segment, Ipv4Address(f"10.0.0.{10 + i}"))
-            self.replicas.append(host)
-        hosts = [self.client] + self.replicas
-        for a in hosts:
-            for b in hosts:
-                if a is not b:
-                    a.eth_interface.arp.prime(b.ip.primary_address(), b.nic.mac)
+        super().__init__(seed, record_traces=True, segment_name="eth0")
+        self.client = self.add_host("client", 1, CLIENT_IP,
+                                    gratuitous_apply_delay=300e-6)
+        self.replicas = [
+            self.add_host(f"replica{i}", 10 + i, Ipv4Address(f"10.0.0.{10 + i}"))
+            for i in range(replicas)
+        ]
+        self.warm_arp()
         self.chain = ReplicatedChain(
             self.replicas,
             failover_ports=[PORT],
@@ -47,9 +35,6 @@ class ChainLan:
         )
         self.chain.start_detectors()
         self.server_ip = self.chain.service_ip
-
-    def run(self, until):
-        self.sim.run(until=until)
 
 
 def pull(lan, size, crashes=(), until=120.0):

@@ -268,3 +268,33 @@ def test_joiner_crash_inside_install_delay_aborts():
     assert lan.pair.failed_over
     assert lan.pair.primary is old_primary
     assert lan.pair.secondary is old_secondary
+
+
+@pytest.mark.parametrize("joiner_role", ["primary", "secondary"])
+def test_aborted_reintegration_returns_the_survivor_to_direct_mode(joiner_role):
+    """The joiner dies again inside ``INSTALL_DELAY`` of a rejoin (old
+    primary) or a remerge (old secondary).  The attempt had switched the
+    survivor's bridge to queue matching, and no detector is armed to
+    notice the partner is gone: the abort must leave the bridge in §6
+    direct mode, or the upload stalls with bytes parked for a dead peer."""
+    lan = ChaosLan(seed=3)
+    lan.start_detectors()
+    blob = pattern_bytes(2_000_000)
+    received, client = upload_workload(lan, blob)
+    joiner = getattr(lan, joiner_role)
+    survivor = lan.secondary if joiner is lan.primary else lan.primary
+
+    lan.sim.schedule(0.010, joiner.crash)
+    lan.sim.schedule(0.110, joiner.restart)
+    results = []
+    lan.sim.schedule(0.140, lambda: results.append(lan.pair.reintegrate()))
+    lan.sim.schedule(0.1401, joiner.crash)
+
+    run_process(lan.sim, client(), until=20.0, settle=0.3)
+
+    (result,) = results
+    assert result.aborted and not result.installed
+    assert all(bc.direct for bc in survivor.bridge.connections.values())
+    assert bytes(received[survivor.name]) == blob
+    lan.checker.check_no_peer_reset(node="client")
+    lan.assert_invariants()

@@ -1,5 +1,7 @@
 """Tests for the testbed builder and the calibrated testbeds on it."""
 
+import ast
+
 from repro.apps.echo import echo_once, echo_server
 from repro.harness.topology import (
     CLIENT_IP,
@@ -12,6 +14,7 @@ from repro.harness.topology import (
 from repro.net.addresses import Ipv4Address
 from repro.sim.process import spawn
 from repro.tcp.socket_api import ListeningSocket, SimSocket
+from tests.util import ROOT
 
 
 def test_lan_unreplicated_roundtrip():
@@ -207,3 +210,57 @@ def test_serve_runs_on_both_replicas_and_nowhere_else():
 def test_serve_runs_on_the_one_server_of_an_unreplicated_testbed():
     assert _served_on(LanTestbed(seed=1, replicated=False)) == ["server"]
     assert _served_on(WanTestbed(seed=1, replicated=False)) == ["server"]
+
+
+def test_fleet_caches_follow_the_one_priming_rule():
+    """Every interface of the multi-segment fleet knows every address of
+    every other interface on a segment it shares, and nothing beyond."""
+    from repro.cluster import ShardedFleet
+
+    fleet = ShardedFleet(shards=2, clients=3)
+    legs = {}  # segment name -> [(interface, addresses)]
+    for host in [fleet.dispatcher] + fleet.clients + [
+        h for shard in fleet.shards for h in (shard.primary, shard.secondary)
+    ]:
+        for iface in host.ip.interfaces:
+            legs.setdefault(iface.nic.segment.name, []).append(iface)
+    assert sorted(legs) == ["front", "shard0", "shard1"]
+    for members in legs.values():
+        for iface in members:
+            assert iface.arp.cache == {
+                address: other.nic.mac
+                for other in members if other is not iface
+                for address in other.addresses
+            }
+    assert fleet.virtual_ip in fleet.dispatcher.eth_interface.addresses
+
+
+# Where each topology class may be constructed besides the builder.
+TOPOLOGY_CLASS_HOMES = {
+    "Simulator": "sim/engine.py",
+    "EthernetSegment": "net/ethernet.py",
+    "Router": "net/router.py",
+    "RngRegistry": "sim/rng.py",
+    "Host": "net/host.py",
+}
+
+
+def test_only_the_builder_builds_a_topology():
+    """Outside ``harness/topology.py`` (and each class's own module) no
+    source file under ``src/repro`` constructs a simulator, a segment, a
+    router, an RNG registry or a host: a topology has one builder."""
+    package = ROOT / "src" / "repro"
+    found = []
+    for path in sorted(package.rglob("*.py")):
+        module = path.relative_to(package).as_posix()
+        if module == "harness/topology.py":
+            continue
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            if not isinstance(node, ast.Call):
+                continue
+            func = node.func
+            name = getattr(func, "id", None) or getattr(func, "attr", None)
+            home = TOPOLOGY_CLASS_HOMES.get(name)
+            if home is not None and home != module:
+                found.append(f"{module}:{node.lineno} {name}(...)")
+    assert found == []
