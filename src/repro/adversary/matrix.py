@@ -52,7 +52,7 @@ from repro.harness.invariants import InvariantChecker, Violation
 from repro.harness.report import Report, Table
 from repro.harness.topology import CLIENT_IP, ChaosLan
 from repro.net.addresses import Ipv4Address
-from repro.obs.metrics import NULL_METRICS, MetricsRegistry
+from repro.obs.metrics import MetricsRegistry
 from repro.sim.process import spawn
 from repro.sim.rng import seeded_rng
 
@@ -312,9 +312,7 @@ def _dispatcher_cell(spec: AttackSpec, until: float = 30.0) -> AttackResult:
     )
     result = AttackResult(spec=spec)
 
-    station = fleet.add_station(
-        "attacker", 0xF9, ATTACKER_FRONT_IP, segment="front", metrics=NULL_METRICS
-    )
+    station = fleet.add_station("attacker", 0xF9, ATTACKER_FRONT_IP)
     attacker = AttackerHost(station, fleet.rng.stream("adversary.attacker"))
 
     workload = ClosedLoopWorkload(

@@ -136,15 +136,14 @@ class ShardedFleet(Lan):
         self.enable_metrics = enable_metrics
         self.front_metrics = self.metrics
 
-        # Every fleet segment is collision-free.
+        # Every fleet segment is collision-free; the front one is the default.
         self.front_segment = self.add_segment("front")
         self.dispatcher = self.add_router("dispatcher", 0)
-        self.attach(self.dispatcher, DISPATCHER_FRONT_IP, "front")
+        self.attach(self.dispatcher, DISPATCHER_FRONT_IP)
         self.dispatcher.eth_interface.add_address(self.virtual_ip)
         self.clients: List[Host] = [
             self.add_host(
-                f"client{i}", 1 + i, Ipv4Address(f"10.0.0.{1 + i}"),
-                CLIENT_PROFILE, segment="front",
+                f"client{i}", 1 + i, Ipv4Address(f"10.0.0.{1 + i}"), CLIENT_PROFILE
             )
             for i in range(clients)
         ]

@@ -109,8 +109,9 @@ class Lan:
     default segment and ``ethernet.<name>`` for a named one, ``wan``,
     ``obs.spans`` (only when ``span_sample_rate`` is above 0).  Station
     ``index`` gets MAC ``mac_base + index``; stations join a segment in
-    the order they are attached.  ``segment_name=None`` builds no default
-    segment (a multi-segment topology names all of its own).
+    the order they are attached.  The first segment is the default one
+    that ``segment=None`` means; ``segment_name=None`` builds none here, so
+    a multi-segment topology's first :meth:`add_segment` names it.
     """
 
     def __init__(
@@ -144,7 +145,7 @@ class Lan:
         self.pair: Optional[ReplicatedServerPair] = None
         if segment_name is not None:
             # The one-segment bus never carried spans; its artifacts stay as recorded.
-            self.segment = self.add_segment(
+            self.add_segment(
                 segment_name, collision_prob, stream="ethernet", spans=NULL_SPANS
             )
 
@@ -160,7 +161,8 @@ class Lan:
     ) -> EthernetSegment:
         """Shared Ethernet ``name``, seeded from ``ethernet.<name>`` unless
         ``stream`` says otherwise; counts into ``metrics`` (default: the
-        run's registry) and carries the run's span tracer."""
+        run's registry) and carries the run's span tracer.  The first one
+        added is the default segment."""
         segment = EthernetSegment(
             self.sim,
             name=name,
@@ -170,6 +172,8 @@ class Lan:
             metrics=self.metrics if metrics is None else metrics,
             spans=self.spans if spans is None else spans,
         )
+        if not self.segments:
+            self.segment = segment
         self.segments[name] = segment
         self._members[name] = []
         return segment
@@ -290,7 +294,6 @@ class Lan:
         index: int,
         ip: Ipv4Address,
         segment: Optional[str] = None,
-        metrics: Optional[MetricsRegistry] = None,
     ) -> Host:
         """One more default-cost station on ``segment``, outside the membership.
 
@@ -298,7 +301,7 @@ class Lan:
         segment, and could learn them passively) but no member knows its;
         :meth:`warm_arp` and :meth:`attach_checks` keep ignoring it.
         """
-        station = self.add_host(name, index, metrics=metrics)
+        station = self.add_host(name, index)
         bus = self.segment.name if segment is None else segment
         station.attach_ethernet(self.segments[bus], ip)
         for member in self._members[bus]:

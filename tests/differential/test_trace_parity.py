@@ -31,12 +31,7 @@ block stopped outliving its close: the runs lost RTOs that sent nothing
 and gained no record (EXPERIMENTS.md lists each, old → new).  Four bridge
 digests were re-recorded when a §6 connection's FIN exchange began to
 delete its bridge state: each run gained one ``bridge.p.conn_deleted
-reason=closed`` record, and nothing else moved.  The chain digest was
-re-recorded when the test chain LAN moved onto ``Lan``: its hosts draw
-their ISNs from ``host.<name>`` registry streams instead of name-seeded
-generators, and its 4 991 records differ from the old ones only in
-``seq``/``ack``/``delta``/``frontier`` values — same instants, same
-categories, same event count.
+reason=closed`` record, and nothing else moved.
 """
 
 import hashlib
@@ -295,7 +290,7 @@ def test_unobserved_emit_never_calls_the_renderer():
 GOLDEN_BRIDGE_SHA256 = {
     "chaos_crash_secondary": "d0818850e5a4e3f4e3849e285bc17d4a3e78f738b20314a3fd79a36d90c03c74",
     "chaos_crash_secondary_pull": "63b04be7198cd49a5fd6243ea854e8873ca37a94460921b29dd10fac04079151",
-    "chain_splice": "00fc4e03b603295915ad7f185537dd17487eb14f8b32750bbc476e73e2ac4f8c",
+    "chain_splice": "055bd9f3616176d01ddfcd8371fdfe34399d2628645c51561eacc7f986b3240c",
     "connect_out_crash_secondary": "839895e961bd21fd2a31921e58b3672dc38157bfee1e7f56a5dafdb250c2be41",
     "telemetry_remerge": "950a34858113e1feaa96fe83ea15ea9e4fc44989d0fd168dcc270399da78b866",
 }

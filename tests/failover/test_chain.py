@@ -10,8 +10,10 @@ from repro.apps import bulk
 from repro.failover.chain import ReplicatedChain
 from repro.harness.topology import Lan
 from repro.net.addresses import Ipv4Address
+from repro.net.host import Host
 from repro.sim.process import spawn
 from repro.tcp.socket_api import ListeningSocket, SimSocket
+from tests.util import mac
 
 PORT = 80
 CLIENT_IP = Ipv4Address("10.0.0.1")
@@ -20,10 +22,10 @@ CLIENT_IP = Ipv4Address("10.0.0.1")
 class ChainLan(Lan):
     def __init__(self, replicas=3, seed=0):
         super().__init__(seed, record_traces=True, segment_name="eth0")
-        self.client = self.add_host("client", 1, CLIENT_IP,
+        self.client = self._station("client", 1, CLIENT_IP,
                                     gratuitous_apply_delay=300e-6)
         self.replicas = [
-            self.add_host(f"replica{i}", 10 + i, Ipv4Address(f"10.0.0.{10 + i}"))
+            self._station(f"replica{i}", 10 + i, Ipv4Address(f"10.0.0.{10 + i}"))
             for i in range(replicas)
         ]
         self.warm_arp()
@@ -35,6 +37,12 @@ class ChainLan(Lan):
         )
         self.chain.start_detectors()
         self.server_ip = self.chain.service_ip
+
+    def _station(self, name, index, ip, **kwargs):
+        # Name-seeded host generators, not registry streams: the chain
+        # digest in tests/differential pins the ISNs these draw.
+        return self.attach(Host(self.sim, name, mac(index), tracer=self.tracer,
+                                **kwargs), ip)
 
 
 def pull(lan, size, crashes=(), until=120.0):
