@@ -182,7 +182,10 @@ GOLDEN_BUILDER_SHA256 = {
     "chaos_reintegrate": "3951cdd8f9db8e168ec168e0a4349d1384c17b163f1dd0f20a0a3210fe20daf5",
     "attack_rst_sweep": "37bdcf792e0ca5f4de1b4db2ae1ceec8680460ddfa41205723e2388f654779b0",
     "attack_flow_poison": "b03d80175558e3ce5ad655ac1c4c6073f789f3419833645a1f2af47b39a98078",
+    "attack_flow_poison_late": "f5606dd3762708964e0e75208e4440e1261f01b6940036b5cfd877bab6243a14",
     "clients_bridge": "c60e99d1f7cd7cf33b80351cbd2b07fbc24f879f6c7c4c08c424ac58b05611ff",
+    "clients_vip": "d2124d06d3bc2d70de62a50738d587ba6c629d3e284c7be2b1476c4d814c6b46",
+    "clients_proxy": "c74e8c3b094078c2f9b9014eda619c7080b6cd3a1899dc5938ed3498f647ac64",
     "clients_dns": "e025b18e743fb31c08e8514c9f78f62221583a6c2366c8782bdedd24bcfd93af",
     "capacity_storm": "5f1fa0647df40a68f451a127b6f05fb4c7ead1f52f7b27df1d96c3f22a4e99a3",
 }
@@ -260,7 +263,10 @@ BUILDER_SCENARIOS = {
         "early", "crash-restart-reintegrate", size=REINTEGRATE_SIZE),
     "attack_rst_sweep": lambda: _attack("rst-sweep", "service", "midpoint"),
     "attack_flow_poison": lambda: _attack("flow-poison", "client", "early"),
+    "attack_flow_poison_late": lambda: _attack("flow-poison", "service", "late"),
     "clients_bridge": lambda: _client_path("bridge"),
+    "clients_vip": lambda: _client_path("vip"),
+    "clients_proxy": lambda: _client_path("proxy"),
     "clients_dns": lambda: _client_path("dns"),
     "capacity_storm": _capacity_storm,
 }
