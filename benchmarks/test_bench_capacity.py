@@ -39,7 +39,7 @@ def _cell(shards, sessions, seed, clients=4, **overrides):
     assert result.stats.sessions_failed == 0, result.stats.failures
     assert result.stats.corrupt_replies == 0
     assert result.misplaced_failures() == []
-    assert result.invariants_ok(), result.checker.report()
+    assert result.ok, result.checker.report()
     return result
 
 

@@ -22,9 +22,9 @@ Cell topology by strategy:
   :class:`AttackLan` — the chaos LAN plus an attacker station — against
   the shared bridge cell (:mod:`repro.harness.cells`), one bulk upload
   through the replicated pair;
-* ``flow-poison`` runs on a small :class:`~repro.cluster.fleet.
-  ShardedFleet` with the attacker on the front LAN, poisoning the
-  dispatcher's flow table under a closed-loop workload.
+* ``flow-poison`` runs a small :class:`~repro.cluster.capacity.FleetCell`
+  with the attacker on the front LAN, poisoning the dispatcher's flow
+  table under its closed-loop workload.
 """
 
 from __future__ import annotations
@@ -289,37 +289,24 @@ def _bridge_cell(spec: AttackSpec, until: float = 30.0) -> AttackResult:
 
 
 def _dispatcher_cell(spec: AttackSpec, until: float = 30.0) -> AttackResult:
-    from repro.cluster.fleet import ShardedFleet
+    from repro.cluster.capacity import FleetCell
     from repro.workload.distributions import Fixed
-    from repro.workload.generator import ClosedLoopWorkload
 
-    fleet = ShardedFleet(
-        shards=FLEET_SHARDS,
-        clients=FLEET_CLIENTS,
-        seed=spec.seed,
-        record_traces=True,
-        enable_metrics=True,
-        detector_interval=0.005,
-        detector_timeout=0.020,
+    cell = FleetCell(
+        FLEET_SESSIONS, FLEET_RAMP, FLEET_HOLD, Fixed(64), Fixed(0.005),
+        shards=FLEET_SHARDS, clients=FLEET_CLIENTS, seed=spec.seed,
+        record_traces=True, enable_metrics=True,
+        detector_interval=0.005, detector_timeout=0.020,
     )
+    fleet, checker, workload = cell.fleet, cell.checker, cell.workload
     service = fleet.service
     service.max_flows = FLEET_MAX_FLOWS
     service.flow_idle_timeout = FLEET_FLOW_IDLE
-    fleet.run_reply_service()
-    fleet.start_detectors()
-    checker = fleet.attach_invariant_checker(
-        InvariantChecker(tracer=fleet.tracer)
-    )
     result = AttackResult(spec=spec)
 
     station = fleet.add_station("attacker", 0xF9, ATTACKER_FRONT_IP)
     attacker = AttackerHost(station, fleet.rng.stream("adversary.attacker"))
 
-    workload = ClosedLoopWorkload(
-        fleet.clients, fleet.virtual_ip, fleet.service_port, fleet.rng,
-        sessions=FLEET_SESSIONS, reply_sizes=Fixed(64),
-        think_times=Fixed(0.005), ramp=FLEET_RAMP, hold_for=FLEET_HOLD,
-    )
     t_clean = FLEET_RAMP + FLEET_HOLD
     burst_at = max(2e-4, ATTACK_FRACTIONS[spec.fraction] * t_clean)
     fleet.sim.schedule(
@@ -370,19 +357,11 @@ def _dispatcher_cell(spec: AttackSpec, until: float = 30.0) -> AttackResult:
             service, live_pins(expected), now=fleet.sim.now
         )
 
-    workload.start()
+    cell.start()
     spawn(fleet.sim, burst(), "attack-burst")
-    fleet.sim.run_until(lambda: workload.complete, timeout=until)
-    result.finished = workload.complete
-    result.duration = fleet.sim.now
-    fleet.sim.run(until=fleet.sim.now + 0.3)
+    cell.finish(result, until, cells.SETTLE)
 
     stats = workload.stats
-    if not result.finished:
-        checker.violations.append(Violation(
-            fleet.sim.now, "liveness",
-            f"workload did not complete within {until}s of simulated time",
-        ))
     if stats.sessions_failed:
         checker.violations.append(Violation(
             fleet.sim.now, "attack-burst-survival",
@@ -396,12 +375,10 @@ def _dispatcher_cell(spec: AttackSpec, until: float = 30.0) -> AttackResult:
         ))
     checker.check_no_spoofed_teardown()
     checker.check_replica_agreement()
-    result.violations = checker.violations
 
     result.failed_over = fleet.shards[0].pair.failed_over
     result.injections = attacker.injections
     result.injections_by_kind = dict(attacker.injections_by_kind)
-    result.delivered = stats.reply_bytes
     result.counters = {
         "dispatcher.syn_reassigns_refused": service.syn_reassigns_refused,
         "dispatcher.flows_rejected": service.flows_rejected,

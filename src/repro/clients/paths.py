@@ -33,6 +33,7 @@ artifact's contract (CI runs the cell twice and ``cmp``'s them).
 from __future__ import annotations
 
 import math
+from dataclasses import dataclass, field
 from typing import Callable, Dict, Generator, List, Optional, Tuple
 
 from repro.apps.request_reply import pattern_bytes, reply_server
@@ -42,6 +43,7 @@ from repro.clients.pool import (
     ConnectionPool, PoolRequestFailed, RequestLedger, constant_resolver,
 )
 from repro.clients.proxy import L4Proxy, PRIMARY_WEIGHT, STANDBY_WEIGHT
+from repro.harness.cells import CellResult, attach_incident, run_and_settle
 from repro.harness.invariants import InvariantChecker
 from repro.harness.metrics import Stats, latency_windows
 from repro.harness.report import Report, Table
@@ -51,7 +53,6 @@ from repro.harness.topology import (
 )
 from repro.net.addresses import Ipv4Address
 from repro.net.host import Host
-from repro.sim.trace import Tracer
 
 #: The recovery paths E14 compares, in publication order.  The ISSUE's
 #: three required paths are bridge/vip/dns; proxy rides along because
@@ -63,6 +64,20 @@ SERVICE_PORT = 8000
 
 MONITOR_IP = Ipv4Address("10.0.0.9")
 PROXY_IP = Ipv4Address("10.0.0.10")
+
+#: The cell every path shares: crash time, mean think time, the pools'
+#: size, probe interval and retry policy, the DNS TTL and how many clients
+#: (the first ones) ignore it.
+CRASH_AT = 0.35
+THINK_MEAN = 0.080
+POOL_SIZE = 2
+HEALTH_INTERVAL = 0.500
+RETRY_BUDGET = 6
+ATTEMPT_TIMEOUT = 0.250
+BACKOFF_BASE = 0.050
+TTL = 1.0
+TTL_IGNORING_CLIENTS = 1
+SETTLE = 0.5  # simulated seconds run after the last session ends
 
 #: Trace categories that mark recovery milestones, for the timeline.
 TIMELINE_CATEGORIES = (
@@ -111,36 +126,26 @@ class PathStats:
         return min(after) - max(before)
 
 
-class PathResult:
-    """Everything one recovery-path run measured."""
+@dataclass
+class PathResult(CellResult):
+    """One recovery path's run (``spec`` is the path): the shared verdicts
+    plus what its clients saw."""
 
-    def __init__(
-        self,
-        path: str,
-        stats: PathStats,
-        ledger: RequestLedger,
-        checker: InvariantChecker,
-        tracer: Tracer,
-        pools: List[ConnectionPool],
-        crash_at: float,
-        recovery_window: float,
-        finished_at: float,
-        extras: Dict[str, object],
-    ):
-        self.path = path
-        self.stats = stats
-        self.ledger = ledger
-        self.checker = checker
-        self.tracer = tracer
-        self.pools = pools
-        self.crash_at = crash_at
-        self.recovery_window = recovery_window
-        self.finished_at = finished_at
-        self.extras = extras
+    stats: PathStats = field(default_factory=PathStats)
+    ledger: RequestLedger = field(default_factory=RequestLedger)
+    checker: Optional[InvariantChecker] = field(default=None, repr=False)
+    pools: List[ConnectionPool] = field(default_factory=list, repr=False)
+    crash_at: float = CRASH_AT
+    recovery_window: float = 0.0
+    extras: Dict[str, object] = field(default_factory=dict, repr=False)
+
+    def counts(self) -> str:
+        stats = self.stats
+        return f"requests={stats.requests_completed} failed={stats.requests_failed}"
 
     def latency_windows(self) -> Dict[str, Stats]:
         return latency_windows(
-            self.stats, self.crash_at, self.recovery_window, self.finished_at,
+            self.stats, self.crash_at, self.recovery_window, self.duration,
             labels=("pre", "during", "post"),
         )
 
@@ -168,9 +173,6 @@ class PathResult:
             totals["timeouts"] += pool.timeouts
         return totals
 
-    def invariants_ok(self) -> bool:
-        return self.checker.ok
-
 
 class ClientWorkload:
     """Closed-loop sessions round-robinned over the per-client pools.
@@ -182,12 +184,11 @@ class ClientWorkload:
     """
 
     def __init__(self, lan: Lan, pools: List[ConnectionPool],
-                 sessions: int, stop_at: float, think_mean: float):
+                 sessions: int, stop_at: float):
         self.lan = lan
         self.pools = pools
         self.sessions = sessions
         self.stop_at = stop_at
-        self.think_mean = think_mean
         self.stats = PathStats()
         self.finished = 0
 
@@ -225,7 +226,7 @@ class ClientWorkload:
                 self.stats.corrupt_replies += 1
             self.stats.record(
                 self.lan.sim.now, self.lan.sim.now - started, session_id)
-            yield self.think_mean * -math.log(1.0 - rng.random())
+            yield THINK_MEAN * -math.log(1.0 - rng.random())
         if failed:
             self.stats.sessions_failed += 1
         else:
@@ -239,29 +240,15 @@ def run_client_path(
     *,
     clients: int = 3,
     sessions: int = 12,
-    crash_at: float = 0.35,
     recovery_window: float = 2.0,
     hold_after: float = 0.8,
-    think_mean: float = 0.080,
-    pool_size: int = 2,
-    retry_budget: int = 6,
-    backoff_base: float = 0.050,
-    attempt_timeout: float = 0.250,
-    health_interval: float = 0.500,
-    ttl: float = 1.0,
-    ttl_ignoring_clients: int = 1,
-    lookup_delay: float = 0.002,
-    detector_interval: float = 0.010,
-    detector_timeout: float = 0.050,
-    span_sample_rate: float = 0.0,
-    record_traces: bool = True,
 ) -> PathResult:
     """Run one recovery path's cell and return its measurements."""
     if path not in PATHS:
         raise ValueError(f"unknown path {path!r}; expected one of {PATHS}")
     lan = Lan(
-        seed, record_traces=record_traces, max_trace_records=200_000,
-        span_sample_rate=span_sample_rate, mac_base=CLIENT_TIER_MAC_BASE,
+        seed, record_traces=True, max_trace_records=200_000,
+        mac_base=CLIENT_TIER_MAC_BASE,
     )
     client_hosts = [
         lan.add_host(
@@ -288,18 +275,15 @@ def run_client_path(
 
     ledger = RequestLedger()
     extras: Dict[str, object] = {}
-    crash_time = float(crash_at)
-    stop_at = crash_time + recovery_window + hold_after
+    stop_at = CRASH_AT + recovery_window + hold_after
 
     # -- servers and the recovery machinery ------------------------------
+    # Every detector below (pair, VIP monitor, proxy, DNS health check)
+    # runs at its default 10 ms heartbeat and 50 ms timeout.
     crash: Callable[[], None]
     resolvers: List[Callable[[], Generator]] = []
     if path == "bridge":
-        pair = lan.add_pair(
-            (SERVICE_PORT,), SERVER_PROFILE,
-            detector_interval=detector_interval,
-            detector_timeout=detector_timeout,
-        )
+        pair = lan.add_pair((SERVICE_PORT,), SERVER_PROFILE)
         lan.warm_arp()
         pair.run_app(
             lambda host: reply_server(host, SERVICE_PORT, max_requests=None),
@@ -321,20 +305,14 @@ def run_client_path(
                 ip=PRIMARY_IP.__str__,
             )
 
-        monitor = HealthMonitor(
-            standby, primary, take_vip,
-            interval=detector_interval, timeout=detector_timeout,
-        )
+        monitor = HealthMonitor(standby, primary, take_vip)
         monitor.start()
         crash = primary.crash
         resolvers = [constant_resolver(PRIMARY_IP) for _ in range(clients)]
         extras["monitor"] = monitor
     elif path == "proxy":
         primary, standby, frontend = plain_servers(("proxy", 10, PROXY_IP))
-        proxy = L4Proxy(
-            frontend, SERVICE_PORT, lan.rng.stream("clients.proxy"),
-            health_interval=detector_interval, health_timeout=detector_timeout,
-        )
+        proxy = L4Proxy(frontend, SERVICE_PORT, lan.rng.stream("clients.proxy"))
         proxy.add_backend("primary", primary, SERVICE_PORT,
                           weight=PRIMARY_WEIGHT)
         proxy.add_backend("standby", standby, SERVICE_PORT,
@@ -348,18 +326,14 @@ def run_client_path(
             ("dns-monitor", 9, MONITOR_IP))
         zone = AuthoritativeZone(lan.sim, tracer=lan.tracer)
         record = HealthCheckedRecord(
-            zone, SERVICE_NAME, PRIMARY_IP, SECONDARY_IP, ttl,
+            zone, SERVICE_NAME, PRIMARY_IP, SECONDARY_IP, TTL,
             monitor_host, primary,
-            check_interval=detector_interval, check_timeout=detector_timeout,
         )
         record.start()
         caches: List[ResolverCache] = []
         for i, client in enumerate(client_hosts):
             cache = ResolverCache(
-                client, zone,
-                respect_ttl=(i >= ttl_ignoring_clients),
-                lookup_delay=lookup_delay,
-            )
+                client, zone, respect_ttl=(i >= TTL_IGNORING_CLIENTS))
             caches.append(cache)
             resolvers.append(cache.resolver_for(SERVICE_NAME))
         crash = primary.crash
@@ -373,32 +347,29 @@ def run_client_path(
         pool = ConnectionPool(
             client, SERVICE_PORT, resolvers[i],
             lan.rng.stream(f"clients.pool.client{i}"),
-            max_size=pool_size, retry_budget=retry_budget,
-            backoff_base=backoff_base, attempt_timeout=attempt_timeout,
-            health_interval=health_interval, ledger=ledger,
+            max_size=POOL_SIZE, retry_budget=RETRY_BUDGET,
+            backoff_base=BACKOFF_BASE, attempt_timeout=ATTEMPT_TIMEOUT,
+            health_interval=HEALTH_INTERVAL, ledger=ledger,
             name=f"pool{i}",
         )
-        if health_interval > 0:
-            pool.start_health_probes()
+        pool.start_health_probes()
         pools.append(pool)
-    workload = ClientWorkload(lan, pools, sessions, stop_at, think_mean)
+    workload = ClientWorkload(lan, pools, sessions, stop_at)
     workload.start()
 
     # -- run ---------------------------------------------------------------
-    lan.sim.call_at(crash_time, crash)
-    deadline = stop_at + retry_budget * (attempt_timeout + 2 * backoff_base) + 5.0
-    lan.sim.run_until(lambda: workload.done, timeout=deadline)
-    finished_at = lan.sim.now
-    lan.sim.run(until=finished_at + 0.5)
-
+    lan.sim.call_at(CRASH_AT, crash)
     checker = InvariantChecker(lan.tracer)
-    checker.check_client_outcomes(ledger, now=finished_at)
-    return PathResult(
-        path=path, stats=workload.stats, ledger=ledger, checker=checker,
-        tracer=lan.tracer, pools=pools, crash_at=crash_time,
-        recovery_window=recovery_window, finished_at=finished_at,
-        extras=extras,
+    result = PathResult(
+        spec=path, stats=workload.stats, ledger=ledger, checker=checker,
+        pools=pools, recovery_window=recovery_window, extras=extras,
     )
+    deadline = stop_at + RETRY_BUDGET * (ATTEMPT_TIMEOUT + 2 * BACKOFF_BASE) + 5.0
+    run_and_settle(lan.sim, lambda: workload.done, result, checker,
+                   deadline, SETTLE, "sessions did not finish")
+    checker.check_client_outcomes(ledger, now=result.duration)
+    attach_incident(result, lan.tracer)
+    return result
 
 
 def run_client_paths(
@@ -441,7 +412,7 @@ def client_paths_bench_rows(
             "pool_evicted": counters["evicted"],
             "pool_retries": counters["retries"],
             "pool_timeouts": counters["timeouts"],
-            "outcomes_ok": int(result.invariants_ok()),
+            "outcomes_ok": int(result.ok),
         }
         if path == "dns":
             caches = result.extras.get("caches", [])
@@ -492,9 +463,9 @@ def client_paths_report(seed: int = 0, clients: int = 3, sessions: int = 12) -> 
         notes.append(f"  {path:>7}: {line or '(no milestones recorded)'}")
     notes.extend(
         f"  {path}: {result.checker.report()}"
-        for path, result in results.items() if not result.checker.ok
+        for path, result in results.items() if not result.ok
     )
-    if all(result.checker.ok for result in results.values()):
+    if all(result.ok for result in results.values()):
         audited = sum(result.ledger.total for result in results.values())
         notes.append(f"client-outcome invariant held on every path"
                      f" ({audited} requests audited)")

@@ -16,9 +16,11 @@ BENCH artifact.
 
 from __future__ import annotations
 
+from dataclasses import dataclass, field
 from typing import Dict, List, Optional
 
 from repro.cluster.fleet import ShardedFleet
+from repro.harness.cells import CellResult, attach_incident, run_and_settle
 from repro.harness.invariants import InvariantChecker
 from repro.harness.metrics import Stats, latency_windows
 from repro.harness.report import Report, Table
@@ -31,35 +33,56 @@ from repro.workload.generator import ClosedLoopWorkload, WorkloadStats
 #: few hundred ms after the kill).
 RECOVERY_WINDOW = 0.500
 
+SETTLE = 1.0  # drains straggling close handshakes and detector echoes
 
-class CapacityResult:
-    """Everything one capacity run measured."""
+
+class FleetCell:
+    """A closed-loop workload through a checked :class:`ShardedFleet`
+    (built from ``fleet_options``): the fleet's
+    :class:`~repro.harness.cells.BridgeCell`."""
 
     def __init__(
         self,
-        fleet: ShardedFleet,
-        workload: ClosedLoopWorkload,
-        checker: Optional[InvariantChecker],
-        storm_at: float,
-        storm_fraction: float,
-        killed: List[str],
-        concurrent_at_storm: int,
-        finished_at: float,
+        sessions: int,
+        ramp: float,
+        hold_for: float,
+        reply_sizes: Distribution,
+        think_times: Distribution,
+        **fleet_options,
     ):
-        self.fleet = fleet
-        self.workload = workload
-        self.checker = checker
-        self.storm_at = storm_at
-        self.storm_fraction = storm_fraction
-        self.killed = killed
-        self.concurrent_at_storm = concurrent_at_storm
-        self.finished_at = finished_at
-        stats = workload.stats
-        self.session_shards: Dict[int, str] = {}
-        for session_id, (client_ip, port) in sorted(stats.session_flows.items()):
-            shard = fleet.service.shard_of(client_ip, port)
-            assert shard is not None
-            self.session_shards[session_id] = shard
+        self.fleet = fleet = ShardedFleet(**fleet_options)
+        self.checker = fleet.attach_invariant_checker()
+        fleet.run_reply_service(backlog=max(64, sessions))
+        fleet.start_detectors()
+        self.workload = ClosedLoopWorkload(
+            fleet.clients, fleet.virtual_ip, fleet.service_port, fleet.rng,
+            sessions=sessions, reply_sizes=reply_sizes, think_times=think_times,
+            ramp=ramp, hold_for=hold_for, spans=fleet.spans,
+        )
+
+    def start(self) -> None:
+        self.workload.start()
+
+    def finish(self, result: CellResult, until: float, settle: float) -> None:
+        workload = self.workload
+        run_and_settle(self.fleet.sim, lambda: workload.complete, result,
+                       self.checker, until, settle, "workload did not complete")
+        result.delivered = workload.stats.reply_bytes
+
+
+@dataclass
+class CapacityResult(CellResult):
+    """One capacity run: the shared verdicts plus what the storm did."""
+
+    fleet: Optional[ShardedFleet] = field(default=None, repr=False)
+    workload: Optional[ClosedLoopWorkload] = field(default=None, repr=False)
+    checker: Optional[InvariantChecker] = field(default=None, repr=False)
+    storm_at: float = 0.0
+    storm_fraction: float = 0.0
+    killed: List[str] = field(default_factory=list)
+    concurrent_at_storm: int = 0
+    #: session id -> the shard the dispatcher pinned it to.
+    session_shards: Dict[int, str] = field(default_factory=dict)
 
     @property
     def stats(self) -> WorkloadStats:
@@ -76,19 +99,19 @@ class CapacityResult:
         """Pre / during / post-storm request-latency summaries."""
         return latency_windows(
             self.workload.stats, self.storm_at, RECOVERY_WINDOW,
-            self.finished_at,
+            self.duration,
             labels=("pre_storm", "during_storm", "post_storm"),
         )
 
     def goodput_bytes_per_s(self) -> float:
-        if self.finished_at <= 0:
+        if self.duration <= 0:
             return 0.0
-        return self.workload.stats.reply_bytes / self.finished_at
+        return self.workload.stats.reply_bytes / self.duration
 
     def connections_per_s(self) -> float:
-        if self.finished_at <= 0:
+        if self.duration <= 0:
             return 0.0
-        return self.workload.stats.sessions_completed / self.finished_at
+        return self.workload.stats.sessions_completed / self.duration
 
     def misplaced_failures(self) -> List[str]:
         """Failed sessions whose shard was NOT killed (must be empty)."""
@@ -101,90 +124,55 @@ class CapacityResult:
                 out.append(f"{failure} (shard {shard})")
         return out
 
-    def invariants_ok(self) -> bool:
-        return self.checker is None or self.checker.ok
-
 
 def run_capacity(
     shards: int = 8,
     clients: int = 4,
     sessions: int = 256,
     seed: int = 0,
-    service_port: int = 8000,
     ramp: float = 0.5,
     hold_for: float = 1.6,
     storm_at: float = 0.9,
     storm_fraction: float = 0.25,
     reply_sizes: Optional[Distribution] = None,
-    think_times: Optional[Distribution] = None,
-    detector_interval: float = 0.010,
-    detector_timeout: float = 0.050,
-    check_invariants: bool = True,
     enable_metrics: bool = False,
-    run_until: Optional[float] = None,
     span_sample_rate: float = 0.0,
-    max_spans: Optional[int] = None,
 ) -> CapacityResult:
     """One seeded capacity run through a failover storm."""
     if not 0 < storm_at:
         raise ValueError(f"storm_at must be > 0, got {storm_at}")
-    fleet = ShardedFleet(
-        shards=shards,
-        clients=clients,
-        seed=seed,
-        service_port=service_port,
-        detector_interval=detector_interval,
-        detector_timeout=detector_timeout,
-        enable_metrics=enable_metrics,
-        span_sample_rate=span_sample_rate,
-        max_spans=max_spans,
+    cell = FleetCell(
+        sessions, ramp, hold_for, reply_sizes or Fixed(512),
+        Exponential(0.150),  # think times
+        shards=shards, clients=clients, seed=seed,
+        enable_metrics=enable_metrics, span_sample_rate=span_sample_rate,
     )
-    checker = fleet.attach_invariant_checker() if check_invariants else None
-    fleet.run_reply_service(backlog=max(64, sessions))
-    fleet.start_detectors()
-
-    workload = ClosedLoopWorkload(
-        fleet.clients,
-        fleet.virtual_ip,
-        service_port,
-        fleet.rng,
-        sessions=sessions,
-        reply_sizes=reply_sizes or Fixed(512),
-        think_times=think_times or Exponential(0.150),
-        ramp=ramp,
-        hold_for=hold_for,
-        spans=fleet.spans,
+    fleet, workload = cell.fleet, cell.workload
+    result = CapacityResult(
+        spec=f"storm {storm_fraction:.0%} of {shards} shards seed={seed}",
+        fleet=fleet, workload=workload, checker=cell.checker,
+        storm_at=storm_at, storm_fraction=storm_fraction,
     )
-    workload.start()
-
-    storm_state = {"killed": [], "concurrent": 0}
+    cell.start()
 
     def unleash() -> None:
-        storm_state["concurrent"] = workload.stats.open_now
-        storm_state["killed"] = fleet.storm(fraction=storm_fraction)
+        result.concurrent_at_storm = workload.stats.open_now
+        result.killed = fleet.storm(fraction=storm_fraction)
 
     fleet.sim.call_at(storm_at, unleash)
-
-    deadline = run_until if run_until is not None else storm_at + hold_for + 30.0
-    fleet.sim.run_until(lambda: workload.complete, timeout=deadline)
-    finished_at = fleet.sim.now
-    # Let straggling close handshakes and detector echoes drain.
-    fleet.sim.run(until=finished_at + 1.0)
+    cell.finish(result, storm_at + hold_for + 30.0, SETTLE)
+    result.failed_over = bool(fleet.failed_over_shards())
     if fleet.spans.enabled:
         # Flush spans the run cut off (failed sessions, open takeovers)
         # so the export sees every sampled trace.
         fleet.spans.abandon_open(fleet.sim.now)
 
-    return CapacityResult(
-        fleet=fleet,
-        workload=workload,
-        checker=checker,
-        storm_at=storm_at,
-        storm_fraction=storm_fraction,
-        killed=list(storm_state["killed"]),
-        concurrent_at_storm=int(storm_state["concurrent"]),
-        finished_at=finished_at,
-    )
+    for session_id, (client_ip, port) in sorted(workload.stats.session_flows.items()):
+        shard = fleet.service.shard_of(client_ip, port)
+        assert shard is not None
+        result.session_shards[session_id] = shard
+    attach_incident(result, fleet.tracer)
+    return result
 
 
 def capacity_bench_rows(result: CapacityResult) -> Dict[str, object]:
@@ -210,7 +198,7 @@ def capacity_bench_rows(result: CapacityResult) -> Dict[str, object]:
                 "goodput_bytes_per_s": round(result.goodput_bytes_per_s(), 3),
                 "shards_killed": len(result.killed),
                 "misplaced_failures": len(result.misplaced_failures()),
-                "invariants_ok": int(result.invariants_ok()),
+                "invariants_ok": int(result.ok),
             },
         }
     ]
@@ -267,8 +255,7 @@ def capacity_report(result: CapacityResult) -> Report:
         f"failures outside killed shards: {len(misplaced)}",
         *(f"  {line}" for line in misplaced),
     ]
-    if result.checker is not None:
-        notes.append(result.checker.report())
+    notes.append(result.checker.report())
     return Report(
         "cluster_capacity", **capacity_bench_rows(result),
         tables=[

@@ -114,7 +114,6 @@ class ShardedFleet(Lan):
         record_traces: bool = False,
         auto_reintegrate: bool = False,
         span_sample_rate: float = 0.0,
-        max_spans: Optional[int] = None,
     ):
         if shards <= 0:
             raise ValueError(f"need at least one shard, got {shards}")
@@ -127,7 +126,7 @@ class ShardedFleet(Lan):
         super().__init__(
             seed, record_traces=record_traces,
             metrics=MetricsRegistry() if enable_metrics else None,
-            span_sample_rate=span_sample_rate, max_spans=max_spans,
+            span_sample_rate=span_sample_rate,
             mac_base=FLEET_MAC_BASE, segment_name=None,
         )
         self.seed = seed
@@ -210,15 +209,13 @@ class ShardedFleet(Lan):
         for shard in self.shards:
             shard.pair.start_detectors()
 
-    def attach_invariant_checker(
-        self, checker: Optional[InvariantChecker] = None
-    ) -> InvariantChecker:
+    def attach_invariant_checker(self) -> InvariantChecker:
         """One fleet-wide checker across every shard's primary bridge.
 
         Re-attaches automatically when a shard reintegrates (the rearm
         creates a fresh bridge object).
         """
-        checker = checker or InvariantChecker()
+        checker = InvariantChecker(tracer=self.tracer)
         for shard in self.shards:
             checker.attach_primary_bridge(shard.pair.primary_bridge)
             shard.pair.on_reintegrated.append(

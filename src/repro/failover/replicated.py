@@ -105,8 +105,9 @@ class ReplicatedServerPair:
         self._resume_app: Optional[ResumeApp] = None
         self._warm_sync: Optional[Callable[[Host, Host], None]] = None
         self._app_factory: Optional[Callable[[Host], Generator]] = None
-        # Callbacks fired (with this pair) after each completed re-arm;
-        # invariant checkers use them to re-attach to the new bridge.
+        # Callbacks fired (with this pair) when a rejoin's quiesce installs
+        # a fresh primary bridge and after each completed re-arm; invariant
+        # checkers use them to re-attach to the new bridge.
         self.on_reintegrated: List[Callable[["ReplicatedServerPair"], None]] = []
         self.reintegrations: List[ReintegrationResult] = []
         # Open root span of an in-flight reintegration (closed in _rearm).
@@ -335,6 +336,12 @@ class ReplicatedServerPair:
             window_merging=self.window_merging,
         )
         self.reintegrations.append(result)
+        if rejoin and isinstance(survivor.bridge, PrimaryBridge):
+            # The quiesce installed a fresh merging bridge on the survivor.
+            # It is the pair's primary bridge from here on — also if the
+            # rejoin aborts before the rearm and leaves it in direct mode.
+            self.primary_bridge = survivor.bridge
+            self._notify_reintegrated()
         return result
 
     def _rearm(
@@ -366,5 +373,8 @@ class ReplicatedServerPair:
         # again (resumed ones are handled by the per-connection resume app).
         if self._app_factory is not None:
             joiner.spawn(self._app_factory(joiner), f"app@{joiner.name}")
+        self._notify_reintegrated()
+
+    def _notify_reintegrated(self) -> None:
         for callback in list(self.on_reintegrated):
             callback(self)

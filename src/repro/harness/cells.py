@@ -1,12 +1,13 @@
-"""The cell core: what every bridge cell runs and what every bridge cell checks.
+"""The cell core: how every plane's cells run, and what every bridge cell checks.
 
-A *bridge cell* is one seeded bulk transfer through a replicated pair on a
-:class:`~repro.harness.topology.ChaosLan`, disturbed in some plane-specific
-way and judged by the :class:`~repro.harness.invariants.InvariantChecker`.
-The chaos matrix (:mod:`repro.harness.chaos`) disturbs it with fault rules,
-the attack matrix (:mod:`repro.adversary.matrix`) with an off-path attacker;
-the workload, the run, the standard verdicts, the timing anchor, the result
-shape and the matrix plumbing are the same and live here.
+A cell builds a seeded testbed, disturbs it, drives a workload to the end
+with :func:`run_and_settle` and is judged by the
+:class:`~repro.harness.invariants.InvariantChecker` into a
+:class:`CellResult`.  A *bridge cell* is one bulk transfer through the pair
+of a :class:`~repro.harness.topology.ChaosLan`, disturbed with fault rules
+(:mod:`repro.harness.chaos`) or an off-path attacker
+(:mod:`repro.adversary.matrix`); the fleet cell (E12, the dispatcher attack
+cell) and E14's recovery paths share the run loop and the result shape.
 
 The client's ISS is pinned just below the 2³²-wraparound so every cell
 also crosses sequence-number wrap within its first few kilobytes.
@@ -19,10 +20,11 @@ from functools import lru_cache
 from typing import Any, Callable, Dict, Generator, List, Optional, Sequence
 
 from repro.apps.bulk import pattern_bytes
-from repro.harness.invariants import Violation
+from repro.harness.invariants import InvariantChecker, Violation
 from repro.harness.topology import ChaosLan
 from repro.net.host import Host
 from repro.obs.flight import FlightRecorder
+from repro.sim.engine import Simulator
 from repro.sim.process import Process, spawn
 from repro.sim.trace import Tracer
 from repro.tcp.seqnum import seq_add
@@ -155,24 +157,16 @@ class BridgeCell:
         self.process = spawn(self.lan.sim, self.client(), "cell-client")
 
     def finish(self, result: CellResult, until: float) -> None:
-        """Run until the client is done (or ``until``), let in-flight events
-        settle, and reach the standard verdicts: liveness, every receiver
-        holds a prefix of the stream, no acknowledged byte is lost, a
-        finished transfer is complete, no reset reached the client, the
-        replicas agree."""
+        """Run the cell (:func:`run_and_settle`) and reach the standard
+        verdicts: liveness, every receiver holds a prefix of the stream, no
+        acknowledged byte is lost, a finished transfer is complete, no reset
+        reached the client, the replicas agree."""
         lan, blob, done = self.lan, self.blob, self.process.done_event
-        lan.sim.run_until(lambda: done.triggered, timeout=until)
-        result.finished = done.triggered
-        result.duration = lan.sim.now
-        lan.sim.run(until=lan.sim.now + SETTLE)
+        run_and_settle(lan.sim, lambda: done.triggered, result, lan.checker,
+                       until, SETTLE, "client did not finish")
 
         checker, now = lan.checker, lan.sim.now
         result.failed_over = lan.pair.failed_over
-        if not result.finished:
-            checker.violations.append(Violation(
-                now, "liveness",
-                f"client did not finish within {until}s of simulated time",
-            ))
         holder = self.serving_host().name if self.direction == "upload" else "client"
         delivered = bytes(self.received.get(holder, b""))
         checker.check_stream_prefix(holder, blob, delivered, now=now)
@@ -192,8 +186,28 @@ class BridgeCell:
                 f" {len(delivered)}/{self.size} bytes",
             ))
         lan.finish_checks()
-        result.violations = checker.violations
         result.recipe = lan.plane.recipe()
+
+
+def run_and_settle(
+    sim: Simulator, done: Callable[[], bool], result: CellResult,
+    checker: InvariantChecker, until: float, settle: float, stalled: str,
+) -> None:
+    """The one run loop of every cell: run until ``done()`` or ``until``,
+    record ``finished``/``duration``, let in-flight events drain for
+    ``settle`` simulated seconds, and flag a run that never finished as a
+    liveness violation (``stalled`` says what did not happen).  The result
+    shares the checker's violation list, so later verdicts land in it."""
+    result.violations = checker.violations
+    sim.run_until(done, timeout=until)
+    result.finished = done()
+    result.duration = sim.now
+    sim.run(until=sim.now + settle)
+    if not result.finished:
+        checker.violations.append(Violation(
+            sim.now, "liveness",
+            f"{stalled} within {until}s of simulated time",
+        ))
 
 
 @lru_cache(maxsize=None)

@@ -319,15 +319,9 @@ def measure_failover(
 # E7 — ablation: min-ACK merging vs forwarding the primary's ACK
 # ======================================================================
 
-def measure_minack_ablation(
-    ack_merging: bool,
-    total_bytes: int = 300_000,
-    drop_at_byte: int = 120_000,
-    crash_at: float = 0.060,
-    seed: int = 0,
-) -> Dict[str, object]:
-    """Client pushes a stream; the secondary drops one snooped frame; the
-    primary then crashes.
+def measure_minack_ablation(ack_merging: bool) -> Dict[str, object]:
+    """Client pushes a 300 kB stream; the secondary drops one snooped frame
+    (near byte 120 000); the primary then crashes (at 60 ms).
 
     With min-ACK merging (the paper's rule) the dropped segment is never
     acknowledged to the client, the client retransmits it, and the stream
@@ -335,8 +329,8 @@ def measure_minack_ablation(
     covers the dropped bytes, the client discards them forever, and the
     surviving secondary is left with a hole.
     """
+    total_bytes = 300_000
     bed = LanTestbed(
-        seed=seed,
         replicated=True,
         failover_ports=[SERVICE_PORT],
         ack_merging=ack_merging,
@@ -364,7 +358,7 @@ def measure_minack_ablation(
     bed.serve(sink_app, "ablation-sink")
 
     # Drop exactly one snooped client data frame at the secondary: the
-    # first frame whose TCP payload covers ``drop_at_byte`` bytes into the
+    # first frame whose TCP payload covers 120 000 bytes into the
     # stream (approximated by a payload-size countdown).
     state = {"seen": 0, "dropped": False}
 
@@ -377,7 +371,7 @@ def measure_minack_ablation(
         if not data or payload.dst != bed.pair.primary_ip:
             return False
         state["seen"] += len(data)
-        if not state["dropped"] and state["seen"] >= drop_at_byte:
+        if not state["dropped"] and state["seen"] >= 120_000:
             state["dropped"] = True
             return True
         return False
@@ -388,7 +382,7 @@ def measure_minack_ablation(
     pushed: Dict = {}
     spawn(bed.sim, bulk.push_client(bed.client, bed.server_ip, SERVICE_PORT,
                                     total_bytes, pushed), "ablation-client")
-    bed.sim.schedule(crash_at, bed.pair.crash_primary)
+    bed.sim.schedule(0.060, bed.pair.crash_primary)
     bed.run(until=30.0)
 
     survivor = received.get("secondary", b"")
@@ -446,16 +440,9 @@ def measure_chain_depth(
 # E8 — ablation: min-window merging vs advertising the primary's window
 # ======================================================================
 
-def measure_minwindow_ablation(
-    window_merging: bool,
-    total_bytes: int = 400_000,
-    secondary_recv_buffer: int = 8 * 1024,
-    read_chunk: int = 4 * 1024,
-    read_interval: float = 0.002,
-    seed: int = 0,
-) -> Dict[str, object]:
-    """Client pushes a stream to a pair whose secondary has a small
-    receive buffer and a paced consumer.
+def measure_minwindow_ablation(window_merging: bool) -> Dict[str, object]:
+    """Client pushes a 400 kB stream to a pair whose secondary has a small
+    receive buffer (8 KiB) and a paced consumer (4 KiB every 2 ms).
 
     §3.2: min-window "adapts the client's send rate to the slower of the
     two servers and, thus, reduces the risk of message loss."  With the
@@ -463,14 +450,14 @@ def measure_minwindow_ablation(
     fills the primary's large window and the overflow is trimmed at the
     secondary, recovered only by retransmission stalls.
     """
+    total_bytes = 400_000
     bed = LanTestbed(
-        seed=seed,
         replicated=True,
         failover_ports=[SERVICE_PORT],
         window_merging=window_merging,
         conn_defaults={"min_rto": 0.1},
     )
-    bed.secondary.tcp.conn_defaults["recv_buffer_size"] = secondary_recv_buffer
+    bed.secondary.tcp.conn_defaults["recv_buffer_size"] = 8 * 1024
 
     received: Dict[str, int] = {}
     sink_conns: Dict[str, object] = {}
@@ -481,7 +468,7 @@ def measure_minwindow_ablation(
         sink_conns[host.name] = sock.conn
         total = 0
         while True:
-            data = sock.conn.read(read_chunk)
+            data = sock.conn.read(4 * 1024)
             if data:
                 total += len(data)
             elif sock.conn.eof or sock.conn.reset_received:
@@ -489,7 +476,7 @@ def measure_minwindow_ablation(
             else:
                 yield sock.conn.wait_readable()
                 continue
-            yield read_interval  # paced consumer
+            yield 0.002  # paced consumer
         received[host.name] = total
         yield from sock.close_and_wait()
 
@@ -520,19 +507,13 @@ def measure_minwindow_ablation(
 # ======================================================================
 
 def measure_reintegration(
-    total_bytes: int = 1_500_000,
-    crash_at: float = 0.100,
-    restart_after: float = 0.100,
-    crash_again_after: float = 0.450,
     double: bool = True,
-    detector_timeout: float = 0.050,
-    seed: int = 0,
     min_rto: float = 0.2,
     record_traces: bool = False,
-    metrics=None,
 ) -> Dict[str, object]:
-    """Crash the primary mid-download, restart it, reintegrate it as the
-    live secondary — and (``double=True``) then crash the new primary too.
+    """Crash the primary 100 ms into a 1.5 MB download, restart it 100 ms
+    later, reintegrate it as the live secondary — and (``double=True``)
+    crash the new primary too, 450 ms after the first crash.
 
     The client must receive the byte-exact stream with zero resets across
     *both* failovers; the paper's machinery alone survives only the
@@ -540,26 +521,24 @@ def measure_reintegration(
     ``record_traces``) the recorder's failover + reintegration tilings.
     """
     bed = LanTestbed(
-        seed=seed,
         replicated=True,
         failover_ports=[SERVICE_PORT],
-        detector_timeout=detector_timeout,
         conn_defaults={"min_rto": min_rto},
         record_traces=record_traces,
-        metrics=metrics,
     )
     bed.start_detectors()
     pair = bed.pair
     pair.auto_reintegrate = True
+    total_bytes, crash_at = 1_500_000, 0.100
     bed.serve(lambda host: bulk.source_server(host, SERVICE_PORT, total_bytes),
               "reint-source")
     pair.set_resume_app(bulk.resume_source(bulk.pattern_bytes(total_bytes)))
     bed.sim.schedule(crash_at, pair.crash_primary)
-    bed.sim.schedule(crash_at + restart_after, bed.primary.restart)
+    bed.sim.schedule(crash_at + 0.100, bed.primary.restart)
     if double:
         # Crash whoever is primary *then* — after reintegration that is
         # the original secondary, so the reintegrated replica takes over.
-        bed.sim.schedule(crash_at + crash_again_after, lambda: pair.primary.crash())
+        bed.sim.schedule(crash_at + 0.450, lambda: pair.primary.crash())
     pulled = _pull_through(bed, total_bytes, crash_at, "stream after reintegration")
     result = {
         "intact": pulled["intact"],

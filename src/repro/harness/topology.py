@@ -122,7 +122,6 @@ class Lan:
         max_trace_records: Optional[int] = None,
         metrics: Optional[MetricsRegistry] = None,
         span_sample_rate: float = 0.0,
-        max_spans: Optional[int] = None,
         mac_base: int = LAN_MAC_BASE,
         segment_name: Optional[str] = "lan",
     ):
@@ -136,7 +135,6 @@ class Lan:
         if span_sample_rate > 0:
             self.spans = SpanTracer(
                 sample_rate=span_sample_rate, rng=self.rng.stream("obs.spans"),
-                max_spans=max_spans,
             )
         self.mac_base = mac_base
         self.segments: Dict[str, EthernetSegment] = {}

@@ -243,7 +243,7 @@ def _attack(strategy, position, fraction):
 def _client_path(path):
     result = run_client_path(path, seed=1)
     return _digest(
-        result.tracer, result.finished_at, result.stats.samples,
+        result.tracer, result.duration, result.stats.samples,
         result.stats.failures,
     )
 
