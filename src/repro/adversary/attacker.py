@@ -21,7 +21,7 @@ cell replays bit-for-bit from its seed.
 from __future__ import annotations
 
 import random
-from typing import Dict, Optional
+from typing import Dict
 
 from repro.net.addresses import Ipv4Address
 from repro.net.host import Host
@@ -110,12 +110,10 @@ class AttackerHost:
         dst_port: int,
         seq: int,
         victim: str,
-        ack: Optional[int] = None,
     ) -> None:
-        flags = FLAG_RST | (FLAG_ACK if ack is not None else 0)
         self.spoof_tcp(src_ip, dst_ip, TcpSegment(
             src_port=src_port, dst_port=dst_port, seq=seq,
-            ack=ack or 0, flags=flags, window=0,
+            ack=0, flags=FLAG_RST, window=0,
         ), victim, "rst")
 
     def spoof_syn(

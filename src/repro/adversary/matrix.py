@@ -59,6 +59,7 @@ from repro.sim.rng import seeded_rng
 # Big enough that a ~0.13 s attack burst overlaps the transfer (and the
 # mid-transfer crash + takeover) instead of outliving it.
 DEFAULT_SIZE = 2_000_000
+UNTIL = 30.0  # simulated seconds a cell may run before it counts as stalled
 
 #: Every bridge cell crashes the primary at this fraction of the clean
 #: transfer, so "early" attacks hit the original primary, "midpoint"
@@ -137,19 +138,13 @@ class AttackResult(CellResult):
         )
 
 
-def attack_matrix(
-    seeds=(1,),
-    strategies=tuple(STRATEGIES),
-    positions=POSITIONS,
-    fractions=tuple(ATTACK_FRACTIONS),
-    size: int = DEFAULT_SIZE,
-) -> List[AttackSpec]:
+def attack_matrix(seeds=(1,)) -> List[AttackSpec]:
     """The full grid: strategy × position × lifetime fraction × seed."""
     return [
-        AttackSpec(strategy=st, position=p, fraction=f, seed=s, size=size)
-        for st in strategies
-        for p in positions
-        for f in fractions
+        AttackSpec(strategy=st, position=p, fraction=f, seed=s, size=DEFAULT_SIZE)
+        for st in STRATEGIES
+        for p in POSITIONS
+        for f in ATTACK_FRACTIONS
         for s in seeds
     ]
 
@@ -169,11 +164,8 @@ class AttackLan(ChaosLan):
     adversarial cell without metrics would silently test nothing.
     """
 
-    def __init__(self, seed: int = 0, metrics: Optional[MetricsRegistry] = None,
-                 **kwargs):
-        if metrics is None:
-            metrics = MetricsRegistry()
-        super().__init__(seed=seed, metrics=metrics, **kwargs)
+    def __init__(self, seed: int = 0, **kwargs):
+        super().__init__(seed=seed, metrics=MetricsRegistry(), **kwargs)
         # Off-path, not blind to L2: the attacker shares the segment, so
         # it knows every station's MAC (and could learn them passively).
         self.attacker = AttackerHost(
@@ -182,7 +174,7 @@ class AttackLan(ChaosLan):
         )
 
 
-def _bridge_cell(spec: AttackSpec, until: float = 30.0) -> AttackResult:
+def _bridge_cell(spec: AttackSpec) -> AttackResult:
     lan = AttackLan(seed=spec.seed, failover_ports=(PORT,))
     cell = BridgeCell(lan, spec.size)
     result = AttackResult(spec=spec)
@@ -250,7 +242,7 @@ def _bridge_cell(spec: AttackSpec, until: float = 30.0) -> AttackResult:
     cell.start()
     if attacking:
         spawn(lan.sim, burst(), "attack-burst")
-    cell.finish(result, until)
+    cell.finish(result, UNTIL)
     checker.check_no_spoofed_teardown()
     if spec.strategy == "seq-infer":
         result.results = dict(ctx.results)
@@ -288,7 +280,7 @@ def _bridge_cell(spec: AttackSpec, until: float = 30.0) -> AttackResult:
 # ----------------------------------------------------------------------
 
 
-def _dispatcher_cell(spec: AttackSpec, until: float = 30.0) -> AttackResult:
+def _dispatcher_cell(spec: AttackSpec) -> AttackResult:
     from repro.cluster.capacity import FleetCell
     from repro.workload.distributions import Fixed
 
@@ -359,7 +351,7 @@ def _dispatcher_cell(spec: AttackSpec, until: float = 30.0) -> AttackResult:
 
     cell.start()
     spawn(fleet.sim, burst(), "attack-burst")
-    cell.finish(result, until, cells.SETTLE)
+    cell.finish(result, UNTIL, cells.SETTLE)
 
     stats = workload.stats
     if stats.sessions_failed:
@@ -398,7 +390,7 @@ def _dispatcher_cell(spec: AttackSpec, until: float = 30.0) -> AttackResult:
 # ----------------------------------------------------------------------
 
 
-def run_attack_cell(spec: AttackSpec, until: float = 30.0) -> AttackResult:
+def run_attack_cell(spec: AttackSpec) -> AttackResult:
     """Run one attack cell end-to-end and check every invariant."""
     if spec.strategy != "none" and spec.strategy not in STRATEGIES:
         raise ValueError(f"unknown strategy {spec.strategy!r}")
@@ -407,15 +399,13 @@ def run_attack_cell(spec: AttackSpec, until: float = 30.0) -> AttackResult:
     if spec.fraction not in ATTACK_FRACTIONS:
         raise ValueError(f"unknown fraction {spec.fraction!r}")
     if spec.strategy == "flow-poison":
-        return _dispatcher_cell(spec, until=until)
-    return _bridge_cell(spec, until=until)
+        return _dispatcher_cell(spec)
+    return _bridge_cell(spec)
 
 
-def run_attack_matrix(
-    specs: List[AttackSpec], until: float = 30.0
-) -> List[AttackResult]:
+def run_attack_matrix(specs: List[AttackSpec]) -> List[AttackResult]:
     """Run many cells; returns every result (callers assert on failures)."""
-    return cells.run_matrix(run_attack_cell, specs, until)
+    return [run_attack_cell(spec) for spec in specs]
 
 
 def attack_shard_report(seed: int = 1, shard_size: Optional[int] = None) -> Report:

@@ -11,8 +11,11 @@ from typing import Generator, Optional
 from repro.net.host import Host
 from repro.tcp.socket_api import ListeningSocket, SimSocket
 
+#: What the server puts before each reply by default.
+ECHO_PREFIX = b"echo:"
 
-def echo_server(host: Host, port: int = 7, prefix: bytes = b"echo:",
+
+def echo_server(host: Host, port: int = 7, prefix: bytes = ECHO_PREFIX,
                 max_connections: Optional[int] = None) -> Generator:
     """Serve echo connections; each connection gets its own process."""
     listening = ListeningSocket.listen(host, port)
@@ -33,16 +36,14 @@ def _echo_connection(sock: SimSocket, prefix: bytes) -> Generator:
     yield from sock.close_and_wait()
 
 
-def echo_once(
-    client: Host, server_ip, port: int, message: bytes, prefix: bytes = b"echo:"
-) -> Generator:
-    """Connect, send one message, read the full reply, close.
+def echo_once(client: Host, server_ip, port: int, message: bytes) -> Generator:
+    """Connect, send one message, read the default-prefixed reply, close.
 
     Returns the reply bytes.
     """
     sock = SimSocket.connect(client, server_ip, port)
     yield from sock.wait_connected()
     yield from sock.send_all(message)
-    reply = yield from sock.recv_exactly(len(prefix) + len(message))
+    reply = yield from sock.recv_exactly(len(ECHO_PREFIX) + len(message))
     yield from sock.close_and_wait()
     return reply

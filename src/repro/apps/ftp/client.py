@@ -22,21 +22,20 @@ class FtpError(ConnectionError):
 class FtpClient:
     """Active-mode FTP client bound to one simulated host."""
 
-    def __init__(self, host: Host, server_ip: Ipv4Address,
-                 control_port: int = FTP_CONTROL_PORT):
+    def __init__(self, host: Host, server_ip: Ipv4Address):
         self.host = host
         self.server_ip = server_ip
-        self.control_port = control_port
         self.control: Optional[SimSocket] = None
 
     # -- session management -------------------------------------------------
 
-    def connect_and_login(self, user: str = "anonymous", password: str = "repro") -> Generator:
-        self.control = SimSocket.connect(self.host, self.server_ip, self.control_port)
+    def connect_and_login(self) -> Generator:
+        """Open the control connection and log in anonymously."""
+        self.control = SimSocket.connect(self.host, self.server_ip, FTP_CONTROL_PORT)
         yield from self.control.wait_connected()
         yield from self._expect("220")
-        yield from self._command(f"USER {user}", "331")
-        yield from self._command(f"PASS {password}", "230")
+        yield from self._command("USER anonymous", "331")
+        yield from self._command("PASS repro", "230")
 
     def quit(self) -> Generator:
         if self.control is not None:

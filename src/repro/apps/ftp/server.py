@@ -9,7 +9,7 @@ is diverted, and the primary bridge emits one merged SYN to the client.
 
 from __future__ import annotations
 
-from typing import Generator, Optional
+from typing import Generator
 
 from repro.apps.ftp.protocol import (
     FTP_CONTROL_PORT,
@@ -22,20 +22,14 @@ from repro.net.host import Host
 from repro.tcp.socket_api import ListeningSocket, SimSocket
 
 
-def ftp_server(
-    host: Host,
-    store: FileStore,
-    control_port: int = FTP_CONTROL_PORT,
-    max_sessions: Optional[int] = None,
-) -> Generator:
+def ftp_server(host: Host, store: FileStore) -> Generator:
     """Accept control connections; one session process per client."""
-    listening = ListeningSocket.listen(host, control_port)
+    listening = ListeningSocket.listen(host, FTP_CONTROL_PORT)
     sessions = 0
-    while max_sessions is None or sessions < max_sessions:
+    while True:
         control = yield from listening.accept()
         host.spawn(_session(host, control, store), f"ftp-session-{sessions}")
         sessions += 1
-    listening.close()
 
 
 def _session(host: Host, control: SimSocket, store: FileStore) -> Generator:

@@ -26,7 +26,7 @@ from typing import Dict, Generator, List, Optional, Tuple
 from repro.net.host import Host
 from repro.tcp.socket_api import ListeningSocket, SimSocket
 
-DEFAULT_CATALOGUE: Tuple[Tuple[str, int, int], ...] = (
+CATALOGUE: Tuple[Tuple[str, int, int], ...] = (
     ("anvil", 1999, 12),
     ("rocket-skates", 7999, 3),
     ("tnt-crate", 4999, 42),
@@ -37,9 +37,9 @@ DEFAULT_CATALOGUE: Tuple[Tuple[str, int, int], ...] = (
 class Store:
     """In-memory catalogue with deterministic operations."""
 
-    def __init__(self, catalogue=DEFAULT_CATALOGUE):
+    def __init__(self) -> None:
         self.items: Dict[str, List[int]] = {
-            sku: [price, stock] for sku, price, stock in catalogue
+            sku: [price, stock] for sku, price, stock in CATALOGUE
         }
         self.orders: List[Tuple[str, int]] = []
 
@@ -75,17 +75,15 @@ class Store:
         return f"ERR bad-request {line.strip()}"
 
 
-def store_server(host: Host, port: int = 8080, catalogue=DEFAULT_CATALOGUE,
-                 max_connections: Optional[int] = None) -> Generator:
+def store_server(host: Host, port: int = 8080) -> Generator:
     """Serve the store protocol; one process per connection."""
-    store = Store(catalogue)
+    store = Store()
     listening = ListeningSocket.listen(host, port)
     served = 0
-    while max_connections is None or served < max_connections:
+    while True:
         sock = yield from listening.accept()
         host.spawn(_store_connection(sock, store), f"store-conn-{served}")
         served += 1
-    listening.close()
 
 
 def _store_connection(sock: SimSocket, store: Store) -> Generator:

@@ -74,7 +74,6 @@ class ResolverCache:
         *,
         respect_ttl: bool = True,
         lookup_delay: float = 0.002,
-        min_ttl: float = 0.0,
     ):
         self.client = client
         self.sim = client.sim
@@ -82,7 +81,6 @@ class ResolverCache:
         self.zone = zone
         self.respect_ttl = respect_ttl
         self.lookup_delay = lookup_delay
-        self.min_ttl = min_ttl
         self._cache: Dict[str, Tuple[Ipv4Address, float]] = {}
         self.queries = 0
         self.authoritative_queries = 0
@@ -112,7 +110,7 @@ class ResolverCache:
             yield self.lookup_delay
         ip, ttl = self.zone.lookup(name)
         self.authoritative_queries += 1
-        self._cache[name] = (ip, self.sim.now + max(ttl, self.min_ttl))
+        self._cache[name] = (ip, self.sim.now + ttl)
         return ip
 
     def resolver_for(self, name: str):

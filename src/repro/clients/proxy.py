@@ -27,6 +27,9 @@ from repro.clients.health import HealthMonitor
 #: warm with the remainder.
 PRIMARY_WEIGHT = 100
 STANDBY_WEIGHT = 10
+#: Front-port accept backlog and the byte pumps' read size.
+BACKLOG = 64
+CHUNK = 4096
 
 
 class _Backend:
@@ -96,8 +99,6 @@ class L4Proxy:
         *,
         health_interval: float = 0.010,
         health_timeout: float = 0.050,
-        backlog: int = 64,
-        chunk: int = 4096,
     ):
         self.host = host
         self.sim = host.sim
@@ -106,8 +107,6 @@ class L4Proxy:
         self.rng = rng
         self.health_interval = health_interval
         self.health_timeout = health_timeout
-        self.backlog = backlog
-        self.chunk = chunk
         self._backends: Dict[str, _Backend] = {}
         self.backend_ids: List[str] = []
         self.monitors: Dict[str, HealthMonitor] = {}
@@ -122,9 +121,8 @@ class L4Proxy:
     # -- configuration ----------------------------------------------------
 
     def add_backend(self, backend_id: str, host, port: int,
-                    weight: int = PRIMARY_WEIGHT,
-                    ip: Optional[Ipv4Address] = None) -> None:
-        addr = ip if ip is not None else host.ip.primary_address()
+                    weight: int = PRIMARY_WEIGHT) -> None:
+        addr = host.ip.primary_address()
         self._backends[backend_id] = _Backend(backend_id, host, addr, port, weight)
         self.backend_ids.append(backend_id)
 
@@ -136,7 +134,7 @@ class L4Proxy:
     def start(self) -> None:
         """Listen, start health checks, run the accept loop."""
         self.listener = ListeningSocket.listen(
-            self.host, self.port, backlog=self.backlog,
+            self.host, self.port, backlog=BACKLOG,
         )
         for backend_id in self.backend_ids:
             target = self._backends[backend_id].host
@@ -227,7 +225,7 @@ class L4Proxy:
         dst = relay.backend_sock if upstream else relay.client_sock
         try:
             while True:
-                data = yield from src.recv(self.chunk)
+                data = yield from src.recv(CHUNK)
                 if not data:
                     dst.close()
                     return

@@ -13,7 +13,7 @@ from repro.cluster.capacity import (
     capacity_bench_rows,
     run_capacity,
 )
-from repro.cluster.dispatcher import FlowEntry, VirtualService
+from repro.cluster.dispatcher import VirtualService
 from repro.cluster.fleet import (
     CLUSTER_SERVICE_PORT,
     DISPATCHER_FRONT_IP,
@@ -27,7 +27,6 @@ __all__ = [
     "CLUSTER_SERVICE_PORT",
     "CapacityResult",
     "DISPATCHER_FRONT_IP",
-    "FlowEntry",
     "Shard",
     "ShardedFleet",
     "VIRTUAL_IP",

@@ -32,7 +32,7 @@ from __future__ import annotations
 
 from typing import Dict, Optional
 
-from repro.cluster.flowtable import FlowEntry, FlowId, FlowTable
+from repro.cluster.flowtable import FlowId, FlowTable
 from repro.cluster.hashing import choose_shard, flow_key
 from repro.net.addresses import Ipv4Address
 from repro.net.host import Host
@@ -41,7 +41,7 @@ from repro.obs.metrics import NULL_METRICS, MetricsRegistry
 from repro.obs.spans import flow_key as span_flow_key
 from repro.tcp.segment import FLAG_ACK, FLAG_SYN, TcpSegment, incremental_rewrite
 
-__all__ = ["FlowEntry", "FlowId", "FlowTable", "VirtualService"]
+__all__ = ["FlowId", "FlowTable", "VirtualService"]
 
 
 class VirtualService:
@@ -54,9 +54,6 @@ class VirtualService:
         service_port: int,
         backends: Dict[str, Ipv4Address],
         metrics: Optional[MetricsRegistry] = None,
-        flow_idle_timeout: float = 30.0,
-        max_flows: int = 65536,
-        syn_reassign_min_idle: float = 1.0,
     ):
         if not backends:
             raise ValueError("VirtualService needs at least one backend shard")
@@ -70,14 +67,15 @@ class VirtualService:
         self.service_port = service_port
         self.backends: Dict[str, Ipv4Address] = dict(backends)
         self._backend_ip_values = {ip.value for ip in self.backends.values()}
-        self.flow_idle_timeout = flow_idle_timeout
-        self.max_flows = max_flows
+        # Table limits; an experiment that probes exhaustion sets these.
+        self.flow_idle_timeout = 30.0
+        self.max_flows = 65536
         # Flow-poison hardening: a spoofed initial SYN for a *live* pinned
         # flow must not re-steer it (that tears the victim's connection off
         # its shard mid-stream).  Re-steer on SYN only when the pinned
         # backend has left the placement or the flow has been idle at least
         # this long (a genuinely closed-and-reopened client port).
-        self.syn_reassign_min_idle = syn_reassign_min_idle
+        self.syn_reassign_min_idle = 1.0
         self.flows: FlowTable = FlowTable()
         self.new_flows: Dict[str, int] = {sid: 0 for sid in self.backends}
         self.segments_in = 0

@@ -184,14 +184,12 @@ class ShardedFleet(Lan):
         )
         self.warm_arp()
 
-    def run_reply_service(
-        self, backlog: int = 64, max_requests: Optional[int] = None
-    ) -> None:
+    def run_reply_service(self, backlog: int = 64) -> None:
         """Run the request/reply app, replicated, on every shard."""
         port = self.service_port
 
         def factory(host: Host) -> Generator:
-            return reply_server(host, port, max_requests=max_requests, backlog=backlog)
+            return reply_server(host, port, backlog=backlog)
 
         self.run_app(factory, resume_app=resume_reply_server)
 

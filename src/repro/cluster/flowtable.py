@@ -1,59 +1,35 @@
-"""Struct-of-arrays flow table for the virtual-service dispatcher.
+"""Slot-array flow table for the virtual-service dispatcher.
 
-Every inbound segment at the dispatcher does one flow lookup, and under
-fleet-scale load the table holds tens of thousands of pinned flows — so
-the per-flow boxed ``FlowEntry`` objects the dispatcher used to allocate
-(one heap object + two attribute dereferences per segment) were pure
-overhead on the hottest cluster path.
-
-:class:`FlowTable` stores flows in parallel slot arrays instead: a flow
-id resolves (one dict probe) to a stable integer slot; the slot indexes
-``_shard_ids`` / ``_last_seen`` arrays that the datapath reads and
-writes directly.  Freed slots recycle through a free list, so sustained
-flow churn does not grow the arrays.  The datapath uses the slot API
-(:meth:`slot_of` / :meth:`shard_at` / :meth:`touch` / :meth:`pin` /
-:meth:`reassign`); no per-flow object exists anywhere on that path.
-
-For compatibility the table is also a ``MutableMapping`` of
-``flow_id -> FlowEntry`` (tests seed synthetic flows this way).  Values
-materialised through the mapping facade are *snapshots* — mutating a
-returned :class:`FlowEntry` does not write back; use the slot API.
+Every inbound segment at the dispatcher does one flow lookup, so the
+table keeps no per-flow object: a flow id resolves (one dict probe) to a
+stable integer slot, and the slot indexes ``_shard_ids`` / ``_last_seen``
+arrays that the datapath reads and writes directly (:meth:`slot_of` /
+:meth:`shard_at` / :meth:`touch` / :meth:`pin` / :meth:`reassign`).
+Freed slots recycle through a free list, so flow churn does not grow the
+arrays.
 """
 
 from __future__ import annotations
 
-from collections.abc import Iterator, MutableMapping
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Tuple
 
 #: (client ip value, client port) — the dispatcher-side flow identity.
 FlowId = Tuple[int, int]
 
 
-class FlowEntry:
-    """Pinned placement of one client flow (a snapshot, see module doc)."""
-
-    __slots__ = ("shard_id", "last_seen")
-
-    def __init__(self, shard_id: str, last_seen: float):
-        self.shard_id = shard_id
-        self.last_seen = last_seen
-
-
-class FlowTable(MutableMapping[FlowId, FlowEntry]):
+class FlowTable:
     """Slot-array flow store; see module docstring."""
 
-    __slots__ = ("_index", "_flow_ids", "_shard_ids", "_last_seen", "_free")
+    __slots__ = ("_index", "_shard_ids", "_last_seen", "_free")
 
     def __init__(self) -> None:
         self._index: Dict[FlowId, int] = {}
-        self._flow_ids: List[Optional[FlowId]] = []
         self._shard_ids: List[str] = []
         self._last_seen: List[float] = []
         self._free: List[int] = []
 
-    # ------------------------------------------------------------------
-    # slot API — the datapath
-    # ------------------------------------------------------------------
+    def __len__(self) -> int:
+        return len(self._index)
 
     def slot_of(self, flow_id: FlowId) -> int:
         """Slot of ``flow_id``, or -1 if the flow is not pinned."""
@@ -77,12 +53,10 @@ class FlowTable(MutableMapping[FlowId, FlowEntry]):
         """Insert a new flow; returns its slot."""
         if self._free:
             slot = self._free.pop()
-            self._flow_ids[slot] = flow_id
             self._shard_ids[slot] = shard_id
             self._last_seen[slot] = now
         else:
-            slot = len(self._flow_ids)
-            self._flow_ids.append(flow_id)
+            slot = len(self._shard_ids)
             self._shard_ids.append(shard_id)
             self._last_seen.append(now)
         self._index[flow_id] = slot
@@ -95,41 +69,7 @@ class FlowTable(MutableMapping[FlowId, FlowEntry]):
             for flow_id, slot in self._index.items()
             if self._last_seen[slot] < cutoff
         ]
+        # A freed slot keeps its stale shard/last_seen until pin() reuses it.
         for flow_id in stale:
-            del self[flow_id]
+            self._free.append(self._index.pop(flow_id))
         return len(stale)
-
-    # ------------------------------------------------------------------
-    # mapping facade — values are snapshots
-    # ------------------------------------------------------------------
-
-    def __len__(self) -> int:
-        return len(self._index)
-
-    def __iter__(self) -> Iterator[FlowId]:
-        return iter(self._index)
-
-    def __getitem__(self, flow_id: FlowId) -> FlowEntry:
-        slot = self._index[flow_id]
-        return FlowEntry(self._shard_ids[slot], self._last_seen[slot])
-
-    def __setitem__(self, flow_id: FlowId, entry: FlowEntry) -> None:
-        slot = self._index.get(flow_id, -1)
-        if slot >= 0:
-            self.reassign(slot, entry.shard_id, entry.last_seen)
-        else:
-            self.pin(flow_id, entry.shard_id, entry.last_seen)
-
-    def __delitem__(self, flow_id: FlowId) -> None:
-        slot = self._index.pop(flow_id)
-        self._flow_ids[slot] = None
-        self._free.append(slot)
-        # Stale shard/last_seen values stay in the freed slot; they are
-        # unreachable until pin() overwrites them.
-
-    def clear(self) -> None:
-        self._index.clear()
-        self._flow_ids.clear()
-        self._shard_ids.clear()
-        self._last_seen.clear()
-        self._free.clear()

@@ -54,7 +54,6 @@ from repro.failover.takeover import rebind_failover_connections
 from repro.net.addresses import Ipv4Address
 from repro.net.host import Host
 from repro.net.packet import IPPROTO_TCP, Ipv4Datagram
-from repro.sim.trace import Tracer
 from repro.tcp.segment import TcpSegment
 
 
@@ -75,7 +74,6 @@ class ChainBridge(PrimaryBridge):
         downstream_ip: Optional[Ipv4Address],
         upstream_ip: Ipv4Address,
         service_ip: Ipv4Address,
-        tracer: Optional[Tracer] = None,
     ):
         # ``secondary_ip`` in the parent is "where my merge partner's
         # segments come from"; for a chain node that is its downstream.
@@ -83,7 +81,6 @@ class ChainBridge(PrimaryBridge):
             host,
             config,
             downstream_ip if downstream_ip is not None else upstream_ip,
-            tracer=tracer,
         )
         self.upstream_ip = upstream_ip
         self.service_ip = service_ip  # the client-visible address (a_p)
@@ -280,7 +277,6 @@ class ReplicatedChain:
         self,
         host: Host,
         resume_app: Optional[ResumeApp] = None,
-        warm_sync: Optional[Callable[[Host, Host], None]] = None,
     ) -> ChainBridge:
         """Append ``host`` as the new tail, resuming established connections.
 
@@ -350,8 +346,6 @@ class ReplicatedChain:
             host.eth_interface.arp.announce(new_ip)
             tracer.emit(sim.now, "reintegration.installed", host.name,
                         conns=len(conns), survivor=old_tail.name)
-            if warm_sync is not None:
-                warm_sync(old_tail, host)
             if resume_app is not None:
                 spawn_resume_apps(host, conns, snapshots, resume_app)
             # Extend the full detector mesh to cover the joiner.

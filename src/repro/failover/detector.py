@@ -34,7 +34,6 @@ from repro.net.packet import IPPROTO_HEARTBEAT, HeartbeatPayload, Ipv4Datagram
 
 if TYPE_CHECKING:
     from repro.net.host import Host
-    from repro.sim.trace import Tracer
 
 
 class FaultDetector:
@@ -47,7 +46,6 @@ class FaultDetector:
         on_failure: Callable[[], None],
         interval: float = 0.010,
         timeout: float = 0.050,
-        tracer: Optional["Tracer"] = None,
     ):
         if timeout <= interval:
             raise ValueError("timeout must exceed the heartbeat interval")
@@ -57,7 +55,7 @@ class FaultDetector:
         self.on_failure = on_failure
         self.interval = interval
         self.timeout = timeout
-        self.tracer = tracer or host.tracer
+        self.tracer = host.tracer
         self.last_heard: Optional[float] = None
         self.fired = False
         self.started = False

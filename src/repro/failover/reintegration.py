@@ -76,7 +76,6 @@ from repro.tcp.socket_api import SimSocket
 
 if TYPE_CHECKING:
     from repro.net.host import Host
-    from repro.sim.trace import Tracer
 
 
 @dataclass
@@ -259,7 +258,6 @@ def perform_reintegration(
     ] = None,
     ack_merging: bool = True,
     window_merging: bool = True,
-    tracer: Optional["Tracer"] = None,
 ) -> ReintegrationResult:
     """Re-admit ``joiner`` as the live secondary of ``survivor``.
 
@@ -280,7 +278,7 @@ def perform_reintegration(
     them even though the transport layer never did.
     """
     sim = survivor.sim
-    tracer = tracer or survivor.tracer
+    tracer = survivor.tracer
     joiner_ip = joiner.ip.primary_address()
     case = "remerge" if primary_bridge is not None else "rejoin"
     metrics = survivor.metrics

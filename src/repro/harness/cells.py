@@ -228,11 +228,6 @@ def attach_incident(result: CellResult, tracer: Tracer) -> None:
             result.incident = result.incident_report()
 
 
-def run_matrix(run_one: Callable, specs: Sequence, until: float) -> list:
-    """Run many cells; returns every result (callers assert on failures)."""
-    return [run_one(spec, until=until) for spec in specs]
-
-
 def summarize(results: Sequence[CellResult]) -> str:
     failed = [r for r in results if not r.ok]
     lines = [f"{len(results) - len(failed)}/{len(results)} cells passed"]

@@ -27,7 +27,6 @@ from dataclasses import dataclass, field
 from typing import Callable, Dict, List
 
 from repro.apps import bulk
-from repro.harness import cells
 from repro.harness.cells import (
     PORT,
     STREAM_START,
@@ -56,6 +55,7 @@ from repro.net.faults import (
 from repro.obs.flight import FlightRecorder
 
 DEFAULT_SIZE = 120_000
+UNTIL = 90.0  # simulated seconds a cell may run before it counts as stalled
 
 
 # ----------------------------------------------------------------------
@@ -225,18 +225,12 @@ RESTART_DELAY = 0.100  # crash → reboot
 SECOND_CRASH_DELAY = 0.300  # crash → the survivor's own crash
 
 
-def lifecycle_matrix(
-    seeds=(1,),
-    faults=tuple(PACKET_FAULTS),
-    points=tuple(PACKET_POINTS),
-    direction: str = "upload",
-    size: int = DEFAULT_SIZE,
-) -> List[CellSpec]:
+def lifecycle_matrix(seeds=(1,), direction: str = "upload") -> List[CellSpec]:
     """The packet-fault grid: every lifecycle point × fault × seed."""
     return [
-        CellSpec(point=p, fault=f, seed=s, direction=direction, size=size)
-        for p in points
-        for f in faults
+        CellSpec(point=p, fault=f, seed=s, direction=direction, size=DEFAULT_SIZE)
+        for p in PACKET_POINTS
+        for f in PACKET_FAULTS
         for s in seeds
     ]
 
@@ -245,11 +239,10 @@ def host_fault_matrix(
     seeds=(1,),
     faults=HOST_FAULTS,
     fractions=tuple(CRASH_FRACTIONS),
-    size: int = DEFAULT_SIZE,
 ) -> List[CellSpec]:
     """The host-fault grid: crash/restart/partition × lifetime fraction."""
     return [
-        CellSpec(point=p, fault=f, seed=s, size=size)
+        CellSpec(point=p, fault=f, seed=s, size=DEFAULT_SIZE)
         for p in fractions
         for f in faults
         for s in seeds
@@ -259,13 +252,7 @@ def host_fault_matrix(
 REINTEGRATE_SIZE = 3_000_000  # long enough to straddle restart + rejoin
 
 
-def reintegration_matrix(
-    seeds=(1,),
-    faults=REINTEGRATE_FAULTS,
-    fractions=tuple(CRASH_FRACTIONS),
-    direction: str = "upload",
-    size: int = REINTEGRATE_SIZE,
-) -> List[CellSpec]:
+def reintegration_matrix(seeds=(1,)) -> List[CellSpec]:
     """The reintegration grid: the same eight lifetime fractions as the
     crash sweep, but the dead replica comes back and rejoins — and in the
     ``reintegrate-crash-again`` column the original survivor then dies.
@@ -274,9 +261,9 @@ def reintegration_matrix(
     crash again) *mid-stream*, while late fractions cover the degenerate
     rejoin with no resumable connections left."""
     return [
-        CellSpec(point=p, fault=f, seed=s, direction=direction, size=size)
-        for p in fractions
-        for f in faults
+        CellSpec(point=p, fault=f, seed=s, direction="upload", size=REINTEGRATE_SIZE)
+        for p in CRASH_FRACTIONS
+        for f in REINTEGRATE_FAULTS
         for s in seeds
     ]
 
@@ -286,7 +273,7 @@ def reintegration_matrix(
 # ----------------------------------------------------------------------
 
 
-def run_cell(spec: CellSpec, until: float = 90.0) -> ChaosResult:
+def run_cell(spec: CellSpec) -> ChaosResult:
     """Run one chaos cell end-to-end and check every invariant."""
     lan = ChaosLan(seed=spec.seed, failover_ports=(PORT,))
     cell = BridgeCell(lan, spec.size, spec.direction)
@@ -340,7 +327,7 @@ def run_cell(spec: CellSpec, until: float = 90.0) -> ChaosResult:
         raise ValueError(f"unknown fault {spec.fault!r}")
 
     cell.start()
-    cell.finish(result, until)
+    cell.finish(result, UNTIL)
     result.reintegrations = len(lan.pair.reintegrations)
     result.fires = len(lan.plane.fires)
 
@@ -398,6 +385,6 @@ def _install_warm_sync(cell: BridgeCell) -> None:
     cell.lan.pair.set_resume_app(resume_server)
 
 
-def run_matrix(specs: List[CellSpec], until: float = 90.0) -> List[ChaosResult]:
+def run_matrix(specs: List[CellSpec]) -> List[ChaosResult]:
     """Run many cells; returns every result (callers assert on failures)."""
-    return cells.run_matrix(run_cell, specs, until)
+    return [run_cell(spec) for spec in specs]

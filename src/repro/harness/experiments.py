@@ -99,11 +99,9 @@ def _pull_through(bed: Lan, total_bytes: int, crash_at: float, what: str) -> Dic
 # E1 — connection setup time (§9, text table)
 # ======================================================================
 
-def measure_connection_setup(
-    replicated: bool, trials: int = 100, seed: int = 0
-) -> Stats:
+def measure_connection_setup(replicated: bool, trials: int = 100) -> Stats:
     """Median/max client connect() time over ``trials`` connections."""
-    bed = LanTestbed(seed=seed, replicated=replicated, failover_ports=[SERVICE_PORT])
+    bed = LanTestbed(replicated=replicated, failover_ports=[SERVICE_PORT])
     bed.serve(_drain_each, "setup-server")
     samples: List[float] = []
 
@@ -125,11 +123,9 @@ def measure_connection_setup(
 # E2 — Figure 3: client-to-server send time vs message size
 # ======================================================================
 
-def measure_send_time(
-    size: int, replicated: bool, trials: int = 9, seed: int = 0
-) -> Stats:
+def measure_send_time(size: int, replicated: bool, trials: int = 9) -> Stats:
     """Median time for the client send() of a ``size``-byte message."""
-    bed = LanTestbed(seed=seed, replicated=replicated, failover_ports=[SERVICE_PORT])
+    bed = LanTestbed(replicated=replicated, failover_ports=[SERVICE_PORT])
     bed.serve(_drain_each, "fig3-server")
     samples: List[float] = []
 
@@ -151,11 +147,9 @@ def measure_send_time(
 # E3 — Figure 4: server-to-client transfer time vs reply size
 # ======================================================================
 
-def measure_request_reply(
-    size: int, replicated: bool, trials: int = 9, seed: int = 0
-) -> Stats:
+def measure_request_reply(size: int, replicated: bool, trials: int = 9) -> Stats:
     """Median time from 4-byte request to last reply byte (client clock)."""
-    bed = LanTestbed(seed=seed, replicated=replicated, failover_ports=[SERVICE_PORT])
+    bed = LanTestbed(replicated=replicated, failover_ports=[SERVICE_PORT])
     bed.serve(lambda host: request_reply.reply_server(host, SERVICE_PORT), "fig4-server")
     samples: List[float] = []
 
@@ -180,18 +174,19 @@ def measure_request_reply(
 # ======================================================================
 
 def measure_stream_rates(
-    total_bytes: int = 10_000_000, replicated: bool = True, seed: int = 0
+    total_bytes: int = 10_000_000, replicated: bool = True
 ) -> Dict[str, float]:
-    """KB/s for a client→server stream (send) and server→client (receive)."""
+    """KB/s for a client→server stream (send, seed 0) and server→client
+    (receive, seed 1)."""
     until = total_bytes / 2e5 + 30.0
-    bed = LanTestbed(seed=seed, replicated=replicated, failover_ports=[SERVICE_PORT])
+    bed = LanTestbed(replicated=replicated, failover_ports=[SERVICE_PORT])
     bed.serve(_drain_each, "fig5-sink")
     sent: Dict = {}
     _drive(bed, bulk.push_client(bed.client, bed.server_ip, SERVICE_PORT,
                                  total_bytes, sent),
            until, lambda: "t_closed" in sent, "send stream")
 
-    bed = LanTestbed(seed=seed + 1, replicated=replicated, failover_ports=[SERVICE_PORT])
+    bed = LanTestbed(seed=1, replicated=replicated, failover_ports=[SERVICE_PORT])
     bed.serve(lambda host: bulk.source_server(host, SERVICE_PORT, total_bytes),
               "fig5-source")
     pulled: Dict = {}

@@ -291,18 +291,17 @@ class Lan:
         name: str,
         index: int,
         ip: Ipv4Address,
-        segment: Optional[str] = None,
     ) -> Host:
-        """One more default-cost station on ``segment``, outside the membership.
+        """One more default-cost station on the default segment, outside the
+        membership.
 
         It knows every address of every member there (it shares the
         segment, and could learn them passively) but no member knows its;
         :meth:`warm_arp` and :meth:`attach_checks` keep ignoring it.
         """
         station = self.add_host(name, index)
-        bus = self.segment.name if segment is None else segment
-        station.attach_ethernet(self.segments[bus], ip)
-        for member in self._members[bus]:
+        station.attach_ethernet(self.segment, ip)
+        for member in self._members[self.segment.name]:
             for address in member.addresses:
                 station.eth_interface.arp.prime(address, member.nic.mac)
         return station
@@ -340,9 +339,9 @@ class Lan:
             lambda pair: self.checker.attach_primary_bridge(pair.primary_bridge)
         )
 
-    def finish_checks(self, node: str = "client") -> None:
+    def finish_checks(self) -> None:
         """Run the end-of-run invariants that need no stream data."""
-        self.checker.check_no_peer_reset(node=node)
+        self.checker.check_no_peer_reset(node="client")
         self.checker.check_replica_agreement()
 
     def assert_invariants(self) -> None:
@@ -375,20 +374,16 @@ class LanTestbed(Lan):
         seed: int = 0,
         replicated: bool = True,
         failover_ports: Iterable[int] = (),
-        collision_prob: float = 0.05,
-        detector_interval: float = 0.010,
         detector_timeout: float = 0.050,
         client_arp_delay: float = CLIENT_ARP_DELAY,
         record_traces: bool = False,
-        max_trace_records: Optional[int] = None,
         metrics: Optional[MetricsRegistry] = None,
         conn_defaults: Optional[dict] = None,
         ack_merging: bool = True,
         window_merging: bool = True,
     ):
         super().__init__(
-            seed, collision_prob=collision_prob, record_traces=record_traces,
-            max_trace_records=max_trace_records, metrics=metrics,
+            seed, collision_prob=0.05, record_traces=record_traces, metrics=metrics,
         )
         self.client = self.add_host(
             "client", 1, CLIENT_IP, CLIENT_PROFILE,
@@ -398,7 +393,6 @@ class LanTestbed(Lan):
             replicated,
             failover_ports,
             conn_defaults,
-            detector_interval=detector_interval,
             detector_timeout=detector_timeout,
             ack_merging=ack_merging,
             window_merging=window_merging,
@@ -421,13 +415,8 @@ class WanTestbed(Lan):
         wan_loss: float = 0.002,
         wan_cross_load: float = 0.4,
         record_traces: bool = False,
-        max_trace_records: Optional[int] = None,
-        metrics: Optional[MetricsRegistry] = None,
     ):
-        super().__init__(
-            seed, collision_prob=0.05, record_traces=record_traces,
-            max_trace_records=max_trace_records, metrics=metrics,
-        )
+        super().__init__(seed, collision_prob=0.05, record_traces=record_traces)
         self.router = self.add_router("router", 10)
         self.attach(self.router, ROUTER_LAN_IP)
         # Off the segment: the client's only interface is the WAN link.
@@ -459,14 +448,11 @@ class TwoHostLan(Lan):
         self,
         seed: int = 0,
         record_traces: bool = True,
-        max_trace_records: Optional[int] = None,
         metrics: Optional[MetricsRegistry] = None,
         **host_costs: float,
     ):
         super().__init__(
-            seed, record_traces=record_traces,
-            max_trace_records=max_trace_records, metrics=metrics,
-            segment_name="eth0",
+            seed, record_traces=record_traces, metrics=metrics, segment_name="eth0",
         )
         profile = replace(DEFAULT_PROFILE, **host_costs)
         self.client = self.add_host("client", 1, CLIENT_IP, profile)
@@ -482,25 +468,19 @@ class ReplicatedLan(Lan):
         seed: int = 0,
         failover_ports: Iterable[int] = (80,),
         record_traces: bool = True,
-        max_trace_records: Optional[int] = None,
         metrics: Optional[MetricsRegistry] = None,
-        detector_interval: float = 0.005,
-        detector_timeout: float = 0.020,
         client_arp_delay: float = 300e-6,
         **pair_kwargs,
     ):
         super().__init__(
-            seed, record_traces=record_traces,
-            max_trace_records=max_trace_records, metrics=metrics,
-            segment_name="eth0",
+            seed, record_traces=record_traces, metrics=metrics, segment_name="eth0",
         )
         self.client = self.add_host(
             "client", 1, CLIENT_IP, gratuitous_apply_delay=client_arp_delay
         )
+        # Fast detection: these LANs' runs are short.
         self.add_pair(
-            failover_ports,
-            detector_interval=detector_interval,
-            detector_timeout=detector_timeout,
+            failover_ports, detector_interval=0.005, detector_timeout=0.020,
             **pair_kwargs,
         )
         self.warm_arp()

@@ -25,6 +25,10 @@ from repro.sim.trace import Tracer
 
 ARP_REQUEST = 1
 ARP_REPLY = 2
+# An unanswered request is resent after REQUEST_TIMEOUT seconds, MAX_RETRIES
+# times, before the waiters fail.
+REQUEST_TIMEOUT = 1.0
+MAX_RETRIES = 3
 
 
 @dataclass(frozen=True)
@@ -58,8 +62,6 @@ class ArpService:
         owned_ips: Callable[[], List[Ipv4Address]],
         node_name: str,
         tracer: Optional[Tracer] = None,
-        request_timeout: float = 1.0,
-        max_retries: int = 3,
         gratuitous_apply_delay: float = 0.0,
     ):
         self.sim = sim
@@ -67,8 +69,6 @@ class ArpService:
         self.node_name = node_name
         self._owned_ips = owned_ips
         self.tracer = tracer or Tracer(record=False)
-        self.request_timeout = request_timeout
-        self.max_retries = max_retries
         self.gratuitous_apply_delay = gratuitous_apply_delay
         self.cache: Dict[Ipv4Address, MacAddress] = {}
         self._pending: Dict[Ipv4Address, List[Event]] = {}
@@ -264,13 +264,13 @@ class ArpService:
         self.nic.send(
             EthernetFrame(self.nic.mac, BROADCAST_MAC, ETHERTYPE_ARP, packet)
         )
-        if attempt >= self.max_retries:
+        if attempt >= MAX_RETRIES:
             self._retry_timers[ip] = self.sim.schedule(
-                self.request_timeout, self._fail_pending, ip
+                REQUEST_TIMEOUT, self._fail_pending, ip
             )
         else:
             self._retry_timers[ip] = self.sim.schedule(
-                self.request_timeout, self._send_request, ip, attempt + 1
+                REQUEST_TIMEOUT, self._send_request, ip, attempt + 1
             )
 
     def _fail_pending(self, ip: Ipv4Address) -> None:

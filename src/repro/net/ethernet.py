@@ -31,6 +31,9 @@ from repro.sim.trace import Tracer
 if TYPE_CHECKING:
     from repro.net.nic import Nic
 
+#: One-way signal delay across the segment (a few hundred metres of cable).
+PROPAGATION_DELAY = 1e-6
+
 
 class EthernetSegment:
     """One collision domain connecting any number of NICs."""
@@ -40,7 +43,6 @@ class EthernetSegment:
         sim: Simulator,
         name: str = "eth0",
         bandwidth_bps: float = 100e6,
-        propagation_delay: float = 1e-6,
         collision_prob: float = 0.05,
         tracer: Optional[Tracer] = None,
         rng: Optional[random.Random] = None,
@@ -50,7 +52,6 @@ class EthernetSegment:
         self.sim = sim
         self.name = name
         self.bandwidth_bps = bandwidth_bps
-        self.propagation_delay = propagation_delay
         self.collision_prob = collision_prob
         self.tracer = tracer or Tracer(record=False)
         self.spans = spans or NULL_SPANS
@@ -104,7 +105,7 @@ class EthernetSegment:
         tx_time = size * 8 * self._bit_time
         self._busy_until = start + tx_time
         self._pending += 1
-        deliver_at = start + tx_time + self.propagation_delay
+        deliver_at = start + tx_time + PROPAGATION_DELAY
         if self.spans.enabled:
             # Both ends of the hop are known now; record it complete.
             # Duck-typed so this module stays TCP-import-free: a TCP

@@ -322,16 +322,10 @@ class FaultPlane:
         sim: Simulator,
         rng: RngRegistry,
         tracer: Optional[Tracer] = None,
-        metrics=None,
     ):
         self.sim = sim
         self.rng = rng
         self.tracer = tracer or Tracer(record=False)
-        if metrics is None:
-            from repro.obs.metrics import NULL_METRICS
-
-            metrics = NULL_METRICS
-        self.metrics = metrics
         self.rules: List[FaultRule] = []
         self.fires: List[FaultFiring] = []
         self._held: Dict[str, List[_HeldPacket]] = {}
@@ -353,7 +347,6 @@ class FaultPlane:
         between: Tuple[object, object],
         start: float = 0.0,
         duration: Optional[float] = None,
-        name: Optional[str] = None,
     ) -> FaultRule:
         """Drop every datagram between two IPs (both directions) at ``point``."""
         ip_a, ip_b = between
@@ -363,7 +356,7 @@ class FaultPlane:
             return ctx.datagram is not None and {ctx.src_ip, ctx.dst_ip} == ends
 
         return self.rule(
-            name or f"partition-{ip_a}-{ip_b}",
+            f"partition-{ip_a}-{ip_b}",
             Drop(),
             point=point,
             match=involved,
@@ -374,20 +367,20 @@ class FaultPlane:
 
     # -- host lifecycle ----------------------------------------------------
 
-    def crash_at(self, host, when: float, name: Optional[str] = None) -> None:
+    def crash_at(self, host, when: float) -> None:
         """Fail-stop ``host`` at absolute simulated time ``when``."""
 
         def crash() -> None:
-            self._record(when, name or f"crash-{host.name}", f"host:{host.name}", "crash")
+            self._record(when, f"crash-{host.name}", f"host:{host.name}", "crash")
             host.crash()
 
         self.sim.call_at(when, crash)
 
-    def restart_at(self, host, when: float, name: Optional[str] = None) -> None:
+    def restart_at(self, host, when: float) -> None:
         """Reboot ``host`` at ``when`` (all TCP state is lost, as §2 assumes)."""
 
         def restart() -> None:
-            self._record(when, name or f"restart-{host.name}", f"host:{host.name}", "restart")
+            self._record(when, f"restart-{host.name}", f"host:{host.name}", "restart")
             host.restart()
 
         self.sim.call_at(when, restart)
@@ -517,7 +510,6 @@ class FaultPlane:
     def _record(self, time: float, rule: str, point: str, kind: str, detail: str = "") -> None:
         firing = FaultFiring(time=time, rule=rule, point=point, kind=kind, detail=detail)
         self.fires.append(firing)
-        self.metrics.counter("fault.fires", kind=kind, point=point).inc()
         self.tracer.emit(time, "fault." + kind, point, rule=rule, packet=detail)
 
     def recipe(self) -> str:

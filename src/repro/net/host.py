@@ -204,9 +204,9 @@ class Host:
     # -- topology wiring ---------------------------------------------------
 
     def attach_ethernet(
-        self, segment: EthernetSegment, address: Ipv4Address, prefix_len: int = 24
+        self, segment: EthernetSegment, address: Ipv4Address
     ) -> EthernetInterface:
-        """Join an Ethernet segment with the given address.
+        """Join an Ethernet segment with the given address (every LAN is a /24).
 
         The first attachment uses the host's primary NIC; each further
         attachment (multi-homed hosts, e.g. a dispatcher fronting several
@@ -228,7 +228,7 @@ class Host:
             self.sim,
             nic,
             address,
-            prefix_len,
+            24,
             node_name=self.name,
             tracer=self.tracer,
             gratuitous_apply_delay=self.gratuitous_apply_delay,
@@ -240,11 +240,9 @@ class Host:
         interface.arp.conflict_callback = self._address_conflict
         return interface
 
-    def attach_point_to_point(
-        self, address: Ipv4Address, prefix_len: int = 30
-    ) -> PointToPointInterface:
-        """Create a point-to-point (WAN) interface; wire it via WanLink.connect."""
-        interface = PointToPointInterface(address, prefix_len)
+    def attach_point_to_point(self, address: Ipv4Address) -> PointToPointInterface:
+        """Create a /30 point-to-point (WAN) interface; wire it via WanLink.connect."""
+        interface = PointToPointInterface(address, 30)
         self.ip.add_interface(interface)
         return interface
 

@@ -66,9 +66,6 @@ class Ipv4Datagram:
     def with_dst(self, dst: Ipv4Address) -> "Ipv4Datagram":
         return Ipv4Datagram(self.src, dst, self.protocol, self.payload, self.ttl)
 
-    def with_src(self, src: Ipv4Address) -> "Ipv4Datagram":
-        return Ipv4Datagram(src, self.dst, self.protocol, self.payload, self.ttl)
-
     def decremented_ttl(self) -> Optional["Ipv4Datagram"]:
         """Datagram with TTL-1, or None if it must be dropped."""
         if self.ttl <= 1:

@@ -17,6 +17,11 @@ from repro.sim.engine import Simulator
 from repro.sim.rng import fork_rng, seeded_rng
 from repro.sim.trace import Tracer
 
+#: Mean length (s) of each on and each off period of the cross traffic.
+CROSS_PERIOD_MEAN = 0.5
+#: Bottleneck buffer: a datagram arriving behind more than this is dropped.
+QUEUE_LIMIT_BYTES = 64 * 1024
+
 
 class WanDirection:
     """One direction of the link: a FIFO bottleneck queue."""
@@ -31,9 +36,6 @@ class WanDirection:
         rng: random.Random,
         tracer: Tracer,
         cross_load: float = 0.0,
-        cross_on_mean: float = 0.5,
-        cross_off_mean: float = 0.5,
-        queue_limit_bytes: int = 64 * 1024,
     ):
         self.sim = sim
         self.name = name
@@ -43,9 +45,6 @@ class WanDirection:
         self.rng = rng
         self.tracer = tracer
         self.cross_load = cross_load
-        self.cross_on_mean = cross_on_mean
-        self.cross_off_mean = cross_off_mean
-        self.queue_limit_bytes = queue_limit_bytes
         self._busy_until = 0.0
         self._queued_bytes = 0
         self._cross_on = False
@@ -63,8 +62,7 @@ class WanDirection:
     def _advance_cross_state(self) -> None:
         while self.sim.now >= self._next_toggle:
             self._cross_on = not self._cross_on
-            mean = self.cross_on_mean if self._cross_on else self.cross_off_mean
-            self._next_toggle += self.rng.expovariate(1.0 / mean)
+            self._next_toggle += self.rng.expovariate(1.0 / CROSS_PERIOD_MEAN)
 
     def _effective_bandwidth(self) -> float:
         if self.cross_load <= 0:
@@ -83,7 +81,7 @@ class WanDirection:
             self.tracer.emit(now, "wan.loss", self.name, size=datagram.wire_size)
             return
         backlog = max(0.0, self._busy_until - now)
-        if self._queued_bytes > self.queue_limit_bytes:
+        if self._queued_bytes > QUEUE_LIMIT_BYTES:
             # Tail drop: bottleneck buffer overflow, as on a congested path.
             self.packets_lost += 1
             self.tracer.emit(now, "wan.tail_drop", self.name, size=datagram.wire_size)

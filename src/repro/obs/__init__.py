@@ -15,8 +15,7 @@ Three pillars, all passive with respect to the simulation:
   Wireshark/tshark.
 * :mod:`repro.obs.spans` — deterministic, sampling-aware causal span
   tracing stitched across layers by flow key, with
-  :mod:`repro.obs.trace_export` emitting Perfetto-compatible JSON and a
-  compact binary ring.
+  :mod:`repro.obs.trace_export` emitting Perfetto-compatible JSON.
 
 :mod:`repro.obs.bench` writes the machine-readable ``BENCH_*.json``
 artifacts every benchmark run emits.
@@ -58,10 +57,8 @@ _LAZY = {
     "SpanTracer": "repro.obs.spans",
     "flow_key": "repro.obs.spans",
     "chrome_trace": "repro.obs.trace_export",
-    "read_span_ring": "repro.obs.trace_export",
     "validate_trace_doc": "repro.obs.trace_export",
     "write_chrome_trace": "repro.obs.trace_export",
-    "write_span_ring": "repro.obs.trace_export",
 }
 
 
@@ -94,11 +91,9 @@ __all__ = [
     "export_pcaps",
     "flow_key",
     "read_pcap",
-    "read_span_ring",
     "validate_bench_doc",
     "validate_trace_doc",
     "write_bench_artifact",
     "write_chrome_trace",
     "write_pcap",
-    "write_span_ring",
 ]

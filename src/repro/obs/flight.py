@@ -29,6 +29,9 @@ from repro.net.packet import Ipv4Datagram
 from repro.sim.trace import TraceRecord, Tracer
 from repro.tcp.segment import TcpSegment
 
+#: How many of the trace's last records an incident report quotes.
+INCIDENT_TAIL = 12
+
 # Phase annotations used in rendered reports.
 _PHASE_NOTES = {
     "quiesce": "last client-visible byte before the crash",
@@ -206,9 +209,8 @@ class FlightRecorder:
     tracer as a run progresses.
     """
 
-    def __init__(self, tracer: Tracer, client_ips: Optional[Set[str]] = None):
+    def __init__(self, tracer: Tracer):
         self.records: List[TraceRecord] = list(tracer.records)
-        self._client_ips = client_ips
 
     # ------------------------------------------------------------------
     # per-connection timelines
@@ -285,9 +287,7 @@ class FlightRecorder:
     # ------------------------------------------------------------------
 
     def client_ips(self) -> Set[str]:
-        """Bridge peers (the unmodified clients), inferred or supplied."""
-        if self._client_ips is not None:
-            return self._client_ips
+        """Bridge peers (the unmodified clients), inferred from the trace."""
         peers = set()
         for record in self.records:
             if record.category == "bridge.p.conn_created":
@@ -504,9 +504,9 @@ class FlightRecorder:
         self,
         title: str,
         violations: Optional[List[str]] = None,
-        tail: int = 12,
     ) -> str:
-        """Diagnostic block for a failed chaos cell."""
+        """Diagnostic block for a failed chaos cell (with the trace's last
+        ``INCIDENT_TAIL`` records)."""
         lines = [f"incident report — {title}"]
         if violations:
             lines.append("violations:")
@@ -531,8 +531,9 @@ class FlightRecorder:
         for timeline in self.connections():
             lines.extend(f"  {l}" for l in timeline.render().splitlines())
         if self.records:
-            lines.append(f"trace tail (last {min(tail, len(self.records))} records):")
-            lines.extend(f"  {r}" for r in self.records[-tail:])
+            shown = self.records[-INCIDENT_TAIL:]
+            lines.append(f"trace tail (last {len(shown)} records):")
+            lines.extend(f"  {r}" for r in shown)
         else:
             lines.append("trace tail: (tracer was not recording)")
         return "\n".join(lines)

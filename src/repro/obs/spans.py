@@ -347,15 +347,6 @@ class SpanTracer:
             self.spans_dropped_open += 1
         return len(dangling)
 
-    def trace_tree(self) -> Dict[int, List[Span]]:
-        """Finished spans grouped by trace id, each group start-ordered."""
-        by_trace: Dict[int, List[Span]] = {}
-        for span in self.spans:
-            by_trace.setdefault(span.trace_id, []).append(span)
-        for spans in by_trace.values():
-            spans.sort(key=lambda s: (s.start, s.span_id))
-        return by_trace
-
     def layer_rollup(self) -> MetricsRegistry:
         """Per-layer cost attribution as a metrics registry.
 

@@ -1,18 +1,11 @@
-"""Span export: Chrome trace-event JSON and a compact binary ring.
+"""Span export: Chrome trace-event JSON for Perfetto / chrome://tracing.
 
-Two consumers, two formats:
+The trace-event format has ``ph: "X"`` complete events on per-host
+tracks, ``ph: "i"`` instants and ``ph: "M"`` metadata naming processes
+and threads.  Hosts map to processes; each trace gets its own thread row
+within the host so concurrent flows render as parallel tracks.
 
-* **Perfetto / chrome://tracing** — the trace-event JSON format
-  (``ph: "X"`` complete events on per-host tracks, ``ph: "i"`` instants,
-  ``ph: "M"`` metadata naming processes and threads).  Hosts map to
-  processes; each trace gets its own thread row within the host so
-  concurrent flows render as parallel tracks.
-* **Million-flow runs** — a fixed-record binary ring
-  (:func:`write_span_ring` / :func:`read_span_ring`): string-table +
-  struct-packed records, ~56 bytes per span vs. ~300 for JSON, suitable
-  for bounded in-memory rings dumped post-run.
-
-Both writers are byte-deterministic: ordering is derived purely from
+The writer is byte-deterministic: ordering is derived purely from
 span ``(start, trace_id, span_id)``, JSON is emitted with sorted keys
 and no whitespace, so a seeded run exports identically every time — the
 CI smoke job (plane ``obs``) ``cmp``'s two runs to hold that line.
@@ -21,17 +14,14 @@ CI smoke job (plane ``obs``) ``cmp``'s two runs to hold that line.
 from __future__ import annotations
 
 import json
-import struct
-from typing import Dict, Iterable, List, Optional, Tuple
+from typing import Dict, Iterable, List, Tuple
 
 from repro.obs.spans import Span
 
 __all__ = [
     "chrome_trace",
-    "read_span_ring",
     "validate_trace_doc",
     "write_chrome_trace",
-    "write_span_ring",
 ]
 
 
@@ -166,92 +156,3 @@ def validate_trace_doc(doc: object) -> List[str]:
         if ph == "i" and event.get("s") not in ("t", "p", "g"):
             errors.append(f"{where}: instant without scope")
     return errors
-
-
-# ----------------------------------------------------------------------
-# Binary ring format
-# ----------------------------------------------------------------------
-#
-#   header:  magic "RSPN" | u16 version | u16 reserved
-#            u32 string-count | u32 record-count
-#   strings: u32 length + utf-8 bytes, repeated  (names, hosts, attr JSON)
-#   records: <QQQ IIII dd>  trace_id span_id parent_id
-#                           name_idx host_idx attrs_idx reserved
-#                           start end
-#
-# Attrs are stored as canonical JSON strings in the shared table, so the
-# many spans that share an attribute shape (or have none) cost 4 bytes.
-
-_MAGIC = b"RSPN"
-_VERSION = 1
-_HEADER = struct.Struct("<4sHHII")
-_RECORD = struct.Struct("<QQQIIIIdd")
-
-
-def write_span_ring(path: str, spans: Iterable[Span]) -> int:
-    """Write spans in the compact binary ring format; returns the count."""
-    ordered = _ordered(spans)
-    strings: List[str] = []
-    index_of: Dict[str, int] = {}
-
-    def intern(text: str) -> int:
-        idx = index_of.get(text)
-        if idx is None:
-            idx = len(strings)
-            index_of[text] = idx
-            strings.append(text)
-        return idx
-
-    records = []
-    for span in ordered:
-        attrs_json = json.dumps(
-            {key: _json_safe(value) for key, value in span.attrs.items()},
-            sort_keys=True, separators=(",", ":"),
-        )
-        records.append(_RECORD.pack(
-            span.trace_id, span.span_id, span.parent_id,
-            intern(span.name), intern(span.host), intern(attrs_json), 0,
-            span.start, span.end,
-        ))
-
-    with open(path, "wb") as fh:
-        fh.write(_HEADER.pack(_MAGIC, _VERSION, 0, len(strings), len(records)))
-        for text in strings:
-            raw = text.encode("utf-8")
-            fh.write(struct.pack("<I", len(raw)))
-            fh.write(raw)
-        for record in records:
-            fh.write(record)
-    return len(records)
-
-
-def read_span_ring(path: str) -> List[Span]:
-    """Parse a ring file back into :class:`Span` objects (export inverse)."""
-    with open(path, "rb") as fh:
-        data = fh.read()
-    if len(data) < _HEADER.size:
-        raise ValueError(f"{path}: truncated header")
-    magic, version, _, string_count, record_count = _HEADER.unpack_from(data, 0)
-    if magic != _MAGIC:
-        raise ValueError(f"{path}: bad magic {magic!r}")
-    if version != _VERSION:
-        raise ValueError(f"{path}: unsupported version {version}")
-    offset = _HEADER.size
-    strings: List[str] = []
-    for _ in range(string_count):
-        (length,) = struct.unpack_from("<I", data, offset)
-        offset += 4
-        strings.append(data[offset:offset + length].decode("utf-8"))
-        offset += length
-    spans: List[Span] = []
-    for _ in range(record_count):
-        (trace_id, span_id, parent_id, name_idx, host_idx, attrs_idx, _r,
-         start, end) = _RECORD.unpack_from(data, offset)
-        offset += _RECORD.size
-        spans.append(Span(
-            trace_id, span_id, parent_id, strings[name_idx],
-            strings[host_idx], start, end, json.loads(strings[attrs_idx]),
-        ))
-    if offset != len(data):
-        raise ValueError(f"{path}: {len(data) - offset} trailing bytes")
-    return spans

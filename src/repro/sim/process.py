@@ -111,10 +111,6 @@ class Event:
         return f"Event({self.name!r}, {state})"
 
 
-class ProcessCrashed(SimulationError):
-    """A waited-upon process terminated with an exception."""
-
-
 class Process:
     """A running generator, driven by the simulator.
 

@@ -16,10 +16,11 @@ class CongestionControl:
     __slots__ = ("mss", "cwnd", "ssthresh", "dup_acks", "fast_retransmits", "timeouts")
 
     DUP_ACK_THRESHOLD = 3
+    INITIAL_WINDOW_SEGMENTS = 2
 
-    def __init__(self, mss: int, initial_window_segments: int = 2):
+    def __init__(self, mss: int):
         self.mss = mss
-        self.cwnd = initial_window_segments * mss
+        self.cwnd = self.INITIAL_WINDOW_SEGMENTS * mss
         self.ssthresh = 64 * 1024
         self.dup_acks = 0
         self.fast_retransmits = 0

@@ -125,7 +125,6 @@ class TcpLayer(EventSource):
         transmit: Callable[[TcpSegment, Ipv4Address, Ipv4Address], None],
         tracer: Optional[Tracer] = None,
         rng: Optional[random.Random] = None,
-        conn_defaults: Optional[dict] = None,
         metrics: Optional[MetricsRegistry] = None,
         spans: Optional[SpanTracer] = None,
     ):
@@ -136,7 +135,9 @@ class TcpLayer(EventSource):
         self.tracer = tracer or Tracer(record=False)
         self.spans = spans or NULL_SPANS
         self.rng = rng or seeded_rng(0)
-        self.conn_defaults = conn_defaults or {}
+        # Options every new connection on this host gets (callers set
+        # entries, e.g. ``min_rto``); a connect's own options win.
+        self.conn_defaults: Dict[str, Any] = {}
         self.metrics = metrics or NULL_METRICS
         self._bind_events(self.metrics, node_name)
         self.connections: ConnectionTable = ConnectionTable()

@@ -10,12 +10,18 @@ from __future__ import annotations
 
 from typing import Optional
 
+# RFC 6298 §2: the gains of the smoothed RTT and its variance, and the
+# variance's weight in the timeout.
+ALPHA = 0.125
+BETA = 0.25
+K = 4.0
+
 
 class RtoEstimator:
     """Smoothed RTT estimator with exponential backoff."""
 
     __slots__ = (
-        "initial_rto", "min_rto", "max_rto", "alpha", "beta", "k",
+        "initial_rto", "min_rto", "max_rto",
         "srtt", "rttvar", "_backoff", "samples_taken",
     )
 
@@ -24,16 +30,10 @@ class RtoEstimator:
         initial_rto: float = 1.0,
         min_rto: float = 0.2,
         max_rto: float = 60.0,
-        alpha: float = 0.125,
-        beta: float = 0.25,
-        k: float = 4.0,
     ):
         self.initial_rto = initial_rto
         self.min_rto = min_rto
         self.max_rto = max_rto
-        self.alpha = alpha
-        self.beta = beta
-        self.k = k
         self.srtt: Optional[float] = None
         self.rttvar: Optional[float] = None
         self._backoff = 1
@@ -53,8 +53,8 @@ class RtoEstimator:
             self.srtt = rtt
             self.rttvar = rtt / 2
         else:
-            self.rttvar = (1 - self.beta) * self.rttvar + self.beta * abs(self.srtt - rtt)
-            self.srtt = (1 - self.alpha) * self.srtt + self.alpha * rtt
+            self.rttvar = (1 - BETA) * self.rttvar + BETA * abs(self.srtt - rtt)
+            self.srtt = (1 - ALPHA) * self.srtt + ALPHA * rtt
         self._backoff = 1
 
     def on_timeout(self) -> None:
@@ -70,6 +70,6 @@ class RtoEstimator:
         if self.srtt is None:
             base = self.initial_rto
         else:
-            base = self.srtt + self.k * (self.rttvar or 0.0)
+            base = self.srtt + K * (self.rttvar or 0.0)
         base = max(self.min_rto, min(self.max_rto, base))
         return min(self.max_rto, base * self._backoff)

@@ -117,10 +117,6 @@ class TcpSegment:
     def has_ack(self) -> bool:
         return bool(self.flags & FLAG_ACK)
 
-    @property
-    def psh(self) -> bool:
-        return bool(self.flags & FLAG_PSH)
-
     # -- sizes ---------------------------------------------------------------
 
     # header_size and wire_size are read several times per segment per hop

@@ -24,6 +24,9 @@ from repro.sim.process import Event
 from repro.tcp.connection import ConnectionReset, TcpConnection
 from repro.tcp.layer import Listener
 
+#: ``recv_line`` cuts a line at this many bytes.
+MAX_LINE = 4096
+
 
 class SocketClosedError(ConnectionError):
     """Operation on a socket whose connection is gone."""
@@ -119,19 +122,22 @@ class SimSocket:
             remaining -= len(data)
         return b"".join(chunks)
 
-    def recv_until_eof(self, chunk_size: int = 65536) -> Generator:
-        """Drain the stream to EOF; returns everything received."""
+    def recv_until_eof(self) -> Generator:
+        """Drain the stream to EOF (64 KiB reads); returns everything received."""
         chunks = []
         while True:
-            data = yield from self.recv(chunk_size)
+            data = yield from self.recv(65536)
             if not data:
                 return b"".join(chunks)
             chunks.append(data)
 
-    def recv_line(self, max_len: int = 4096) -> Generator:
-        """Read a CRLF- or LF-terminated line (terminator stripped)."""
+    def recv_line(self) -> Generator:
+        """Read a CRLF- or LF-terminated line (terminator stripped).
+
+        A line longer than ``MAX_LINE`` bytes is cut there.
+        """
         buf = bytearray()
-        while len(buf) < max_len:
+        while len(buf) < MAX_LINE:
             data = yield from self.recv(1)
             if not data:
                 return bytes(buf)

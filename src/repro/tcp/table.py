@@ -1,19 +1,11 @@
-"""Slotted storage for per-host TCB state (connection + linger tables).
+"""Per-host TCB state: the connection and linger tables.
 
-The TCP layer's two hot lookups used to be plain dicts scanned linearly
-for port questions: every ephemeral allocation walked *all* connections
-(`any(key[1] == port ...)`) and *all* linger records, and every
-allocation also swept the full linger table for expired entries.  At
-fleet scale (tens of thousands of flows per host) those O(n) walks
-dominate connection setup.
+Both answer port questions ("is this local port taken?") without walking
+every record, so an ephemeral allocation does not scan the host's
+connections and linger records.
 
-:class:`ConnectionTable` keeps TCBs in slot arrays (struct-of-arrays:
-parallel key/connection lists indexed by a stable slot number, recycled
-through a free list) with a per-port reference count, so
-
-* key lookup stays one dict probe (key → slot → array read);
-* ``port_in_use`` is O(1) — a refcount probe instead of a table scan;
-* slots are reused, so long-running churn does not grow the arrays.
+:class:`ConnectionTable` is a key → TCB dict plus a per-port reference
+count, so ``port_in_use`` is one probe instead of a table scan.
 
 :class:`LingerTable` holds the TIME_WAIT-style records behind the same
 mapping interface, with two auxiliary indexes:
@@ -28,16 +20,16 @@ mapping interface, with two auxiliary indexes:
   skips strays, and every *query* checks the record's own expiry, so a
   stale queue never changes an answer.
 
-Both tables are ``MutableMapping``s over the same 4-tuple keys the old
-dicts used, preserving iteration order (insertion order) and dict
-equality — callers and tests that treated them as dicts keep working.
+Both tables are ``MutableMapping``s over 4-tuple keys that iterate in
+insertion order: ephemeral allocation and takeover rebinding walk them,
+and seeded runs replay byte-for-byte only if that order holds.
 """
 
 from __future__ import annotations
 
 from collections import deque
 from collections.abc import Iterator, MutableMapping
-from typing import TYPE_CHECKING, Deque, Dict, List, Optional, Tuple
+from typing import TYPE_CHECKING, Deque, Dict, Optional, Tuple
 
 from repro.net.addresses import Ipv4Address
 
@@ -54,50 +46,31 @@ LingerEntry = Tuple[float, int, int, bool]
 
 
 class ConnectionTable(MutableMapping[ConnKey, "TcpConnection"]):
-    """Slot-array TCB store with O(1) port-occupancy queries."""
+    """TCB store with O(1) port-occupancy queries."""
 
-    __slots__ = ("_index", "_keys", "_conns", "_free", "_port_refs")
+    __slots__ = ("_conns", "_port_refs")
 
     def __init__(self) -> None:
-        self._index: Dict[ConnKey, int] = {}
-        self._keys: List[Optional[ConnKey]] = []
-        self._conns: List[Optional["TcpConnection"]] = []
-        self._free: List[int] = []
+        self._conns: Dict[ConnKey, "TcpConnection"] = {}
         self._port_refs: Dict[int, int] = {}
 
     def __len__(self) -> int:
-        return len(self._index)
+        return len(self._conns)
 
     def __iter__(self) -> Iterator[ConnKey]:
-        return iter(self._index)
+        return iter(self._conns)
 
     def __getitem__(self, key: ConnKey) -> "TcpConnection":
-        conn = self._conns[self._index[key]]
-        assert conn is not None  # a mapped slot always holds a connection
-        return conn
+        return self._conns[key]
 
     def __setitem__(self, key: ConnKey, conn: "TcpConnection") -> None:
-        slot = self._index.get(key)
-        if slot is not None:
-            self._conns[slot] = conn
-            return
-        if self._free:
-            slot = self._free.pop()
-            self._keys[slot] = key
-            self._conns[slot] = conn
-        else:
-            slot = len(self._keys)
-            self._keys.append(key)
-            self._conns.append(conn)
-        self._index[key] = slot
-        port = key[1]
-        self._port_refs[port] = self._port_refs.get(port, 0) + 1
+        if key not in self._conns:
+            port = key[1]
+            self._port_refs[port] = self._port_refs.get(port, 0) + 1
+        self._conns[key] = conn
 
     def __delitem__(self, key: ConnKey) -> None:
-        slot = self._index.pop(key)
-        self._keys[slot] = None
-        self._conns[slot] = None
-        self._free.append(slot)
+        del self._conns[key]
         port = key[1]
         refs = self._port_refs[port] - 1
         if refs:
@@ -106,10 +79,7 @@ class ConnectionTable(MutableMapping[ConnKey, "TcpConnection"]):
             del self._port_refs[port]
 
     def clear(self) -> None:
-        self._index.clear()
-        self._keys.clear()
         self._conns.clear()
-        self._free.clear()
         self._port_refs.clear()
 
     def port_in_use(self, port: int) -> bool:

@@ -92,7 +92,6 @@ class ClosedLoopWorkload:
         think_times: Optional[Distribution] = None,
         ramp: float = 0.5,
         hold_for: float = 1.0,
-        stream_name: str = "workload.arrivals",
         spans: Optional[SpanTracer] = None,
     ):
         if not clients:
@@ -109,9 +108,9 @@ class ClosedLoopWorkload:
         self.hold_for = hold_for
         self.spans = spans or NULL_SPANS
         self.stats = WorkloadStats()
-        self._arrivals = rng.stream(stream_name)
+        self._arrivals = rng.stream("workload.arrivals")
         self._session_rngs = [
-            rng.stream(f"{stream_name}.session{i}") for i in range(sessions)
+            rng.stream(f"workload.arrivals.session{i}") for i in range(sessions)
         ]
         self._started = False
 
@@ -221,8 +220,6 @@ class OpenLoopWorkload:
         rate: float = 100.0,
         arrivals: int = 100,
         reply_sizes: Optional[Distribution] = None,
-        stream_name: str = "workload.open",
-        spans: Optional[SpanTracer] = None,
     ):
         if not clients:
             raise ValueError("need at least one client host")
@@ -234,11 +231,10 @@ class OpenLoopWorkload:
         self.rate = rate
         self.arrivals = arrivals
         self.reply_sizes = reply_sizes or Fixed(1024)
-        self.spans = spans or NULL_SPANS
         self.stats = WorkloadStats()
-        self._arrival_rng = rng.stream(stream_name)
+        self._arrival_rng = rng.stream("workload.open")
         self._session_rngs = [
-            rng.stream(f"{stream_name}.session{i}") for i in range(arrivals)
+            rng.stream(f"workload.open.session{i}") for i in range(arrivals)
         ]
         self._started = False
 
@@ -260,21 +256,11 @@ class OpenLoopWorkload:
     def _one_shot(self, client: Host, session_id: int) -> Generator:
         rng = self._session_rngs[session_id]
         stats = self.stats
-        spans = self.spans
         stats.sessions_started += 1
         size = max(1, int(self.reply_sizes.sample(rng)))
-        ctx = spans.trace_root(
-            "workload.one_shot", client.sim.now, client.name,
-            session=session_id, size=size,
-        )
         sock = SimSocket.connect(client, self.service_ip, self.port)
         stats.session_flows[session_id] = (
             sock.conn.local_ip, sock.conn.local_port
-        )
-        spans.bind_flow(
-            flow_key(sock.conn.local_ip, sock.conn.local_port,
-                     self.service_ip, self.port),
-            ctx,
         )
         stats.record_open()
         opened = True
@@ -295,7 +281,6 @@ class OpenLoopWorkload:
             opened = False
             yield from sock.close_and_wait()
             stats.sessions_completed += 1
-            spans.finish(ctx, client.sim.now)
         except ConnectionError as exc:
             stats.sessions_failed += 1
             stats.failures.append(f"open{session_id}: {exc}")
@@ -303,7 +288,6 @@ class OpenLoopWorkload:
                 stats.record_close()
                 opened = False
             sock.abort()
-            spans.finish(ctx, client.sim.now, error=str(exc))
 
     @property
     def complete(self) -> bool:

@@ -8,7 +8,7 @@ manipulation for the placement-change paths.
 
 import pytest
 
-from repro.cluster import FlowEntry, ShardedFleet, VirtualService
+from repro.cluster import ShardedFleet, VirtualService
 from repro.cluster.hashing import choose_shard, flow_key
 from repro.tcp.socket_api import SimSocket
 from repro.workload import ClosedLoopWorkload, Fixed
@@ -161,9 +161,7 @@ def test_idle_flow_pruning_at_capacity():
     service.flow_idle_timeout = 0.001
     client_ip = fleet.clients[0].ip.primary_address()
     for i in range(4):
-        service.flows[(client_ip.value, 50_000 + i)] = FlowEntry(
-            "s0", fleet.sim.now
-        )
+        service.flows.pin((client_ip.value, 50_000 + i), "s0", fleet.sim.now)
     fleet.sim.run(until=fleet.sim.now + 0.1)
     sock = _connect(fleet)
     # The four synthetic idle flows were evicted to admit the live one.

@@ -9,7 +9,7 @@ same paths end-to-end; these tests pin the unit semantics.
 
 import struct
 
-from repro.cluster import FlowEntry, ShardedFleet
+from repro.cluster import ShardedFleet
 from repro.cluster.hashing import choose_shard, flow_key
 from repro.net.packet import IPPROTO_TCP, Ipv4Datagram
 from repro.tcp.segment import FLAG_SYN, TcpSegment
@@ -83,9 +83,7 @@ def test_live_flow_keeps_even_a_stale_pin():
         flow_key(client_ip, 55_000), list(service.backends)
     )
     wrong = next(s for s in service.backends if s != rendezvous)
-    service.flows[(client_ip.value, 55_000)] = FlowEntry(
-        wrong, fleet.sim.now
-    )
+    service.flows.pin((client_ip.value, 55_000), wrong, fleet.sim.now)
     _spoofed_syn(fleet, client_ip, 55_000)
     assert service.syn_reassigns_refused == 1
     assert service.shard_of(client_ip, 55_000) == wrong
@@ -103,9 +101,7 @@ def test_idle_flow_syn_reassigns_to_rendezvous():
         flow_key(client_ip, 55_000), list(service.backends)
     )
     wrong = next(s for s in service.backends if s != rendezvous)
-    service.flows[(client_ip.value, 55_000)] = FlowEntry(
-        wrong, fleet.sim.now
-    )
+    service.flows.pin((client_ip.value, 55_000), wrong, fleet.sim.now)
     fleet.sim.run(until=fleet.sim.now + 0.1)
     _spoofed_syn(fleet, client_ip, 55_000)
     assert service.syn_reassigns_refused == 0
@@ -119,9 +115,7 @@ def test_full_table_rejects_new_pins_without_evicting_live_flows():
     service.flow_idle_timeout = 30.0
     client_ip = fleet.clients[0].ip.primary_address()
     for i in range(4):
-        service.flows[(client_ip.value, 50_000 + i)] = FlowEntry(
-            "s0", fleet.sim.now
-        )
+        service.flows.pin((client_ip.value, 50_000 + i), "s0", fleet.sim.now)
     out = _spoofed_syn(fleet, client_ip, 60_000)
     assert out is None
     assert service.flows_rejected == 1

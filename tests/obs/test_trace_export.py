@@ -1,4 +1,4 @@
-"""Trace export tests: Chrome trace-event JSON and the binary ring.
+"""Trace export tests: Chrome trace-event JSON.
 
 The exporter's contract is byte-determinism — same spans, same bytes —
 plus schema validity strict enough that Perfetto/chrome://tracing loads
@@ -7,15 +7,11 @@ the file without warnings.
 
 import random
 
-import pytest
-
 from repro.obs.spans import SpanTracer
 from repro.obs.trace_export import (
     chrome_trace,
-    read_span_ring,
     validate_trace_doc,
     write_chrome_trace,
-    write_span_ring,
 )
 
 
@@ -90,40 +86,3 @@ def test_validate_trace_doc_catches_corruption():
     errors = validate_trace_doc(doc)
     assert len(errors) >= 2
     assert validate_trace_doc({"nope": []})
-
-
-# -- binary ring -------------------------------------------------------
-
-
-def test_span_ring_roundtrip(tmp_path):
-    spans = sample_spans()
-    path = tmp_path / "spans.ring"
-    count = write_span_ring(path, spans)
-    assert count == len(spans)
-    back = read_span_ring(path)
-    ordered = sorted(spans, key=lambda s: (s.start, s.trace_id, s.span_id))
-    assert len(back) == len(ordered)
-    for original, restored in zip(ordered, back):
-        assert restored.trace_id == original.trace_id
-        assert restored.span_id == original.span_id
-        assert restored.parent_id == original.parent_id
-        assert restored.name == original.name
-        assert restored.host == original.host
-        assert restored.start == original.start
-        assert restored.end == original.end
-        assert restored.attrs == original.attrs
-
-
-def test_span_ring_rejects_garbage(tmp_path):
-    path = tmp_path / "bad.ring"
-    path.write_bytes(b"not a span ring at all")
-    with pytest.raises(ValueError):
-        read_span_ring(path)
-
-
-def test_span_ring_is_byte_deterministic(tmp_path):
-    path_a = tmp_path / "a.ring"
-    path_b = tmp_path / "b.ring"
-    write_span_ring(path_a, sample_spans(seed=11))
-    write_span_ring(path_b, sample_spans(seed=11))
-    assert path_a.read_bytes() == path_b.read_bytes()
