@@ -17,6 +17,8 @@ machine-checked rules (see DESIGN.md §8):
   function (the paper's RFC 1624 incremental update, §3.1).
 * ``handler-except`` — event/timer callbacks must not swallow errors
   with bare ``except``.
+* ``unused-import`` — a name a ``src/`` module imports must be read
+  there or imported from it by another module.
 
 ``--semantic`` adds the CFG/dataflow plane (DESIGN.md §13): flow- and
 path-sensitive interprocedural rules (``seq-taint``,
@@ -27,17 +29,17 @@ reintegration / takeover state machines and model-checks them against
 the declared specs in :mod:`repro.analysis.specs`.
 
 Run it with ``python -m repro.analysis [paths...]`` or ``python -m repro
-lint``.  Violations can be suppressed per line with a justified pragma::
+lint``.  The one way to accept a finding is a justified pragma on its
+line::
 
     something_odd()  # replint: allow(wallclock) -- bench reporting only
 
-or grandfathered in a checked-in baseline file (``lint-baseline.json``);
-both require a written reason, and unused pragmas are themselves flagged.
+A pragma without a reason, an unparseable one and an unused one are
+findings themselves.
 """
 
 from __future__ import annotations
 
-from repro.analysis.baseline import Baseline, load_baseline
 from repro.analysis.cli import main
 from repro.analysis.engine import FileContext, LintEngine, Violation, lint_paths, lint_source
 from repro.analysis.rules import ALL_RULES, SEMANTIC_RULES, Rule
@@ -45,13 +47,11 @@ from repro.analysis.rules import ALL_RULES, SEMANTIC_RULES, Rule
 __all__ = [
     "ALL_RULES",
     "SEMANTIC_RULES",
-    "Baseline",
     "FileContext",
     "LintEngine",
     "Rule",
     "Violation",
     "lint_paths",
     "lint_source",
-    "load_baseline",
     "main",
 ]

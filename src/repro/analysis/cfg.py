@@ -182,11 +182,6 @@ class _Builder:
         return [(node, None, None)]
 
 
-def build_cfg(func: FuncDef) -> CFG:
-    """Convenience constructor."""
-    return CFG(func)
-
-
 def statement_exprs(stmt: ast.stmt) -> List[ast.expr]:
     """The expressions evaluated *by this statement itself*.
 

@@ -14,10 +14,9 @@ import re
 import time
 import tokenize
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Dict, Iterable, List, Optional, Sequence, Set, Tuple
+from typing import TYPE_CHECKING, Dict, Iterable, List, Mapping, Optional, Sequence, Set, Tuple
 
 if TYPE_CHECKING:  # import cycle: rules import FileContext from here
-    from repro.analysis.baseline import Baseline
     from repro.analysis.rules import Rule
 
 #: Directory names skipped during tree walks.  ``fixtures`` holds the test
@@ -180,12 +179,11 @@ def parse_pragmas(source: str, path: str) -> Tuple[List[Pragma], List[Violation]
 
 
 class LintEngine:
-    """Run a rule set over sources, honouring pragmas and a baseline."""
+    """Run a rule set over sources, honouring ``replint`` pragmas."""
 
     def __init__(
         self,
         rules: Optional[Sequence["Rule"]] = None,
-        baseline: Optional["Baseline"] = None,
         semantic: bool = False,
     ):
         if rules is None:
@@ -193,15 +191,10 @@ class LintEngine:
             classes = list(ALL_RULES) + (list(SEMANTIC_RULES) if semantic else [])
             rules = [cls() for cls in classes]
         self.rules: List["Rule"] = list(rules)
-        self.baseline = baseline
         self.files_checked = 0
         #: Cumulative wall-time per rule (seconds) — the BENCH_lint source.
         #: Project-summary fixpoints are charged under ``<rule>:project``.
         self.rule_seconds: Dict[str, float] = {}
-        #: Project-wide index installed by lint_paths; when absent,
-        #: lint_source builds a single-file one so semantic rules still
-        #: run (the fixture tests lint one string at a time).
-        self._project_installed = False
         self._dormant_rule_names: Optional[frozenset] = None
 
     def _dormant_rules(self) -> frozenset:
@@ -215,26 +208,68 @@ class LintEngine:
             self._dormant_rule_names = frozenset(registry - active)
         return self._dormant_rule_names
 
-    # -- single-source entry points (used by the fixture tests) ----------
+    # -- entry points ------------------------------------------------------
 
     def lint_source(self, source: str, path: str) -> List[Violation]:
         """Lint one source string as if it lived at ``path``."""
-        path = canonical_path(path)
-        try:
-            tree = ast.parse(source)
-        except SyntaxError as exc:
-            return [Violation(
-                path, exc.lineno or 1, exc.offset or 0, "syntax",
-                f"cannot parse: {exc.msg}",
-            )]
-        pragmas, problems = parse_pragmas(source, path)
-        ctx = FileContext(path=path, source=source, tree=tree)
-        if not self._project_installed and self._project_rules():
+        return self.lint_sources({path: source})
+
+    def lint_paths(self, paths: Iterable[str]) -> List[Violation]:
+        """Lint files and the ``.py`` files under directories, as one run."""
+        files: List[str] = []
+        for path in paths:
+            if os.path.isdir(path):
+                files.extend(iter_python_files(path))
+            else:
+                files.append(path)
+        sources: Dict[str, str] = {}
+        for file_path in files:
+            with open(file_path, "r", encoding="utf-8") as handle:
+                sources[file_path] = handle.read()
+        return self.lint_sources(sources)
+
+    def lint_sources(self, sources: Mapping[str, str]) -> List[Violation]:
+        """Lint ``{path: source}`` as one run, each as if it lived at its path.
+
+        Every source that parses goes into one project index first, so the
+        rules that need the whole run (interprocedural summaries, who
+        imports what) see every file of it.
+        """
+        trees: Dict[str, ast.AST] = {}
+        broken: Dict[str, Violation] = {}
+        for path, source in sources.items():
+            try:
+                trees[path] = ast.parse(source)
+            except SyntaxError as exc:
+                broken[path] = Violation(
+                    canonical_path(path), exc.lineno or 1, exc.offset or 0,
+                    "syntax", f"cannot parse: {exc.msg}",
+                )
+        project_rules = [r for r in self.rules if getattr(r, "needs_project", False)]
+        if project_rules:
             from repro.analysis.callgraph import ProjectIndex
             index = ProjectIndex()
-            index.add(path, tree)
-            for rule in self._project_rules():
+            for path, tree in trees.items():
+                index.add(canonical_path(path), tree)
+            for rule in project_rules:
+                start = time.perf_counter()  # replint: allow(wallclock) -- linter self-profiling feeds BENCH_lint.json
                 rule.begin_project(index)
+                elapsed = time.perf_counter() - start  # replint: allow(wallclock) -- linter self-profiling feeds BENCH_lint.json
+                key = f"{rule.name}:project"
+                self.rule_seconds[key] = self.rule_seconds.get(key, 0.0) + elapsed
+        violations: List[Violation] = []
+        for path, source in sources.items():
+            if path in broken:
+                violations.append(broken[path])
+            else:
+                violations.extend(
+                    self._lint_tree(source, canonical_path(path), trees[path])
+                )
+        return violations
+
+    def _lint_tree(self, source: str, path: str, tree: ast.AST) -> List[Violation]:
+        pragmas, problems = parse_pragmas(source, path)
+        ctx = FileContext(path=path, source=source, tree=tree)
         raw: List[Violation] = []
         seen: Set[Violation] = set()
         for rule in self.rules:
@@ -274,53 +309,6 @@ class LintEngine:
         self.files_checked += 1
         return sorted(kept, key=lambda v: (v.line, v.col, v.rule))
 
-    def lint_file(self, path: str) -> List[Violation]:
-        with open(path, "r", encoding="utf-8") as handle:
-            source = handle.read()
-        return self.lint_source(source, path)
-
-    # -- tree walking ----------------------------------------------------
-
-    def _project_rules(self) -> List["Rule"]:
-        return [r for r in self.rules if getattr(r, "needs_project", False)]
-
-    def lint_paths(self, paths: Iterable[str]) -> List[Violation]:
-        files: List[str] = []
-        for path in paths:
-            if os.path.isdir(path):
-                files.extend(iter_python_files(path))
-            else:
-                files.append(path)
-        project_rules = self._project_rules()
-        if project_rules:
-            # First pass: parse everything into one index so the
-            # interprocedural rules see cross-file summaries.
-            from repro.analysis.callgraph import ProjectIndex
-            index = ProjectIndex()
-            for file_path in files:
-                try:
-                    with open(file_path, "r", encoding="utf-8") as handle:
-                        tree = ast.parse(handle.read())
-                except (OSError, SyntaxError):
-                    continue  # lint_file reports the real problem
-                index.add(canonical_path(file_path), tree)
-            for rule in project_rules:
-                start = time.perf_counter()  # replint: allow(wallclock) -- linter self-profiling feeds BENCH_lint.json
-                rule.begin_project(index)
-                elapsed = time.perf_counter() - start  # replint: allow(wallclock) -- linter self-profiling feeds BENCH_lint.json
-                key = f"{rule.name}:project"
-                self.rule_seconds[key] = self.rule_seconds.get(key, 0.0) + elapsed
-            self._project_installed = True
-        try:
-            violations: List[Violation] = []
-            for file_path in files:
-                violations.extend(self.lint_file(file_path))
-        finally:
-            self._project_installed = False
-        if self.baseline is not None:
-            violations = self.baseline.filter(violations)
-        return violations
-
 
 def iter_python_files(root: str) -> Iterable[str]:
     """Yield ``.py`` files under ``root``, skipping excluded directories."""
@@ -338,8 +326,6 @@ def lint_source(source: str, path: str, semantic: bool = False) -> List[Violatio
     return LintEngine(semantic=semantic).lint_source(source, path)
 
 
-def lint_paths(
-    paths: Iterable[str], baseline: Optional["Baseline"] = None
-) -> List[Violation]:
+def lint_paths(paths: Iterable[str]) -> List[Violation]:
     """Convenience wrapper: lint files/trees with the default rule set."""
-    return LintEngine(baseline=baseline).lint_paths(paths)
+    return LintEngine().lint_paths(paths)

@@ -50,10 +50,9 @@ from __future__ import annotations
 
 import ast
 from dataclasses import dataclass, field
-from typing import Dict, FrozenSet, List, Mapping, Optional, Set, Tuple, Union
+from typing import Dict, FrozenSet, List, Mapping, Optional, Set, Tuple
 
 from repro.analysis.callgraph import (
-    FuncDef,
     ModuleInfo,
     enum_member_name,
     index_module,

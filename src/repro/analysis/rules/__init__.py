@@ -3,8 +3,8 @@
 ``ALL_RULES`` is the default (syntactic, per-statement) rule set,
 ordered by rough severity (correctness first, hygiene last).
 ``SEMANTIC_RULES`` holds the CFG/dataflow and model-checking passes
-enabled by ``repro lint --semantic`` — separated because they cost a
-project parse + fixpoints, and because the fixture corpus for the
+enabled by ``repro lint --semantic`` — separated because they cost
+fixpoints over the whole run, and because the fixture corpus for the
 syntactic rules must keep linting identically whether or not the
 semantic plane is installed.
 """
@@ -24,6 +24,7 @@ from repro.analysis.rules.seq_arith import SeqArithRule
 from repro.analysis.rules.seq_taint import SeqTaintRule
 from repro.analysis.rules.sim_safety import ChecksumPairRule, SimImportRule
 from repro.analysis.rules.trace_args import EagerTraceArgRule
+from repro.analysis.rules.unused_import import UnusedImportRule
 
 ALL_RULES: List[Type[Rule]] = [
     SeqArithRule,
@@ -35,6 +36,7 @@ ALL_RULES: List[Type[Rule]] = [
     SetOrderRule,
     HandlerExceptRule,
     EagerTraceArgRule,
+    UnusedImportRule,
 ]
 
 #: Interprocedural / flow-sensitive passes (``repro lint --semantic``).
@@ -61,5 +63,6 @@ __all__ = [
     "SeqTaintRule",
     "SetOrderRule",
     "SimImportRule",
+    "UnusedImportRule",
     "WallclockRule",
 ]

@@ -23,11 +23,10 @@ SIM_LAYERS: Tuple[str, ...] = (
 class Rule:
     """One analysis pass.  Subclasses set ``name`` and implement ``check``.
 
-    Semantic (interprocedural) rules additionally set ``needs_project``
-    and receive a :class:`~repro.analysis.callgraph.ProjectIndex` via
-    :meth:`begin_project` before any ``check`` call — over every file of
-    the run when linting trees, or a single-file index when linting one
-    source string.
+    Rules that need the whole run (the interprocedural ones, and
+    ``unused-import``) additionally set ``needs_project`` and receive a
+    :class:`~repro.analysis.callgraph.ProjectIndex` over every file of
+    the run via :meth:`begin_project` before any ``check`` call.
     """
 
     name: str = ""
@@ -73,13 +72,6 @@ def in_src(path: str) -> bool:
 
 def in_sim_layers(path: str) -> bool:
     return any(path.startswith(layer) for layer in SIM_LAYERS)
-
-
-def enclosing_functions(tree: ast.AST) -> Iterator[ast.AST]:
-    """Every function/async-function definition in the tree."""
-    for node in ast.walk(tree):
-        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
-            yield node
 
 
 def int_const(node: ast.AST) -> Optional[int]:

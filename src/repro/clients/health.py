@@ -11,7 +11,7 @@ all check health the same deterministic way.
 
 from __future__ import annotations
 
-from typing import Generator, List
+from typing import List
 
 from repro.failover.detector import FaultDetector
 

@@ -40,8 +40,8 @@ Host lifecycle faults (crash / restart) ride on the same plane via
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
-from typing import Any, Callable, Dict, List, Optional, Tuple
+from dataclasses import dataclass, replace
+from typing import Callable, Dict, List, Optional, Tuple
 
 from repro.net.packet import EthernetFrame, Ipv4Datagram
 from repro.sim.engine import Simulator

@@ -169,7 +169,6 @@ class Host:
             owner=name,
         )
         self.nic = Nic(mac, name=f"{name}.nic")
-        self.nic.set_receiver(self._frame_received)
         # Additional NICs (multi-homed hosts: the cluster dispatcher has
         # one leg on the front LAN and one per shard LAN).  ``self.nic``
         # stays the first/primary card for single-homed callers.
@@ -294,14 +293,8 @@ class Host:
             return
         self.ip.send(Ipv4Datagram(src=src_ip, dst=dst_ip, protocol=IPPROTO_TCP, payload=segment))
 
-    def _frame_received(self, frame: object) -> None:
-        if not self.alive:
-            return
-        if self._eth_interface is not None:
-            self.ip.frame_received(self._eth_interface, frame)
-
     def _frame_received_on(self, interface: EthernetInterface, frame: object) -> None:
-        """Per-interface delivery for multi-homed hosts."""
+        """Deliver a frame that arrived on *interface* to the IP layer."""
         if self.alive:
             self.ip.frame_received(interface, frame)
 
@@ -328,10 +321,6 @@ class Host:
     def add_heartbeat_handler(self, handler: Callable[[Ipv4Datagram], None]) -> None:
         """Register a heartbeat consumer (several detectors may coexist)."""
         self._heartbeat_handlers.append(handler)
-
-    def set_heartbeat_handler(self, handler: Callable[[Ipv4Datagram], None]) -> None:
-        """Replace all heartbeat consumers with one (single-detector hosts)."""
-        self._heartbeat_handlers = [handler]
 
     def remove_heartbeat_handler(self, handler: Callable[[Ipv4Datagram], None]) -> None:
         """Unregister one heartbeat consumer (detector teardown)."""

@@ -20,7 +20,7 @@ object, so layers can share counters without plumbing references.
 from __future__ import annotations
 
 import math
-from typing import Dict, Iterator, List, Optional, Tuple
+from typing import Dict, Iterator, List, Tuple
 
 LabelKey = Tuple[str, Tuple[Tuple[str, str], ...]]
 

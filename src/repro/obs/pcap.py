@@ -47,7 +47,7 @@ from repro.net.packet import (
     IPPROTO_TCP,
     Ipv4Datagram,
 )
-from repro.sim.trace import TraceRecord, Tracer
+from repro.sim.trace import Tracer
 from repro.tcp.segment import TcpSegment
 
 PCAP_MAGIC = 0xA1B2C3D4

@@ -305,9 +305,6 @@ class Simulator:
     ``REPRO_SIM_SCHEDULER`` environment variable is consulted first.
     """
 
-    #: Backwards-compatible alias (the threshold now lives on EventQueue).
-    COMPACT_MIN_CANCELLED = EventQueue.COMPACT_MIN_CANCELLED
-
     def __init__(self, scheduler: Union[str, EventQueue, None] = None) -> None:
         self._now = 0.0
         self._queue: EventQueue = _make_queue(scheduler)

@@ -11,9 +11,9 @@ advertised window, which matters for the bridge's min-window merge.
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Union
+from typing import Dict, Optional, Union
 
-from repro.tcp.seqnum import seq_add, seq_ge, seq_in_window, seq_lt, seq_sub
+from repro.tcp.seqnum import seq_add, seq_in_window, seq_lt, seq_sub
 
 
 class SendBuffer:

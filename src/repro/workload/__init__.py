@@ -1,15 +1,11 @@
 """Seeded workload generation for fleet-scale experiments.
 
-Two driver shapes, both drawing every random quantity through named
-:mod:`repro.sim.rng` streams so a run replays bit-for-bit from its seed:
-
-* :class:`~repro.workload.generator.ClosedLoopWorkload` — a fixed
-  population of think-time clients, each holding one connection and
-  issuing request/reply exchanges (the load shape behind the capacity
-  benchmark's concurrency floor);
-* :class:`~repro.workload.generator.OpenLoopWorkload` — Poisson arrivals
-  of one-shot sessions, the classic open-loop offered-load model (and
-  the connection-churn driver for the ephemeral-port regression).
+:class:`~repro.workload.generator.ClosedLoopWorkload` is a fixed
+population of think-time clients, each holding one connection and
+issuing request/reply exchanges (the load shape behind the capacity
+benchmark's concurrency floor).  It draws every random quantity through
+named :mod:`repro.sim.rng` streams, so a run replays bit-for-bit from
+its seed.
 
 Flow sizes come from :mod:`repro.workload.distributions` — notably the
 bounded Pareto that gives request/reply traffic its heavy tail.
@@ -20,17 +16,12 @@ composes the two.
 """
 
 from repro.workload.distributions import BoundedPareto, Exponential, Fixed
-from repro.workload.generator import (
-    ClosedLoopWorkload,
-    OpenLoopWorkload,
-    WorkloadStats,
-)
+from repro.workload.generator import ClosedLoopWorkload, WorkloadStats
 
 __all__ = [
     "BoundedPareto",
     "ClosedLoopWorkload",
     "Exponential",
     "Fixed",
-    "OpenLoopWorkload",
     "WorkloadStats",
 ]

@@ -1,13 +1,13 @@
-"""Closed- and open-loop workload drivers.
+"""Closed-loop workload driver.
 
-Both drivers speak the :mod:`repro.apps.request_reply` protocol (4-byte
-size header, deterministic patterned reply), verify every reply byte
-against :func:`repro.apps.bulk.pattern_bytes`, and record a
+The driver speaks the :mod:`repro.apps.request_reply` protocol (4-byte
+size header, deterministic patterned reply), verifies every reply byte
+against :func:`repro.apps.bulk.pattern_bytes`, and records a
 ``(time, latency)`` sample per exchange — the raw material for the
 capacity benchmark's pre/during/post-storm percentiles.
 
-Determinism contract: the arrival process draws from one named stream
-(``"workload.arrivals"`` by default) and each session forks its own
+Determinism contract: the arrival process draws from the named stream
+``"workload.arrivals"`` and each session forks its own
 stream at spawn time, so per-session draws are independent of event
 interleaving — two runs with the same seed issue byte-identical request
 sequences even though TCP timing differs between shards.
@@ -199,97 +199,3 @@ class ClosedLoopWorkload:
     def complete(self) -> bool:
         finished = self.stats.sessions_completed + self.stats.sessions_failed
         return self._started and finished >= self.sessions
-
-
-class OpenLoopWorkload:
-    """Poisson arrivals of one-shot request/reply sessions.
-
-    Classic open-loop offered load: sessions arrive at ``rate`` per
-    second regardless of completions, each opening a fresh connection,
-    performing one exchange, and closing — maximal connection churn for
-    a given request rate (this is the driver that exercised the
-    ephemeral-port allocator's lingering-tuple bug).
-    """
-
-    def __init__(
-        self,
-        clients: Sequence[Host],
-        service_ip: Ipv4Address,
-        port: int,
-        rng: RngRegistry,
-        rate: float = 100.0,
-        arrivals: int = 100,
-        reply_sizes: Optional[Distribution] = None,
-    ):
-        if not clients:
-            raise ValueError("need at least one client host")
-        if rate <= 0:
-            raise ValueError(f"rate must be > 0, got {rate}")
-        self.clients = list(clients)
-        self.service_ip = service_ip
-        self.port = port
-        self.rate = rate
-        self.arrivals = arrivals
-        self.reply_sizes = reply_sizes or Fixed(1024)
-        self.stats = WorkloadStats()
-        self._arrival_rng = rng.stream("workload.open")
-        self._session_rngs = [
-            rng.stream(f"workload.open.session{i}") for i in range(arrivals)
-        ]
-        self._started = False
-
-    def start(self) -> None:
-        if self._started:
-            raise RuntimeError("workload already started")
-        self._started = True
-        self.clients[0].spawn(self._spawner(), "workload.open.spawner")
-
-    def _spawner(self) -> Generator:
-        interarrival = Exponential(1.0 / self.rate)
-        for i in range(self.arrivals):
-            client = self.clients[i % len(self.clients)]
-            client.spawn(self._one_shot(client, i), f"workload.open{i}")
-            gap = interarrival.sample(self._arrival_rng)
-            if gap > 0:
-                yield gap
-
-    def _one_shot(self, client: Host, session_id: int) -> Generator:
-        rng = self._session_rngs[session_id]
-        stats = self.stats
-        stats.sessions_started += 1
-        size = max(1, int(self.reply_sizes.sample(rng)))
-        sock = SimSocket.connect(client, self.service_ip, self.port)
-        stats.session_flows[session_id] = (
-            sock.conn.local_ip, sock.conn.local_port
-        )
-        stats.record_open()
-        opened = True
-        try:
-            yield from sock.wait_connected()
-            started = client.sim.now
-            yield from sock.send_all(struct.pack(">I", size))
-            reply = yield from sock.recv_exactly(size)
-            stats.requests_completed += 1
-            stats.latencies.append(
-                (client.sim.now, client.sim.now - started, session_id)
-            )
-            stats.reply_bytes += len(reply)
-            if reply != pattern_bytes(size, salt=size & 0xFF):
-                stats.corrupt_replies += 1
-            yield from sock.send_all(struct.pack(">I", 0))
-            stats.record_close()
-            opened = False
-            yield from sock.close_and_wait()
-            stats.sessions_completed += 1
-        except ConnectionError as exc:
-            stats.sessions_failed += 1
-            stats.failures.append(f"open{session_id}: {exc}")
-            if opened:
-                stats.record_close()
-                opened = False
-            sock.abort()
-
-    @property
-    def complete(self) -> bool:
-        finished = self.stats.sessions_completed + self.stats.sessions_failed
-        return self._started and finished >= self.arrivals

@@ -12,3 +12,10 @@ from repro.tcp.seqnum import seq_add
 
 def passthrough(sink, bc, segment):
     sink._emit(bc, replace(segment, seq=bc.delta.p_to_s(segment.seq)))
+
+
+# Read every import, so no finding here is about an unused one.
+KNOWN = (
+    SeqOffset, OutputQueue, match_prefix, Ipv4Address, TcpSegment,
+    seq_add,
+)

@@ -1,4 +1,4 @@
-"""CLI surface: --semantic, --update-baseline, --bench-dir, exit codes."""
+"""CLI surface: --semantic, --bench-dir, exit codes."""
 
 import json
 
@@ -24,27 +24,26 @@ def tree(tmp_path):
 
 def test_clean_tree_exits_zero(tree, tmp_path, capsys):
     (tree / "fake.py").write_text("x = 1\n")
-    assert main([str(tmp_path / "src"), "--no-baseline"]) == 0
+    assert main([str(tmp_path / "src")]) == 0
 
 
 def test_violations_exit_nonzero(tree, tmp_path, capsys):
     (tree / "fake.py").write_text(BAD)
-    assert main([str(tmp_path / "src"), "--no-baseline"]) == 1
+    assert main([str(tmp_path / "src")]) == 1
     out = capsys.readouterr().out
     assert "seq-arith" in out
 
 
 def test_semantic_flag_enables_dataflow_rules(tree, tmp_path, capsys):
     (tree / "fake.py").write_text(LAUNDERED)
-    assert main([str(tmp_path / "src"), "--no-baseline"]) == 0
-    assert main([str(tmp_path / "src"), "--no-baseline", "--semantic"]) == 1
+    assert main([str(tmp_path / "src")]) == 0
+    assert main([str(tmp_path / "src"), "--semantic"]) == 1
     assert "seq-taint" in capsys.readouterr().out
 
 
 def test_json_format_lists_semantic_rules(tree, tmp_path, capsys):
     (tree / "fake.py").write_text("x = 1\n")
-    main([str(tmp_path / "src"), "--no-baseline", "--semantic",
-          "--format", "json"])
+    main([str(tmp_path / "src"), "--semantic", "--format", "json"])
     payload = json.loads(capsys.readouterr().out)
     assert "protocol" in payload["rules"]
     assert "seq-taint" in payload["rules"]
@@ -60,56 +59,11 @@ def test_list_rules_includes_semantic_only_with_flag(capsys):
     assert "protocol" in with_flag
 
 
-def test_update_baseline_rewrites_canonically(tree, tmp_path, capsys):
-    (tree / "fake.py").write_text(BAD)
-    baseline = tmp_path / "lint-baseline.json"
-    baseline.write_text(json.dumps({
-        "version": 1,
-        "entries": [
-            {  # stale: the file no longer exists
-                "path": "src/repro/tcp/gone.py", "rule": "seq-arith",
-                "snippet": "return seq - 1", "why": "fixed since",
-            },
-            {  # live: must keep its documented why
-                "path": "src/repro/tcp/fake.py", "rule": "seq-arith",
-                "snippet": "return seq + 1", "why": "grandfathered",
-            },
-        ],
-    }))
-    code = main([str(tmp_path / "src"), "--baseline", str(baseline),
-                 "--update-baseline"])
-    assert code == 0
-    payload = json.loads(baseline.read_text())
-    entries = payload["entries"]
-    assert [e["path"] for e in entries] == ["src/repro/tcp/fake.py"]
-    assert entries[0]["why"] == "grandfathered"
-
-
-def test_update_baseline_adds_new_findings_with_stub_why(tree, tmp_path):
-    (tree / "fake.py").write_text(BAD)
-    baseline = tmp_path / "lint-baseline.json"
-    main([str(tmp_path / "src"), "--baseline", str(baseline),
-          "--update-baseline"])
-    payload = json.loads(baseline.read_text())
-    assert len(payload["entries"]) == 1
-    assert payload["entries"][0]["why"] == ""
-
-
-def test_update_baseline_respects_semantic_flag(tree, tmp_path):
-    (tree / "fake.py").write_text(LAUNDERED)
-    baseline = tmp_path / "lint-baseline.json"
-    main([str(tmp_path / "src"), "--baseline", str(baseline),
-          "--update-baseline", "--semantic"])
-    payload = json.loads(baseline.read_text())
-    assert [e["rule"] for e in payload["entries"]] == ["seq-taint"]
-
-
 def test_bench_dir_writes_lint_artifact(tree, tmp_path, capsys):
     (tree / "fake.py").write_text("x = 1\n")
     bench = tmp_path / "bench"
     bench.mkdir()
-    main([str(tmp_path / "src"), "--no-baseline", "--semantic",
-          "--bench-dir", str(bench)])
+    main([str(tmp_path / "src"), "--semantic", "--bench-dir", str(bench)])
     doc = load_bench_artifact(bench / "BENCH_lint.json")
     labels = {row["label"] for row in doc["results"]}
     assert "lint total" in labels

@@ -1,9 +1,8 @@
 """Pragma machinery: aliases, malformed forms, file-allow scope, and
-interaction of pragmas/baselines with the semantic rules."""
+interaction of pragmas with the semantic rules."""
 
 from repro.analysis import lint_source
-from repro.analysis.baseline import Baseline, BaselineEntry
-from repro.analysis.engine import PRAGMA_ALIASES, LintEngine, parse_pragmas
+from repro.analysis.engine import PRAGMA_ALIASES, parse_pragmas
 
 SRC = "src/repro/tcp/fake.py"
 
@@ -106,43 +105,3 @@ def test_semantic_finding_without_semantic_flag_stays_silent():
     source = LAUNDERED.format(pragma="")
     assert lint_source(source, SRC) == []
     assert _rules(lint_source(source, SRC, semantic=True)) == ["seq-taint"]
-
-
-# -- file-allow pragmas versus baseline staleness ------------------------
-
-
-def test_file_allow_pragma_makes_baseline_entry_stale(tmp_path):
-    # The violation is suppressed in-file by a file-scoped pragma, so a
-    # baseline entry for the same finding no longer matches anything and
-    # must be reported stale — one suppression mechanism at a time.
-    victim = tmp_path / "src" / "repro" / "tcp"
-    victim.mkdir(parents=True)
-    (victim / "fake.py").write_text(
-        "# replint: file-allow(seq-arith) -- fixture\n"
-        "def f(seq):\n"
-        "    return seq + 1\n"
-    )
-    baseline = Baseline(entries=[BaselineEntry(
-        path="src/repro/tcp/fake.py", rule="seq-arith",
-        snippet="return seq + 1", why="grandfathered",
-    )])
-    engine = LintEngine(baseline=baseline)
-    kept = engine.lint_paths([str(tmp_path / "src")])
-    assert [v.rule for v in kept] == ["baseline"]
-    assert "stale" in kept[0].message
-
-
-def test_baseline_covers_semantic_finding(tmp_path):
-    victim = tmp_path / "src" / "repro" / "tcp"
-    victim.mkdir(parents=True)
-    (victim / "fake.py").write_text(
-        "def f(conn):\n"
-        "    edge = conn.snd_una\n"
-        "    return edge + 1\n"
-    )
-    baseline = Baseline(entries=[BaselineEntry(
-        path="src/repro/tcp/fake.py", rule="seq-taint",
-        snippet="return edge + 1", why="grandfathered",
-    )])
-    engine = LintEngine(baseline=baseline, semantic=True)
-    assert engine.lint_paths([str(tmp_path / "src")]) == []

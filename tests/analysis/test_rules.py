@@ -11,7 +11,7 @@ from pathlib import Path
 
 import pytest
 
-from repro.analysis import lint_source
+from repro.analysis import LintEngine, lint_source
 
 FIXTURES = Path(__file__).parent / "fixtures"
 
@@ -26,7 +26,18 @@ CASES = [
     ("checksum_pair", "checksum-pair", "src/repro/failover/fake.py"),
     ("handler_except", "handler-except", "src/repro/failover/fake.py"),
     ("eager_trace_arg", "eager-trace-arg", "src/repro/tcp/fake.py"),
+    ("unused_import", "unused-import", "src/repro/harness/fake.py"),
 ]
+
+#: Modules linted in the same run as a fixture, for rules that read the
+#: whole run: the harness package re-exports a name the unused-import
+#: good fixture imports and never reads.
+COMPANIONS = {
+    "unused_import_good": {
+        "src/repro/harness/__init__.py":
+            "from repro.harness.fake import Tracer, joined\n",
+    },
+}
 
 #: Same shape for the --semantic plane; linted with semantic=True.  The
 #: pretend paths route each fixture into its rule's scope (the
@@ -41,7 +52,8 @@ SEMANTIC_CASES = [
 
 def _lint_fixture(stem: str, pretend_path: str, semantic: bool = False):
     source = (FIXTURES / f"{stem}.py").read_text(encoding="utf-8")
-    return lint_source(source, pretend_path, semantic=semantic)
+    sources = {pretend_path: source, **COMPANIONS.get(stem, {})}
+    return LintEngine(semantic=semantic).lint_sources(sources)
 
 
 @pytest.mark.parametrize(
@@ -141,14 +153,15 @@ def test_rng_rule_exempts_the_rng_module():
 
 
 def test_sim_import_scope_is_the_deterministic_layers():
-    source = "import threading\n"
+    source = "import threading\n\nthreading.Thread\n"
     for layer in ("sim", "tcp", "failover", "net"):
         assert lint_source(source, f"src/repro/{layer}/fake.py") != [], layer
     assert lint_source(source, "src/repro/harness/fake.py") == []
 
 
 def test_sim_import_forbids_the_test_tree_everywhere_under_src():
-    for source in ("from tests.util import ChaosLan\n", "import tests.util\n"):
+    for source in ("from tests.util import ChaosLan\n\nChaosLan\n",
+                   "import tests.util\n\ntests.util\n"):
         for layer in ("harness", "adversary", "net"):
             found = lint_source(source, f"src/repro/{layer}/fake.py")
             assert [v.rule for v in found] == ["sim-import"], (source, layer)
@@ -211,3 +224,24 @@ def test_eager_trace_arg_pragma_escape():
         "  # replint: allow(eager-trace-arg) -- fires once per run\n"
     )
     assert lint_source(source, "src/repro/net/fake.py") == []
+
+
+def test_unused_import_flags_every_unread_name():
+    found = _lint_fixture("unused_import_bad", "src/repro/harness/fake.py")
+    names = sorted(v.message.split("`")[1] for v in found)
+    assert names == ["Dict", "List", "Ordered", "json", "os", "seq_add"]
+
+
+def test_unused_import_keeps_what_another_module_imports():
+    source = (FIXTURES / "unused_import_good.py").read_text(encoding="utf-8")
+    alone = lint_source(source, "src/repro/harness/fake.py")
+    assert [v.message for v in alone] == ["`Tracer` is imported but never read"]
+
+
+def test_unused_import_scope_is_src_outside_init():
+    source = "import json\n"
+    assert [v.rule for v in lint_source(source, "src/repro/net/fake.py")] == [
+        "unused-import"
+    ]
+    assert lint_source(source, "src/repro/net/__init__.py") == []
+    assert lint_source(source, "tests/net/test_fake.py") == []

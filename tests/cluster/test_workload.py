@@ -4,13 +4,7 @@ import pytest
 
 from repro.cluster import ShardedFleet
 from repro.sim.rng import RngRegistry
-from repro.workload import (
-    BoundedPareto,
-    ClosedLoopWorkload,
-    Exponential,
-    Fixed,
-    OpenLoopWorkload,
-)
+from repro.workload import BoundedPareto, ClosedLoopWorkload, Exponential, Fixed
 
 PORT = 8000
 
@@ -124,25 +118,6 @@ def test_closed_loop_latency_window_slicing():
     assert first and second
 
 
-def test_open_loop_churns_fresh_connections():
-    fleet = _fleet(seed=4)
-    wl = OpenLoopWorkload(
-        fleet.clients, fleet.virtual_ip, PORT, fleet.rng,
-        rate=200.0, arrivals=30, reply_sizes=Fixed(512),
-    )
-    wl.start()
-    assert fleet.sim.run_until(lambda: wl.complete, timeout=30.0)
-    stats = wl.stats
-    assert stats.sessions_completed == 30
-    assert stats.sessions_failed == 0
-    assert stats.corrupt_replies == 0
-    assert stats.requests_completed == 30
-    # One-shot sessions: each used its own ephemeral port.
-    ports = {port for _ip, port in stats.session_flows.values()}
-    assert len(stats.session_flows) == 30
-    assert len(ports) >= 15  # spread across clients; no mass reuse
-
-
 def test_workload_start_is_single_shot():
     fleet = _fleet(seed=5)
     wl = ClosedLoopWorkload(
@@ -161,6 +136,3 @@ def test_workload_validation():
     with pytest.raises(ValueError):
         ClosedLoopWorkload(fleet.clients, fleet.virtual_ip, PORT, fleet.rng,
                            sessions=0)
-    with pytest.raises(ValueError):
-        OpenLoopWorkload(fleet.clients, fleet.virtual_ip, PORT, fleet.rng,
-                         rate=0.0)

@@ -86,7 +86,7 @@ def test_spliced_in_tail_bridge_follows_its_own_host():
 def test_router_forwards_at_forwarding_cost():
     bed = WanTestbed(seed=1, replicated=False)
     seen = []
-    bed.server.set_heartbeat_handler(seen.append)
+    bed.server.add_heartbeat_handler(seen.append)
     bed.client.send_raw_datagram(Ipv4Datagram(
         src=bed.client.primary_ip(), dst=bed.server_ip,
         protocol=IPPROTO_HEARTBEAT, payload=HeartbeatPayload("t", 1),

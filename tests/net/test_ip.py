@@ -37,7 +37,7 @@ def heartbeat(src, dst, seq=1):
 def test_local_protocol_delivery():
     sim, a, b = build_pair()
     seen = []
-    b.set_heartbeat_handler(seen.append)
+    b.add_heartbeat_handler(seen.append)
     a.send_raw_datagram(heartbeat(a.primary_ip(), b.primary_ip()))
     sim.run()
     assert len(seen) == 1
@@ -57,7 +57,7 @@ def test_unknown_protocol_dropped():
 def test_loopback_delivery_stays_local():
     sim, a, b = build_pair()
     seen = []
-    a.set_heartbeat_handler(seen.append)
+    a.add_heartbeat_handler(seen.append)
     a.send_raw_datagram(heartbeat(a.primary_ip(), a.primary_ip()))
     sim.run()
     assert len(seen) == 1
@@ -97,7 +97,7 @@ def test_default_gateway_used_for_off_subnet():
     iface2.arp.prime(Ipv4Address("10.0.1.1"), b.nic.mac)
 
     seen = []
-    b.set_heartbeat_handler(seen.append)
+    b.add_heartbeat_handler(seen.append)
     a.send_raw_datagram(heartbeat(a.primary_ip(), Ipv4Address("10.0.1.1")))
     sim.run()
     assert len(seen) == 1
@@ -118,7 +118,7 @@ def test_forwarding_decrements_ttl_and_drops_at_zero():
 def test_rx_tap_can_consume():
     sim, a, b = build_pair()
     seen = []
-    b.set_heartbeat_handler(seen.append)
+    b.add_heartbeat_handler(seen.append)
     b.ip.set_rx_tap(lambda dgram: None)  # consume everything
     a.send_raw_datagram(heartbeat(a.primary_ip(), b.primary_ip()))
     sim.run()
@@ -128,7 +128,7 @@ def test_rx_tap_can_consume():
 def test_rx_tap_can_rewrite():
     sim, a, b = build_pair()
     seen = []
-    b.set_heartbeat_handler(seen.append)
+    b.add_heartbeat_handler(seen.append)
     other_ip = Ipv4Address("10.0.0.99")
     b.eth_interface.add_address(other_ip)
     # Rewrite destination to the alias; delivery should still work.
@@ -158,7 +158,7 @@ def test_non_forwarding_host_drops_transit_traffic():
 def test_crashed_host_is_silent():
     sim, a, b = build_pair()
     seen = []
-    b.set_heartbeat_handler(seen.append)
+    b.add_heartbeat_handler(seen.append)
     a.crash()
     a.send_raw_datagram(heartbeat(a.primary_ip(), b.primary_ip()))
     sim.run()
@@ -222,7 +222,7 @@ def test_cold_send_queues_behind_resolution():
     del a.eth_interface.arp.cache[b.primary_ip()]
     frames = sniff(a.nic.segment)
     seen = []
-    b.set_heartbeat_handler(seen.append)
+    b.add_heartbeat_handler(seen.append)
     a.send_raw_datagram(heartbeat(a.primary_ip(), b.primary_ip(), seq=1))
     a.send_raw_datagram(heartbeat(a.primary_ip(), b.primary_ip(), seq=2))
     assert a.nic.frames_sent == 1  # the ARP request
