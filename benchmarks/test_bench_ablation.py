@@ -38,6 +38,10 @@ def test_bench_ablation(benchmark):
     # Ablated: acknowledged data is gone forever.
     assert not bad["survivor_intact"]
     assert not bad["client_ok"]
+    # The checker holds the paper's rule: the ablated row breaks §2
+    # requirement 2, and its client never finishes.
+    assert good["invariants"] == []
+    assert set(bad["invariants"]) == {"never-ack-unreplicated", "liveness"}
 
     # E8: slow secondary, 400 KB upload.
     good = report.raw["min-window"][True]
@@ -47,3 +51,6 @@ def test_bench_ablation(benchmark):
     # ...but the merge prevents secondary overruns entirely.
     assert good["secondary_trimmed"] == 0
     assert bad["secondary_trimmed"] > 0
+    # Only the ablated row advertises more than the slower replica's window.
+    assert good["invariants"] == []
+    assert set(bad["invariants"]) == {"min-window-merge"}

@@ -24,27 +24,29 @@ def module_name(path: str) -> str:
     return path[len("src/"):-len(".py")].replace("/", ".")
 
 
-def imported_names(tree: ast.AST) -> Dict[str, ast.stmt]:
-    """Every name an import binds anywhere in *tree*, with its statement."""
+Scan = Tuple[Dict[str, ast.stmt], Set[str], Set[Tuple[str, str]]]
+
+
+def scan(tree: ast.AST) -> Scan:
+    """One walk of a module: the names its imports bind (with their
+    statements), the names it reads (string annotations and ``__all__``
+    included) and the ``(module, name)`` pairs it imports."""
     bound: Dict[str, ast.stmt] = {}
-    for node in ast.walk(tree):
-        if isinstance(node, ast.Import):
-            for alias in node.names:
-                bound[alias.asname or alias.name.split(".")[0]] = node
-        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
-            for alias in node.names:
-                if alias.name != "*":
-                    bound[alias.asname or alias.name] = node
-    return bound
-
-
-def names_read(tree: ast.AST) -> Set[str]:
-    """Names any expression reads, string annotations and ``__all__`` included."""
     read: Set[str] = set()
+    imports: Set[Tuple[str, str]] = set()
     spelled: List[ast.expr] = []  # annotations and __all__: their strings name things
     for node in ast.walk(tree):
         if isinstance(node, ast.Name) and not isinstance(node.ctx, ast.Store):
             read.add(node.id)
+        elif isinstance(node, ast.Import):
+            for alias in node.names:
+                bound[alias.asname or alias.name.split(".")[0]] = node
+        elif isinstance(node, ast.ImportFrom):
+            for alias in node.names:
+                if node.module:
+                    imports.add((node.module, alias.name))
+                if node.module != "__future__" and alias.name != "*":
+                    bound[alias.asname or alias.name] = node
         elif isinstance(node, ast.arg) and node.annotation is not None:
             spelled.append(node.annotation)
         elif isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)) and node.returns:
@@ -63,7 +65,7 @@ def names_read(tree: ast.AST) -> Set[str]:
                 except SyntaxError:
                     continue
                 read.update(n.id for n in ast.walk(parsed) if isinstance(n, ast.Name))
-    return read
+    return bound, read, imports
 
 
 class UnusedImportRule(Rule):
@@ -75,23 +77,20 @@ class UnusedImportRule(Rule):
 
     def __init__(self) -> None:
         self._imported_from: Set[Tuple[str, str]] = set()
+        self._scans: Dict[str, Scan] = {}
 
     def applies_to(self, path: str) -> bool:
         return in_src(path) and not path.endswith("/__init__.py")
 
     def begin_project(self, project: "ProjectIndex") -> None:
-        self._imported_from = {
-            (node.module, alias.name)
-            for module in project.modules.values()
-            for node in ast.walk(module.tree)
-            if isinstance(node, ast.ImportFrom) and node.module
-            for alias in node.names
-        }
+        """Walk every module of the run once; :meth:`check` reuses the scan."""
+        self._scans = {path: scan(m.tree) for path, m in project.modules.items()}
+        self._imported_from = set().union(*(s[2] for s in self._scans.values()))
 
     def check(self, ctx: FileContext) -> Iterator[Violation]:
         module = module_name(ctx.path)
-        read = names_read(ctx.tree)
-        for name, node in imported_names(ctx.tree).items():
+        bound, read, _ = self._scans.get(ctx.path) or scan(ctx.tree)
+        for name, node in bound.items():
             if name in read or (module, name) in self._imported_from:
                 continue
             yield ctx.violation(

@@ -1,7 +1,7 @@
 """One runner per paper table/figure (see DESIGN.md §4 for the index).
 
-Every ``measure_*`` runner builds a fresh calibrated testbed, drives the
-workload as the paper describes, and returns plain numbers.  Below them is
+Every ``measure_*`` runner runs the paper's workload as a checked cell on a
+fresh calibrated testbed and returns plain numbers.  Below them is
 the catalogue: one ``*_report`` function per table/figure that runs the
 sweep and returns a :class:`~repro.harness.report.Report` (table, BENCH
 payload, raw numbers), and one ``*_command`` per CLI subcommand that
@@ -23,6 +23,7 @@ from repro.apps import bulk, request_reply
 from repro.apps.ftp import FileStore, FtpClient, ftp_server
 from repro.apps.ftp.protocol import FTP_CONTROL_PORT, FTP_DATA_PORT
 from repro.failover.chain import ReplicatedChain
+from repro.harness.cells import SETTLE, CellResult, run_and_settle
 from repro.harness.metrics import Stats, rate_kb_s, summarize
 from repro.harness.report import Report, Table
 from repro.harness.topology import (
@@ -34,7 +35,7 @@ from repro.harness.topology import (
     WanTestbed,
 )
 from repro.net.addresses import Ipv4Address
-from repro.net.packet import Ipv4Datagram
+from repro.net.faults import Drop, FaultContext, data_between
 from repro.obs.flight import FlightRecorder
 from repro.sim.process import spawn
 from repro.tcp.socket_api import ListeningSocket, SimSocket
@@ -47,14 +48,26 @@ FIG6_FILE_SIZES_KB = [0.2, 1.3, 18.2, 144.9, 1738.1]
 SERVICE_PORT = 5001
 
 
-def _drive(
+def _run_cell(
+    bed: Lan, client: Generator, until: float, done: Callable[[], bool], what: str
+) -> CellResult:
+    """Run ``client`` on the checked ``bed`` until ``done`` (or ``until``);
+    the result holds every violation, ``liveness`` if it never finished."""
+    spawn(bed.sim, client, what)
+    result = CellResult(spec=what)
+    run_and_settle(bed.sim, done, result, bed.checker, until, SETTLE,
+                   f"{what} did not complete")
+    bed.finish_checks()
+    return result
+
+
+def _run_paper_cell(
     bed: Lan, client: Generator, until: float, done: Callable[[], bool], what: str
 ) -> None:
-    """Run the ``client`` process on ``bed`` to ``until``; it must be ``done``."""
-    spawn(bed.sim, client, what)
-    bed.run(until=until)
-    if not done():
-        raise RuntimeError(f"{what} did not complete")
+    """:func:`_run_cell` for a paper row: any violation raises."""
+    result = _run_cell(bed, client, until, done, what)
+    if not result.ok:
+        raise RuntimeError(result.describe())
 
 
 def _drain_each(host):
@@ -85,8 +98,8 @@ def _pull_through(bed: Lan, total_bytes: int, crash_at: float, what: str) -> Dic
         outcome["total_s"] = bed.sim.now
         yield from sock.close_and_wait()
 
-    _drive(bed, client(), total_bytes / 1e5 + 60.0,
-           lambda: "total_s" in outcome, what)
+    _run_paper_cell(bed, client(), total_bytes / 1e5 + 60.0,
+                    lambda: "total_s" in outcome, what)
     outcome["stall_s"] = max(
         (after - before for before, after in zip(arrivals, arrivals[1:])
          if after > crash_at),
@@ -102,6 +115,7 @@ def _pull_through(bed: Lan, total_bytes: int, crash_at: float, what: str) -> Dic
 def measure_connection_setup(replicated: bool, trials: int = 100) -> Stats:
     """Median/max client connect() time over ``trials`` connections."""
     bed = LanTestbed(replicated=replicated, failover_ports=[SERVICE_PORT])
+    bed.attach_checks()
     bed.serve(_drain_each, "setup-server")
     samples: List[float] = []
 
@@ -114,8 +128,8 @@ def measure_connection_setup(replicated: bool, trials: int = 100) -> Stats:
             yield from sock.close_and_wait()
             yield 0.005  # settle between trials, as back-to-back runs would
 
-    _drive(bed, client(), trials * 0.1 + 5.0,
-           lambda: len(samples) == trials, f"{trials} connects")
+    _run_paper_cell(bed, client(), trials * 0.1 + 5.0,
+                    lambda: len(samples) == trials, f"{trials} connects")
     return summarize(samples)
 
 
@@ -126,6 +140,7 @@ def measure_connection_setup(replicated: bool, trials: int = 100) -> Stats:
 def measure_send_time(size: int, replicated: bool, trials: int = 9) -> Stats:
     """Median time for the client send() of a ``size``-byte message."""
     bed = LanTestbed(replicated=replicated, failover_ports=[SERVICE_PORT])
+    bed.attach_checks()
     bed.serve(_drain_each, "fig3-server")
     samples: List[float] = []
 
@@ -138,8 +153,8 @@ def measure_send_time(size: int, replicated: bool, trials: int = 9) -> Stats:
             samples.append(times["t_send_done"] - times["t_connected"])
             yield 0.01
 
-    _drive(bed, client(), trials * (size / 2e6 + 0.5) + 5.0,
-           lambda: len(samples) == trials, f"{trials} sends")
+    _run_paper_cell(bed, client(), trials * (size / 2e6 + 0.5) + 5.0,
+                    lambda: len(samples) == trials, f"{trials} sends")
     return summarize(samples)
 
 
@@ -150,6 +165,7 @@ def measure_send_time(size: int, replicated: bool, trials: int = 9) -> Stats:
 def measure_request_reply(size: int, replicated: bool, trials: int = 9) -> Stats:
     """Median time from 4-byte request to last reply byte (client clock)."""
     bed = LanTestbed(replicated=replicated, failover_ports=[SERVICE_PORT])
+    bed.attach_checks()
     bed.serve(lambda host: request_reply.reply_server(host, SERVICE_PORT), "fig4-server")
     samples: List[float] = []
 
@@ -164,8 +180,8 @@ def measure_request_reply(size: int, replicated: bool, trials: int = 9) -> Stats
             samples.append(results["t_reply_done"] - results["t_request"])
             yield 0.01
 
-    _drive(bed, client(), trials * (size / 1e6 + 0.5) + 5.0,
-           lambda: len(samples) == trials, f"{trials} exchanges")
+    _run_paper_cell(bed, client(), trials * (size / 1e6 + 0.5) + 5.0,
+                    lambda: len(samples) == trials, f"{trials} exchanges")
     return summarize(samples)
 
 
@@ -180,19 +196,21 @@ def measure_stream_rates(
     (receive, seed 1)."""
     until = total_bytes / 2e5 + 30.0
     bed = LanTestbed(replicated=replicated, failover_ports=[SERVICE_PORT])
+    bed.attach_checks()
     bed.serve(_drain_each, "fig5-sink")
     sent: Dict = {}
-    _drive(bed, bulk.push_client(bed.client, bed.server_ip, SERVICE_PORT,
-                                 total_bytes, sent),
-           until, lambda: "t_closed" in sent, "send stream")
+    _run_paper_cell(bed, bulk.push_client(bed.client, bed.server_ip, SERVICE_PORT,
+                                          total_bytes, sent),
+                    until, lambda: "t_closed" in sent, "send stream")
 
     bed = LanTestbed(seed=1, replicated=replicated, failover_ports=[SERVICE_PORT])
+    bed.attach_checks()
     bed.serve(lambda host: bulk.source_server(host, SERVICE_PORT, total_bytes),
               "fig5-source")
     pulled: Dict = {}
-    _drive(bed, bulk.pull_client(bed.client, bed.server_ip, SERVICE_PORT,
-                                 total_bytes, pulled, verify=False),
-           until, lambda: "t_last_byte" in pulled, "receive stream")
+    _run_paper_cell(bed, bulk.pull_client(bed.client, bed.server_ip, SERVICE_PORT,
+                                          total_bytes, pulled, verify=False),
+                    until, lambda: "t_last_byte" in pulled, "receive stream")
     return {
         "send_rate_kb_s": rate_kb_s(total_bytes, sent["t_closed"] - sent["t_connected"]),
         "recv_rate_kb_s": rate_kb_s(
@@ -223,6 +241,7 @@ def measure_ftp_rates(
             replicated=replicated,
             failover_ports=[FTP_CONTROL_PORT, FTP_DATA_PORT],
         )
+        bed.attach_checks()
         bed.serve(lambda host: ftp_server(host, FileStore({"paper.bin": content})), "ftp")
 
         def client() -> Generator:
@@ -236,8 +255,8 @@ def measure_ftp_rates(
             get_rates.append(rate_kb_s(size, get_elapsed))
             put_rates.append(rate_kb_s(size, put_elapsed))
 
-        _drive(bed, client(), size / 1e4 + 120.0,
-               lambda: len(get_rates) == trial + 1, f"FTP trial {trial}")
+        _run_paper_cell(bed, client(), size / 1e4 + 120.0,
+                        lambda: len(get_rates) == trial + 1, f"FTP trial {trial}")
 
     return {
         "get_kb_s": summarize(get_rates).median,
@@ -283,6 +302,7 @@ def measure_failover(
         record_traces=record_traces,
         metrics=metrics,
     )
+    bed.attach_checks()
     bed.start_detectors()
     bed.serve(lambda host: bulk.source_server(host, SERVICE_PORT, total_bytes),
               "failover-source")
@@ -322,7 +342,7 @@ def measure_minack_ablation(ack_merging: bool) -> Dict[str, object]:
     acknowledged to the client, the client retransmits it, and the stream
     survives the failover intact.  Without merging the primary's own ACK
     covers the dropped bytes, the client discards them forever, and the
-    surviving secondary is left with a hole.
+    surviving secondary is left with a hole; ``invariants`` names what broke.
     """
     total_bytes = 300_000
     bed = LanTestbed(
@@ -331,6 +351,7 @@ def measure_minack_ablation(ack_merging: bool) -> Dict[str, object]:
         ack_merging=ack_merging,
         conn_defaults={"min_rto": 0.1},
     )
+    bed.attach_checks()
     bed.start_detectors()
 
     received: Dict[str, bytes] = {}
@@ -353,40 +374,32 @@ def measure_minack_ablation(ack_merging: bool) -> Dict[str, object]:
     bed.serve(sink_app, "ablation-sink")
 
     # Drop exactly one snooped client data frame at the secondary: the
-    # first frame whose TCP payload covers 120 000 bytes into the
-    # stream (approximated by a payload-size countdown).
-    state = {"seen": 0, "dropped": False}
+    # first that takes the stream past 120 000 bytes (a payload-size count).
+    from_client, seen = data_between(CLIENT_IP, bed.pair.primary_ip), [0]
 
-    def drop_hook(frame) -> bool:
-        payload = frame.payload
-        if not isinstance(payload, Ipv4Datagram):
-            return False
-        segment = getattr(payload, "payload", None)
-        data = getattr(segment, "payload", b"")
-        if not data or payload.dst != bed.pair.primary_ip:
-            return False
-        state["seen"] += len(data)
-        if not state["dropped"] and state["seen"] >= 120_000:
-            state["dropped"] = True
-            return True
-        return False
+    def past_120k(ctx: FaultContext) -> bool:
+        seen[0] += len(ctx.segment.payload) if from_client(ctx) else 0
+        return seen[0] >= 120_000
 
-    bed.secondary.nic.rx_drop_hook = drop_hook
+    bed.plane.rule("snoop-loss", Drop(), point="nic:secondary",
+                   match=past_120k, max_fires=1)
 
-    # A reset aborts the push before it records ``t_closed``.
+    # Without the merge no RST arrives: the client's FIN is never acked,
+    # so it sits in FIN_WAIT_1, retransmitting, to the deadline (liveness).
     pushed: Dict = {}
-    spawn(bed.sim, bulk.push_client(bed.client, bed.server_ip, SERVICE_PORT,
-                                    total_bytes, pushed), "ablation-client")
     bed.sim.schedule(0.060, bed.pair.crash_primary)
-    bed.run(until=30.0)
+    result = _run_cell(bed, bulk.push_client(bed.client, bed.server_ip, SERVICE_PORT,
+                                             total_bytes, pushed),
+                       30.0, lambda: "t_closed" in pushed, "ablation-client")
 
     survivor = received.get("secondary", b"")
     return {
         "ack_merging": ack_merging,
-        "frame_dropped": state["dropped"],
+        "frame_dropped": bool(bed.plane.fires),
         "survivor_bytes": len(survivor),
         "survivor_intact": survivor == bulk.pattern_bytes(total_bytes),
-        "client_ok": "t_closed" in pushed,
+        "client_ok": result.finished,
+        "invariants": sorted({v.invariant for v in result.violations}),
     }
 
 
@@ -411,6 +424,7 @@ def measure_chain_depth(
         for index in range(replicas)
     ]
     lan.warm_arp()
+    lan.attach_checks()
 
     def source(host):
         return bulk.source_server(host, SERVICE_PORT, total_bytes)
@@ -422,12 +436,14 @@ def measure_chain_depth(
         chain = ReplicatedChain(members, failover_ports=[SERVICE_PORT])
         chain.run_app(source)
         service_ip = chain.service_ip
+        for bridge in chain.bridges.values():
+            lan.checker.attach_primary_bridge(bridge)
 
     results: Dict = {}
-    _drive(lan, bulk.pull_client(client, service_ip, SERVICE_PORT, total_bytes,
-                                 results, verify=False),
-           total_bytes / 5e4 + 60.0, lambda: "t_last_byte" in results,
-           f"depth-{replicas} stream")
+    _run_paper_cell(lan, bulk.pull_client(client, service_ip, SERVICE_PORT, total_bytes,
+                                          results, verify=False),
+                    total_bytes / 5e4 + 60.0, lambda: "t_last_byte" in results,
+                    f"depth-{replicas} stream")
     return rate_kb_s(total_bytes, results["t_last_byte"] - results["t_request_sent"])
 
 
@@ -452,6 +468,7 @@ def measure_minwindow_ablation(window_merging: bool) -> Dict[str, object]:
         window_merging=window_merging,
         conn_defaults={"min_rto": 0.1},
     )
+    bed.attach_checks()
     bed.secondary.tcp.conn_defaults["recv_buffer_size"] = 8 * 1024
 
     received: Dict[str, int] = {}
@@ -477,15 +494,10 @@ def measure_minwindow_ablation(window_merging: bool) -> Dict[str, object]:
 
     bed.serve(paced_sink, "paced-sink")
     pushed: Dict = {}
-    _drive(bed, bulk.push_client(bed.client, bed.server_ip, SERVICE_PORT,
-                                 total_bytes, pushed),
-           120.0, lambda: "t_closed" in pushed, "paced stream")
-    secondary_conn = sink_conns.get("secondary")
-    trimmed = (
-        secondary_conn.recv_buffer.bytes_trimmed
-        if secondary_conn is not None and secondary_conn.recv_buffer is not None
-        else 0
-    )
+    result = _run_cell(bed, bulk.push_client(bed.client, bed.server_ip, SERVICE_PORT,
+                                             total_bytes, pushed),
+                       120.0, lambda: "t_closed" in pushed, "paced stream")
+    trimmed = sink_conns["secondary"].recv_buffer.bytes_trimmed
     return {
         "window_merging": window_merging,
         "completion_s": pushed["t_closed"],
@@ -494,6 +506,7 @@ def measure_minwindow_ablation(window_merging: bool) -> Dict[str, object]:
         "secondary_trimmed": trimmed,
         "intact": received.get("secondary", 0) == total_bytes
         and received.get("primary", 0) == total_bytes,
+        "invariants": sorted({v.invariant for v in result.violations}),
     }
 
 
@@ -521,6 +534,7 @@ def measure_reintegration(
         conn_defaults={"min_rto": min_rto},
         record_traces=record_traces,
     )
+    bed.attach_checks()
     bed.start_detectors()
     pair = bed.pair
     pair.auto_reintegrate = True
@@ -726,7 +740,8 @@ def failover_report(
 
 def ablation_report() -> Report:
     """E7 + E8: each merge rule on and off.  ``raw["min-ACK"][merging]`` and
-    ``raw["min-window"][merging]`` are the ``measure_*_ablation`` dicts."""
+    ``raw["min-window"][merging]`` are the ``measure_*_ablation`` dicts;
+    every row carries the invariants the checker saw broken."""
     raw = {
         "min-ACK": {merging: measure_minack_ablation(ack_merging=merging)
                     for merging in (True, False)},
@@ -736,12 +751,14 @@ def ablation_report() -> Report:
     results = [
         {"label": f"min-ACK={'on' if merging else 'off'}",
          "metrics": {"survivor_bytes": r["survivor_bytes"],
-                     "survivor_intact": int(r["survivor_intact"])}}
+                     "survivor_intact": int(r["survivor_intact"])},
+         "invariants": r["invariants"]}
         for merging, r in raw["min-ACK"].items()
     ] + [
         {"label": f"min-window={'on' if merging else 'off'}",
          "metrics": {"completion_s": r["completion_s"],
-                     "secondary_trimmed": r["secondary_trimmed"]}}
+                     "secondary_trimmed": r["secondary_trimmed"]},
+         "invariants": r["invariants"]}
         for merging, r in raw["min-window"].items()
     ]
     return Report(
@@ -749,16 +766,17 @@ def ablation_report() -> Report:
         tables=[
             Table(
                 "E7: min-ACK ablation",
-                ["variant", "survivor bytes", "intact", "client ok"],
+                ["variant", "survivor bytes", "intact", "client ok", "invariants"],
                 [(f"min-ACK={'on' if merging else 'OFF'}", r["survivor_bytes"],
-                  r["survivor_intact"], r["client_ok"])
+                  r["survivor_intact"], r["client_ok"], ", ".join(r["invariants"]) or "held")
                  for merging, r in raw["min-ACK"].items()],
             ),
             Table(
                 "E8: min-window ablation",
-                ["variant", "completion", "S bytes trimmed", "intact"],
+                ["variant", "completion", "S bytes trimmed", "intact", "invariants"],
                 [(f"min-window={'on' if merging else 'OFF'}",
-                  f"{r['completion_s']:.3f}s", r["secondary_trimmed"], r["intact"])
+                  f"{r['completion_s']:.3f}s", r["secondary_trimmed"], r["intact"],
+                  ", ".join(r["invariants"]) or "held")
                  for merging, r in raw["min-window"].items()],
             ),
         ],

@@ -1,8 +1,9 @@
 """End-to-end invariant checker for failover runs (paper §2).
 
 The paper's §2 states the three requirements a transparent failover must
-uphold; this module turns them into machine-checked invariants that the
-chaos matrix (:mod:`repro.harness.chaos`) asserts on **every** cell:
+uphold; this module turns them into machine-checked invariants that
+every cell (chaos, attack, the paper's experiments) is judged by.  They
+come from the paper, never from the bridge's flags:
 
 **Per-emission invariants** (checked live on each segment the primary
 bridge sends to the peer, via :meth:`InvariantChecker.attach_primary_bridge`):
@@ -40,7 +41,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import List, Optional
 
-from repro.tcp.seqnum import seq_diff, seq_le, seq_max
+from repro.tcp.seqnum import seq_diff, seq_le
 
 
 @dataclass
@@ -63,10 +64,6 @@ class InvariantChecker:
         self.violations: List[Violation] = []
         self.bridges: list = []
         self.emissions = 0
-        # Highest ACK the primary bridge ever emitted toward the peer
-        # (peer sequence space), for the acked-byte accounting of runs
-        # that end before failover.
-        self.max_ack_emitted: Optional[int] = None
 
     # -- live per-emission checks -----------------------------------------
 
@@ -91,32 +88,24 @@ class InvariantChecker:
     def _check_emission(self, bridge, bc, segment) -> None:
         self.emissions += 1
         now = bridge.host.sim.now
-        if segment.rst:
-            return  # aborts carry the originating TCP's values verbatim
-        if segment.has_ack:
-            self.max_ack_emitted = (
-                segment.ack
-                if self.max_ack_emitted is None
-                else seq_max(self.max_ack_emitted, segment.ack)
-            )
-        if bc.direct:
-            return  # §6 mode: P's own values pass through, nothing to merge
+        if segment.rst or bc.direct:
+            return  # an abort's values are verbatim; §6 mode merges nothing
+        merge = bc.merge
         if (
             segment.has_ack
-            and bridge.ack_merging
-            and bc.merge.ack_s is not None
-            and not seq_le(segment.ack, bc.merge.ack_s)
+            and merge.ack_s is not None
+            and not seq_le(segment.ack, merge.ack_s)
         ):
             self.violations.append(Violation(
                 now, "never-ack-unreplicated",
                 f"emitted ack={segment.ack} beyond secondary's"
-                f" ack_s={bc.merge.ack_s} (ack_p={bc.merge.ack_p})",
+                f" ack_s={merge.ack_s} (ack_p={merge.ack_p})",
             ))
-        if bridge.window_merging and segment.window != bc.merge.merged_window():
+        if segment.window != min(merge.win_p, merge.win_s):
             self.violations.append(Violation(
                 now, "min-window-merge",
                 f"emitted window={segment.window}, expected"
-                f" min(win_p={bc.merge.win_p}, win_s={bc.merge.win_s})",
+                f" min(win_p={merge.win_p}, win_s={merge.win_s})",
             ))
         if (
             segment.payload
@@ -161,8 +150,8 @@ class InvariantChecker:
     ) -> int:
         """Invariant 5: acked client payload survives the failover.
 
-        ``client_acked_seq`` is the client connection's ``snd_una`` (or the
-        bridge's max emitted ACK), ``stream_start`` the sequence number of
+        ``client_acked_seq`` is the client connection's ``snd_una``,
+        ``stream_start`` the sequence number of
         payload byte 0 (ISS+1), ``delivered`` how many payload bytes the
         surviving server application received.  Returns the acked count.
         """

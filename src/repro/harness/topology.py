@@ -320,24 +320,25 @@ class Lan:
     # -- faults and invariants -------------------------------------------
 
     def attach_checks(self) -> None:
-        """Wire the fault plane and the invariant checker onto the pair.
+        """Wire the fault plane and the invariant checker onto the LAN.
 
         The plane taps the shared segment (point ``"lan"``) and each
         member's receive path (``"nic:<name>"``), so rules can target the
-        medium or one receiver; the checker wraps the primary bridge's
-        emissions from the first segment on.
+        medium or one receiver; the checker wraps the pair's primary
+        bridge's emissions (if there is a pair) from the first segment on.
         """
         self.plane = FaultPlane(self.sim, rng=self.rng, tracer=self.tracer)
         self.plane.tap_segment(self.segment, point="lan")
         for host in self.hosts:
             self.plane.tap_nic(host.nic, point=f"nic:{host.name}")
         self.checker = InvariantChecker(tracer=self.tracer)
-        self.checker.attach_primary_bridge(self.pair.primary_bridge)
-        # After a reintegration the survivor's (possibly brand-new) merging
-        # bridge must be checked too — every emission, from either epoch.
-        self.pair.on_reintegrated.append(
-            lambda pair: self.checker.attach_primary_bridge(pair.primary_bridge)
-        )
+        if self.pair is not None:
+            self.checker.attach_primary_bridge(self.pair.primary_bridge)
+            # After a reintegration the survivor's (maybe new) merging
+            # bridge is checked too: every emission, from either epoch.
+            self.pair.on_reintegrated.append(
+                lambda pair: self.checker.attach_primary_bridge(pair.primary_bridge)
+            )
 
     def finish_checks(self) -> None:
         """Run the end-of-run invariants that need no stream data."""

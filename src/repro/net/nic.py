@@ -25,16 +25,12 @@ class Nic:
         self.promiscuous = False
         self.up = True
         self._receiver: Optional[Callable[[EthernetFrame], None]] = None
-        # Fault-injection hook: return True to drop a received frame.
-        self.rx_drop_hook: Optional[Callable[[EthernetFrame], bool]] = None
-        # Richer fault tap (see repro.net.faults.FaultPlane.tap_nic):
-        # return True when the plane consumed the frame (it may re-inject
-        # delayed / duplicated / corrupted copies through frame_arrived).
+        # FaultPlane.tap_nic: True when the plane consumed the frame (it
+        # may re-inject delayed/duplicated/corrupted copies via frame_arrived).
         self.rx_fault_filter: Optional[Callable[[EthernetFrame], bool]] = None
         self.frames_sent = 0
         self.frames_received = 0
         self.frames_snooped = 0
-        self.frames_dropped_injected = 0
 
     def attach(self, segment: EthernetSegment) -> None:
         if self.segment is not None:
@@ -65,11 +61,7 @@ class Nic:
         """Called by the segment for every frame on the medium."""
         if not self.up or self._receiver is None:
             return
-        if self.rx_drop_hook is not None and self.rx_drop_hook(frame):
-            self.frames_dropped_injected += 1
-            return
         if self.rx_fault_filter is not None and self.rx_fault_filter(frame):
-            self.frames_dropped_injected += 1
             return
         addressed_to_us = frame.dst == self.mac or frame.dst.is_broadcast
         if addressed_to_us:

@@ -496,20 +496,22 @@ def _tcp_digest(lan, *scalars):
 
 def _segment_dropper(host, wanted, count=1):
     """Drop the first ``count`` TCP segments arriving at ``host`` for which
-    ``wanted(segment)`` holds; returns the list of dropped segments."""
-    from repro.net.packet import Ipv4Datagram
+    ``wanted(segment)`` holds; returns the list of dropped segments.  The
+    rule sits on a plane of its own whose tracer records nothing, so the
+    digested trace is the run's alone."""
+    from repro.net.faults import Drop, FaultPlane
+    from repro.sim.rng import RngRegistry
 
     dropped = []
 
-    def hook(frame):
-        segment = getattr(frame.payload, "payload", None)
-        if (isinstance(frame.payload, Ipv4Datagram) and hasattr(segment, "seq")
-                and len(dropped) < count and wanted(segment)):
-            dropped.append(segment)
+    def match(ctx):
+        if ctx.segment is not None and len(dropped) < count and wanted(ctx.segment):
+            dropped.append(ctx.segment)
             return True
         return False
 
-    host.nic.rx_drop_hook = hook
+    plane = FaultPlane(host.sim, RngRegistry(0))
+    plane.rule("drop", Drop(), point=plane.tap_nic(host.nic), match=match)
     return dropped
 
 

@@ -4,7 +4,7 @@
 Δseq bookkeeping both depend on.
 """
 
-from repro.net.packet import Ipv4Datagram
+from repro.net.faults import Drop, is_syn_ack
 from repro.tcp.seqnum import seq_sub
 from repro.tcp.socket_api import ListeningSocket, SimSocket
 from tests.util import CLIENT_IP, ReplicatedLan, run_all
@@ -104,19 +104,10 @@ def test_merged_syn_carries_min_mss():
 
 def test_lost_merged_syn_ack_retransmitted_through_bridge():
     lan = ReplicatedLan(failover_ports=(80,))
-    dropped = {"done": False}
-
-    def drop_first_syn_ack(frame):
-        payload = frame.payload
-        if not isinstance(payload, Ipv4Datagram):
-            return False
-        seg = getattr(payload, "payload", None)
-        if seg is not None and seg.syn and seg.has_ack and not dropped["done"]:
-            dropped["done"] = True
-            return True
-        return False
-
-    lan.client.nic.rx_drop_hook = drop_first_syn_ack
+    lan.attach_checks()
+    syn_ack_loss = lan.plane.rule(
+        "syn-ack-loss", Drop(), point="nic:client", match=is_syn_ack, nth=0
+    )
 
     def server_app(host):
         def app():
@@ -133,7 +124,7 @@ def test_lost_merged_syn_ack_retransmitted_through_bridge():
 
     (sock,) = run_all(lan.sim, [client()], until=10.0)
     assert sock.connected
-    assert dropped["done"]
+    assert syn_ack_loss.fired == 1
 
 
 def test_server_initiated_establishment():

@@ -12,48 +12,23 @@ import pytest
 
 from repro.failover import queues
 from repro.failover.merge import AckWindowMerge
-from repro.failover.primary import PrimaryBridge
 from repro.harness.cells import BridgeCell
-from repro.harness.invariants import InvariantChecker
-from repro.tcp.seqnum import seq_add, seq_le
+from repro.net.faults import Drop
+from repro.tcp.seqnum import seq_add
 from repro.tcp.socket_api import ListeningSocket, SimSocket
-from tests.util import ChaosLan, ReplicatedLan, run_all
+from tests.util import ChaosLan, ReplicatedLan, nth_data_frames, run_all
 
 PORT = 80
 
 
-def instrument_emissions(bridge: PrimaryBridge, violations: list):
-    """Record a violation whenever an emitted ACK exceeds the secondary's."""
-    original_emit = bridge._emit
-
-    def checked_emit(bc, segment):
-        if segment.has_ack and bc.merge.ack_s is not None and not bc.direct:
-            if not seq_le(segment.ack, bc.merge.ack_s):
-                violations.append((segment.ack, bc.merge.ack_s))
-        original_emit(bc, segment)
-
-    bridge._emit = checked_emit
-
-
 def upload_with_loss(lan, drops, blob_size=120_000):
+    """Upload ``blob_size`` bytes through ``lan``'s checked pair while the
+    secondary loses the snooped data frames numbered in ``drops``."""
     from repro.apps.bulk import pattern_bytes
-    from repro.net.packet import Ipv4Datagram
 
-    state = {"index": 0}
-    drop_set = set(drops)
-
-    def hook(frame):
-        payload = frame.payload
-        if not isinstance(payload, Ipv4Datagram):
-            return False
-        segment = getattr(payload, "payload", None)
-        if segment is None or not segment.payload:
-            return False
-        index = state["index"]
-        state["index"] += 1
-        return index in drop_set
-
-    lan.secondary.nic.rx_drop_hook = hook
+    lan.attach_checks()
+    lan.plane.rule("snoop-loss", Drop(), point="nic:secondary",
+                   match=nth_data_frames(drops))
     blob = pattern_bytes(blob_size)
     received = {}
 
@@ -85,33 +60,32 @@ def upload_with_loss(lan, drops, blob_size=120_000):
 
 def test_never_ack_beyond_secondary_without_loss():
     lan = ReplicatedLan(failover_ports=(PORT,))
-    violations = []
-    instrument_emissions(lan.pair.primary_bridge, violations)
     blob, received = upload_with_loss(lan, drops=())
     assert received["secondary"] == blob
-    assert violations == []
+    assert lan.checker.ok, lan.checker.report()
+    assert lan.checker.emissions > 0
 
 
 def test_never_ack_beyond_secondary_with_snoop_loss():
     lan = ReplicatedLan(failover_ports=(PORT,))
-    violations = []
-    instrument_emissions(lan.pair.primary_bridge, violations)
     blob, received = upload_with_loss(lan, drops={3, 7, 20, 21, 22})
     assert received["secondary"] == blob
-    assert violations == []
+    assert lan.checker.ok, lan.checker.report()
 
 
 def test_ablated_bridge_does_violate():
-    """Sanity check that the instrumentation can catch violations at all:
-    with min-ACK merging disabled and a snoop loss, the invariant breaks."""
-    lan = ReplicatedLan(failover_ports=(PORT,), ack_merging=False)
-    violations = []
-    instrument_emissions(lan.pair.primary_bridge, violations)
-    try:
-        upload_with_loss(lan, drops={5})
-    except AssertionError:
-        pass  # the transfer may stall out entirely; irrelevant here
-    assert violations, "ablation should have produced at least one violation"
+    """The checker's rules are the paper's, not the bridge's: a pair built
+    with one merge rule switched off breaks exactly that rule's invariant
+    (under a snoop loss, with a secondary slower than the primary)."""
+    for ablated, invariant in (("ack_merging", "never-ack-unreplicated"),
+                               ("window_merging", "min-window-merge")):
+        lan = ReplicatedLan(failover_ports=(PORT,), **{ablated: False})
+        lan.secondary.tcp.conn_defaults["recv_buffer_size"] = 8 * 1024
+        try:
+            upload_with_loss(lan, drops={5})
+        except AssertionError:
+            pass  # the transfer may stall out entirely; irrelevant here
+        assert {v.invariant for v in lan.checker.violations} == {invariant}, ablated
 
 
 def test_client_sequence_space_is_secondarys():
@@ -150,9 +124,8 @@ def test_client_sequence_space_is_secondarys():
 # the emission seam is live, and the checker on it has teeth
 # ----------------------------------------------------------------------
 #
-# ``InvariantChecker`` (and ``instrument_emissions`` above) replace
-# ``bridge._emit`` on the *instance*, after construction.  Whatever sits
-# above that seam must therefore look ``_emit`` up on the bridge at each
+# ``InvariantChecker`` replaces ``bridge._emit`` on the *instance*, after
+# construction.  Whatever sits above that seam must therefore look ``_emit`` up on the bridge at each
 # emission, and call it while the connection state is still what the
 # segment was built from.  Each test below makes the algorithm lie above
 # the seam and expects the named per-emission violation.
@@ -163,16 +136,8 @@ def _checked_cell(direction, drops=()):
     in ``drops``; returns ``(lan, cell)`` with the transfer not yet run."""
     lan = ChaosLan(seed=2, failover_ports=(PORT,))
     cell = BridgeCell(lan, 120_000, direction)
-    state = {"index": 0}
-
-    def lossy_snoop(frame):
-        segment = getattr(frame.payload, "payload", None)
-        if not getattr(segment, "payload", None):
-            return False
-        state["index"] += 1
-        return state["index"] - 1 in drops
-
-    lan.secondary.nic.rx_drop_hook = lossy_snoop
+    lan.plane.rule("snoop-loss", Drop(), point="nic:secondary",
+                   match=nth_data_frames(drops))
     return lan, cell
 
 
@@ -193,24 +158,9 @@ def test_checker_catches_an_ack_the_secondary_has_not_sent(monkeypatch):
 def test_checker_catches_a_window_that_is_not_the_minimum(monkeypatch):
     lan, cell = _checked_cell("upload", drops={3})
     lan.secondary.tcp.conn_defaults["recv_buffer_size"] = 8 * 1024
-    # The checker's oracle is merged_window() itself, so the lie is told
-    # to the bridge only: the checker gets the truth while it looks.
-    honest_window = AckWindowMerge.merged_window
-    honest_check = InvariantChecker._check_emission
-    checking = []
-
-    def check(checker, bridge, bc, segment):
-        checking.append(True)
-        try:
-            honest_check(checker, bridge, bc, segment)
-        finally:
-            checking.pop()
-
-    monkeypatch.setattr(InvariantChecker, "_check_emission", check)
-    monkeypatch.setattr(
-        AckWindowMerge, "merged_window",
-        lambda merge: honest_window(merge) if checking else merge.win_p,
-    )
+    # The checker computes min(win_p, win_s) itself, so the lie reaches
+    # the bridge only.
+    monkeypatch.setattr(AckWindowMerge, "merged_window", lambda merge: merge.win_p)
     assert "min-window-merge" in _run(lan, cell)
     assert lan.checker.emissions > 0
 

@@ -13,9 +13,10 @@ from hypothesis import strategies as st
 
 from repro.apps import bulk
 from repro.failover.merge import AckWindowMerge
+from repro.net.faults import Drop
 from repro.tcp.seqnum import SEQ_MOD, seq_add, seq_le, seq_sub
 from repro.tcp.socket_api import ListeningSocket, SimSocket
-from tests.util import ReplicatedLan, run_all
+from tests.util import ReplicatedLan, nth_data_frames, run_all
 
 PORT = 80
 
@@ -107,23 +108,9 @@ def test_integrity_under_snoop_loss(seed, drops):
     """Random snoop losses at the secondary must never corrupt the stream
     nor let the bridge acknowledge data the secondary is missing."""
     lan = ReplicatedLan(failover_ports=(PORT,), seed=seed)
-    drop_set = set(drops)
-    state = {"index": 0}
-
-    def hook(frame):
-        from repro.net.packet import Ipv4Datagram
-
-        payload = frame.payload
-        if not isinstance(payload, Ipv4Datagram):
-            return False
-        seg = getattr(payload, "payload", None)
-        if seg is None or not seg.payload:
-            return False
-        index = state["index"]
-        state["index"] += 1
-        return index in drop_set
-
-    lan.secondary.nic.rx_drop_hook = hook
+    lan.attach_checks()
+    lan.plane.rule("snoop-loss", Drop(), point="nic:secondary",
+                   match=nth_data_frames(drops))
     received = {}
 
     def sink_app(host):
@@ -152,6 +139,7 @@ def test_integrity_under_snoop_loss(seed, drops):
     run_all(lan.sim, [client()], until=120.0)
     assert received.get("primary") == blob
     assert received.get("secondary") == blob
+    assert lan.checker.ok, lan.checker.report()
 
 
 @FAST

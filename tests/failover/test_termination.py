@@ -6,7 +6,7 @@ and the late-FIN rules (synthesised ACKs after state deletion).
 
 import pytest
 
-from repro.net.packet import Ipv4Datagram
+from repro.net.faults import Drop
 from repro.tcp.socket_api import ListeningSocket, SimSocket
 from tests.util import CLIENT_IP, ReplicatedLan, run_all
 
@@ -177,22 +177,18 @@ def test_late_fin_from_secondary_gets_synthesized_ack():
     """§8: S retransmits its FIN after the bridge deleted the connection;
     the bridge answers with an ACK that satisfies S's TCP."""
     lan = ReplicatedLan(failover_ports=(PORT,))
-    # Drop the first client ACK snooped by the secondary so S lingers in
+    # Drop the first client ACKs snooped by the secondary so S lingers in
     # LAST_ACK and retransmits its FIN after the bridge state is gone.
-    dropped = {"count": 0}
+    lan.attach_checks()
 
-    def drop_late_acks(frame):
-        payload = frame.payload
-        if not isinstance(payload, Ipv4Datagram):
-            return False
-        seg = getattr(payload, "payload", None)
-        if seg is None or seg.payload or not seg.has_ack or seg.syn or seg.fin:
-            return False
-        # Drop pure client ACKs near the end of the exchange.
-        if payload.src == lan.client.ip.primary_address() and dropped["count"] < 3:
-            dropped["count"] += 1
-            return True
-        return False
+    def pure_client_ack(ctx):
+        segment = ctx.segment
+        return (
+            segment is not None
+            and segment.has_ack
+            and not (segment.payload or segment.syn or segment.fin)
+            and ctx.src_ip == lan.client.ip.primary_address()
+        )
 
     def server_app(host):
         def app():
@@ -209,7 +205,8 @@ def test_late_fin_from_secondary_gets_synthesized_ack():
         yield from sock.wait_connected()
         yield from sock.send_all(b"x")
         # Start dropping only after data flowed.
-        lan.secondary.nic.rx_drop_hook = drop_late_acks
+        lan.plane.rule("late-ack-loss", Drop(), point="nic:secondary",
+                       match=pure_client_ack, max_fires=3)
         yield from sock.close_and_wait()
 
     run_all(lan.sim, [client()], until=20.0)

@@ -66,10 +66,10 @@ GOLDEN = {
         },
     ),
     "ablation": (
-        "c4b788f31e601566b21a504d26fb7dd91fd339aef6ac504795272368a7d852da",
+        "0d3282833523ce3bdf48f673e5bf57a285d2654e028525d899fc4648a44d617a",
         {
             "BENCH_ablation.json":
-                "0bda51d4c55b4eba4cd2b381af80518d9fe12e9f5e638dbb8c40682bb09183b6",
+                "2b6656625b7f7d7c7da85b308e256524a04c67e7c106a5f1ffcc9b957757f792",
         },
     ),
     "chain": (
@@ -108,7 +108,7 @@ GOLDEN = {
         },
     ),
     "obs report": (
-        "5748e41abef6a23258767427d7ca07a005f1a3d9c34bc09018c38f541053397d",
+        "06c16a80d17c0abd982f5964a16dda76d5fb653185c129407d0f150cf080af27",
         {},
     ),
     "obs pcap": (

@@ -6,7 +6,7 @@ import re
 from tests.util import ROOT
 
 #: DESIGN.md's size when the ceiling was introduced; lower it when you can.
-DESIGN_CEILING = 69_283
+DESIGN_CEILING = 69_282
 #: From PR 23 on an entry says what changed and where the numbers are.
 CHANGES_ENTRY_CEILING = 2_500
 FIRST_BUDGETED_PR = 23

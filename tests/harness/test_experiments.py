@@ -60,3 +60,15 @@ def test_minack_ablation_contrast():
     assert good["frame_dropped"] and bad["frame_dropped"]
     assert good["survivor_intact"]
     assert not bad["survivor_intact"]
+
+
+def test_ablation_rows_fail_by_invariant_name():
+    """E7/E8 run checked: the paper's rules hold on both ON rows, and
+    each OFF row breaks the invariant of the rule it switched off."""
+    raw = experiments.ablation_report().raw
+    assert raw["min-ACK"][True]["invariants"] == []
+    assert raw["min-window"][True]["invariants"] == []
+    assert set(raw["min-ACK"][False]["invariants"]) == {
+        "never-ack-unreplicated", "liveness",
+    }
+    assert set(raw["min-window"][False]["invariants"]) == {"min-window-merge"}

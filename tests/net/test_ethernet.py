@@ -4,10 +4,12 @@ import random
 
 from repro.net.addresses import MacAddress
 from repro.net.ethernet import EthernetSegment
+from repro.net.faults import Drop, FaultPlane
 from repro.net.nic import Nic
 from repro.net.packet import EthernetFrame
 from repro.obs.metrics import MetricsRegistry
 from repro.sim.engine import Simulator
+from repro.sim.rng import RngRegistry
 from repro.sim.trace import Tracer
 
 
@@ -160,10 +162,11 @@ def test_broadcast_reaches_everyone():
     assert len(inboxes[1]) == 1 and len(inboxes[2]) == 1
 
 
-def test_rx_drop_hook_drops_selected_frames():
+def test_fault_plane_drops_frames_at_a_nic_tap():
     sim, segment, nics, inboxes = build()
-    nics[1].rx_drop_hook = lambda f: True
+    plane = FaultPlane(sim, RngRegistry(0))
+    plane.rule("drop", Drop(), point=plane.tap_nic(nics[1]))
     nics[0].send(frame(nics[0], nics[1]))
     sim.run()
     assert inboxes[1] == []
-    assert nics[1].frames_dropped_injected == 1
+    assert [fire.kind for fire in plane.fires] == ["drop"]

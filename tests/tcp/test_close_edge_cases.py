@@ -5,7 +5,7 @@ import weakref
 
 import pytest
 
-from repro.net.packet import Ipv4Datagram
+from repro.net.faults import Drop
 from repro.obs.metrics import MetricsRegistry
 from repro.tcp.connection import TcpState
 from repro.tcp.socket_api import ListeningSocket, SimSocket
@@ -137,34 +137,26 @@ def test_simultaneous_close_both_sides():
 def test_time_wait_reacks_retransmitted_fin():
     """The active closer in TIME_WAIT must re-ACK a retransmitted FIN."""
     lan = TwoHostLan()
-    dropped = {"count": 0}
 
-    def drop_final_acks(frame):
-        payload = frame.payload
-        if not isinstance(payload, Ipv4Datagram):
-            return False
-        segment = getattr(payload, "payload", None)
-        if segment is None:
-            return False
-        # Drop the client's ACK of the server FIN (pure ACK, post-FIN).
-        if (
-            segment.has_ack
-            and not segment.payload
-            and not segment.fin
-            and not segment.syn
-            and dropped["count"] < 1
-            and payload.src == lan.client.ip.primary_address()
-            and lan.server.tcp.connections
+    def ack_of_server_fin(ctx):
+        # The client's pure ACK while the server sits in LAST_ACK.
+        segment = ctx.segment
+        return (
+            segment is not None
+            and segment.has_ack
+            and not (segment.payload or segment.fin or segment.syn)
+            and ctx.src_ip == lan.client.ip.primary_address()
             and any(
-                c.state in (TcpState.LAST_ACK,)
+                c.state is TcpState.LAST_ACK
                 for c in lan.server.tcp.connections.values()
             )
-        ):
-            dropped["count"] += 1
-            return True
-        return False
+        )
 
-    lan.server.nic.rx_drop_hook = drop_final_acks
+    lan.attach_checks()
+    ack_loss = lan.plane.rule(
+        "final-ack-loss", Drop(), point="nic:server", match=ack_of_server_fin,
+        max_fires=1,
+    )
 
     def server():
         listening = ListeningSocket.listen(lan.server, 80)
@@ -184,7 +176,7 @@ def test_time_wait_reacks_retransmitted_fin():
     server_conn, client_conn = run_all(lan.sim, [server(), client()], until=30.0)
     lan.run(until=lan.sim.now + 5.0)
     # The server's FIN retransmission was eventually ACKed out of TIME_WAIT.
-    assert dropped["count"] == 1
+    assert ack_loss.fired == 1
     assert server_conn.state == TcpState.CLOSED
 
 

@@ -3,6 +3,7 @@
 import pytest
 
 from repro.net.addresses import Ipv4Address
+from repro.net.faults import Corrupt, has_payload
 from repro.tcp.connection import ConnectionReset, TcpState
 from repro.tcp.socket_api import ListeningSocket, SimSocket
 from tests.util import SERVER_IP, TwoHostLan, run_all, run_process
@@ -247,29 +248,9 @@ def test_simultaneous_send_full_duplex():
 
 def test_checksum_corruption_dropped():
     """A corrupted segment is discarded and recovered by retransmission."""
-    import dataclasses
-
     lan = TwoHostLan()
-    corrupted = {"count": 0}
-
-    def corrupt_one(frame):
-        from repro.net.packet import Ipv4Datagram
-        payload = frame.payload
-        if (
-            corrupted["count"] == 0
-            and isinstance(payload, Ipv4Datagram)
-            and getattr(payload.payload, "payload", b"")
-        ):
-            corrupted["count"] += 1
-            # Flip a payload byte without fixing the checksum.
-            seg = payload.payload
-            bad = dataclasses.replace(
-                seg, payload=b"X" + seg.payload[1:]
-            )
-            object.__setattr__(payload, "payload", bad)
-        return False
-
-    lan.server.nic.rx_drop_hook = corrupt_one
+    lan.attach_checks()
+    lan.plane.rule("corrupt", Corrupt(), point="nic:server", match=has_payload, nth=0)
 
     def server():
         listening = ListeningSocket.listen(lan.server, 80)

@@ -4,29 +4,16 @@ These exercise the plain TCP machinery that §4 of the paper leans on; the
 failover-specific loss cases live in tests/failover/test_loss_cases.py.
 """
 
-from repro.net.packet import Ipv4Datagram
+from repro.net.faults import Drop, is_fin, is_syn_ack, is_tcp
 from repro.tcp.socket_api import ListeningSocket, SimSocket
-from tests.util import SERVER_IP, TwoHostLan, run_all
+from tests.util import SERVER_IP, TwoHostLan, nth_data_frames, run_all
 
 
 def data_frame_dropper(lan, which_host, drop_indices):
     """Drop the n-th TCP *data* frame arriving at ``which_host``."""
-    state = {"index": 0}
-    remaining = set(drop_indices)
-
-    def hook(frame):
-        payload = frame.payload
-        if not isinstance(payload, Ipv4Datagram):
-            return False
-        segment = getattr(payload, "payload", None)
-        if not getattr(segment, "payload", b""):
-            return False
-        index = state["index"]
-        state["index"] += 1
-        return index in remaining
-
-    which_host.nic.rx_drop_hook = hook
-    return state
+    lan.attach_checks()
+    lan.plane.rule("data-loss", Drop(), point=f"nic:{which_host.name}",
+                   match=nth_data_frames(drop_indices))
 
 
 def transfer(lan, blob, client_opts=None, until=120.0):
@@ -84,17 +71,14 @@ def test_lost_ack_is_harmless():
     blob = bytes(i & 0xFF for i in range(30_000))
     state = {"index": 0}
 
-    def drop_some_acks(frame):
-        payload = frame.payload
-        if not isinstance(payload, Ipv4Datagram):
-            return False
-        segment = getattr(payload, "payload", None)
-        if segment is None or getattr(segment, "payload", b""):
+    def every_third_pure_ack(ctx):
+        if not is_tcp(ctx) or ctx.segment.payload:
             return False
         state["index"] += 1
-        return state["index"] % 3 == 0  # drop every third pure ACK
+        return state["index"] % 3 == 0
 
-    lan.client.nic.rx_drop_hook = drop_some_acks
+    lan.attach_checks()
+    lan.plane.rule("ack-loss", Drop(), point="nic:client", match=every_third_pure_ack)
     data, conn = transfer(lan, blob, client_opts={"min_rto": 0.05})
     assert data == blob
 
@@ -102,48 +86,23 @@ def test_lost_ack_is_harmless():
 def test_lost_fin_retransmitted():
     lan = TwoHostLan()
     blob = b"short"
-    dropped = {"fin": False}
-
-    def drop_first_fin(frame):
-        payload = frame.payload
-        if not isinstance(payload, Ipv4Datagram):
-            return False
-        segment = getattr(payload, "payload", None)
-        if segment is not None and segment.fin and not dropped["fin"]:
-            dropped["fin"] = True
-            return True
-        return False
-
-    lan.server.nic.rx_drop_hook = drop_first_fin
+    lan.attach_checks()
+    fin_loss = lan.plane.rule("fin-loss", Drop(), point="nic:server", match=is_fin, nth=0)
     data, conn = transfer(lan, blob, client_opts={"min_rto": 0.05})
     assert data == blob
-    assert dropped["fin"]
+    assert fin_loss.fired == 1
 
 
 def test_lost_syn_ack_recovered():
     lan = TwoHostLan()
-    dropped = {"done": False}
-
-    def drop_first_syn_ack(frame):
-        payload = frame.payload
-        if not isinstance(payload, Ipv4Datagram):
-            return False
-        segment = getattr(payload, "payload", None)
-        if (
-            segment is not None
-            and segment.syn
-            and segment.has_ack
-            and not dropped["done"]
-        ):
-            dropped["done"] = True
-            return True
-        return False
-
-    lan.client.nic.rx_drop_hook = drop_first_syn_ack
+    lan.attach_checks()
+    syn_ack_loss = lan.plane.rule(
+        "syn-ack-loss", Drop(), point="nic:client", match=is_syn_ack, nth=0
+    )
     blob = b"after-retry"
     data, conn = transfer(lan, blob, client_opts={"initial_rto": 0.1})
     assert data == blob
-    assert dropped["done"]
+    assert syn_ack_loss.fired == 1
 
 
 def test_heavy_random_loss_stream_integrity():
@@ -152,14 +111,10 @@ def test_heavy_random_loss_stream_integrity():
 
     lan = TwoHostLan()
     rng = random.Random(4)
-
-    def loss(prob):
-        def hook(frame):
-            return rng.random() < prob
-        return hook
-
-    lan.server.nic.rx_drop_hook = loss(0.10)
-    lan.client.nic.rx_drop_hook = loss(0.10)
+    lan.attach_checks()
+    for host in ("server", "client"):
+        lan.plane.rule(f"loss-{host}", Drop(), point=f"nic:{host}",
+                       match=lambda ctx: rng.random() < 0.10)
     blob = bytes((i * 13) & 0xFF for i in range(40_000))
     data, conn = transfer(lan, blob, client_opts={"min_rto": 0.05}, until=300.0)
     assert data == blob

@@ -21,13 +21,14 @@ from repro.harness.topology import (
     TwoHostLan,
 )
 from repro.net.addresses import MacAddress
+from repro.net.faults import has_payload
 from repro.sim.engine import Simulator
 from repro.sim.process import spawn
 
 __all__ = [
     "CLIENT_IP", "SERVER_IP", "PRIMARY_IP", "SECONDARY_IP", "mac",
     "TwoHostLan", "ReplicatedLan", "ChaosLan", "AttackLan",
-    "run_process", "run_all", "ROOT", "documented",
+    "run_process", "run_all", "ROOT", "documented", "nth_data_frames",
 ]
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -37,6 +38,20 @@ SERVER_IP = PRIMARY_IP  # TwoHostLan's single server sits at the primary's addre
 
 def mac(index: int) -> MacAddress:
     return MacAddress(LAN_MAC_BASE + index)
+
+
+def nth_data_frames(drops):
+    """A fault-plane match for the TCP data frames numbered in ``drops``
+    (0-based, counted at the rule's point)."""
+    state = {"index": 0}
+
+    def match(ctx) -> bool:
+        if not has_payload(ctx):
+            return False
+        state["index"] += 1
+        return state["index"] - 1 in drops
+
+    return match
 
 
 def run_process(
